@@ -29,7 +29,6 @@ from .errors import (
     NonConvergence,
     RateCapViolated,
     RateOutOfRange,
-    StepTooLarge,
     SymbolOutOfRange,
     UndefinedAtHalf,
     UnreachableOutput,
@@ -94,6 +93,7 @@ from .source import (
     RdfResult,
     SourceSpec,
     d_max,
+    distortion_rate,
     rdf,
     rdf_gradient,
     source_dispersion,

@@ -262,8 +262,6 @@ def vmin_vmax(w: Channel, tol: float = DEFAULT_TOL) -> ChannelDispersion:
         phi = _ascend_to_capacity(w, start, cap.capacity, tol)
         if phi is not None:
             members.append(phi)
-    if not members:
-        raise NonConvergence("no start reached the capacity level set")
 
     spread = max(
         float(np.max(np.abs(m - members[0]))) for m in members

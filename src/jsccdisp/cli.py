@@ -277,7 +277,7 @@ def cmd_jscc(args) -> int:
     rep = jscc.dispersion_report(pb)
     thresholds = []
     for n in n_list:
-        pt = jscc.distortion_threshold(pb, n)
+        pt = jscc.distortion_threshold(pb, n, report=rep)
         thresholds.append({
             "n": n,
             "d_n_with_vlow": pt.d_with_vlow,
@@ -347,9 +347,10 @@ def cmd_simulate(args) -> int:
     if what == "excess":
         pb = _jscc_problem(problem)
         cap = ch.capacity(pb.channel)
+        rep = jscc.dispersion_report(pb)
         results = []
         for n in n_list:
-            pt = jscc.distortion_threshold(pb, n)
+            pt = jscc.distortion_threshold(pb, n, report=rep)
             m = int(math.floor(pb.rho * n))
             phi_m = nearest_type(cap.input_distribution, m)
             res = mcsim.excess_event_probability(

@@ -42,10 +42,6 @@ class NonConvergence(JsccDispError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class StepTooLarge(JsccDispError, ValueError):
-    """A finite-difference step leaves the probability simplex."""
-
-
 class BoundaryDistortion(JsccDispError, ValueError):
     """The operating distortion sits on the boundary {0, d_max}."""
 

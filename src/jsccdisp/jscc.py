@@ -1,7 +1,8 @@
 """Joint source-channel coding dispersion analysis.
 
 OPTA distortion, the dispersion sum V_J = V_S(P, D*) + rho * V_C(W),
-normal-approximation distortion thresholds D_n, the lossless
+normal-approximation distortion thresholds D_n (D* and each D_n by one
+slope search of the distortion-rate function), the lossless
 bandwidth-expansion sequence rho_n, and the separation-loss quantities
 eps_tilde(eps, lambda) and V_sep.
 
@@ -22,7 +23,6 @@ from . import source as sa
 from .errors import (
     BoundaryDistortion,
     DomainError,
-    NonConvergence,
     RateOutOfRange,
     UndefinedAtHalf,
     UselessChannel,
@@ -92,40 +92,14 @@ class LosslessRhoPoint:
     correction_note: str = CORRECTION_NOTE
 
 
-def _solve_distortion_for_rate(src: SourceSpec, target: float,
-                               tol: float) -> float:
-    """Bisection on D in (0, d_max) for R(P,D) = target (R is decreasing)."""
-    lo, hi = 0.0, sa.d_max(src)
-    r_lo = sa.rdf(src, lo, tol).rate
-    if target >= r_lo:
-        return 0.0
-    if target <= 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = sa.rdf(src, mid, min(tol, 1e-11)).rate
-        if abs(r_mid - target) <= tol:
-            return mid
-        if r_mid > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            return 0.5 * (lo + hi)
-    raise NonConvergence("distortion bisection failed to meet the rate target")
-
-
 def opta(problem: JsccProblem, tol: float = 1e-9) -> float:
-    """The distortion D* solving R(P, D*) = rho * C(W).
+    """The distortion D* solving R(P, D*) = rho * C(W), by one slope search.
 
     Returns 0 when rho*C >= R(P,0) (lossless regime) and d_max when the
     channel is useless.
     """
     cap = ch.capacity(problem.channel)
-    target = problem.rho * cap.capacity
-    if target <= 0.0:
-        return sa.d_max(problem.source)
-    return _solve_distortion_for_rate(problem.source, target, tol)
+    return sa.distortion_rate(problem.source, problem.rho * cap.capacity, tol)
 
 
 def _check_interior(problem: JsccProblem, d_star: float) -> None:
@@ -137,24 +111,19 @@ def _check_interior(problem: JsccProblem, d_star: float) -> None:
         )
 
 
-def jscc_dispersion(problem: JsccProblem,
-                    h_step: float = sa.DEFAULT_H_STEP) -> tuple[float, float]:
+def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
     """(v_j_low, v_j_high) = V_S(P,D*) + rho * (V_min, V_max), nats^2."""
-    d_star = opta(problem)
-    _check_interior(problem, d_star)
-    disp = ch.vmin_vmax(problem.channel)
-    v_s = sa.source_dispersion(problem.source, d_star, h_step)
-    return (v_s + problem.rho * disp.v_min, v_s + problem.rho * disp.v_max)
+    rep = dispersion_report(problem)
+    return rep.v_j_low, rep.v_j_high
 
 
-def dispersion_report(problem: JsccProblem,
-                      h_step: float = sa.DEFAULT_H_STEP) -> DispersionReport:
+def dispersion_report(problem: JsccProblem) -> DispersionReport:
     """All dispersion quantities for a problem, in nats."""
     cap = ch.capacity(problem.channel)
     disp = ch.vmin_vmax(problem.channel)
     d_star = opta(problem)
     _check_interior(problem, d_star)
-    v_s = sa.source_dispersion(problem.source, d_star, h_step)
+    v_s = sa.source_dispersion(problem.source, d_star)
     return DispersionReport(
         capacity=cap.capacity,
         v_min=disp.v_min,
@@ -169,33 +138,33 @@ def dispersion_report(problem: JsccProblem,
 
 
 def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
-                         h_step: float = sa.DEFAULT_H_STEP) -> ThresholdPoint:
+                         report: DispersionReport | None = None
+                         ) -> ThresholdPoint:
     """D_n solving R(P, D_n) = rho*C - sqrt(V_J/n) * Qinv(eps), both V_J ends.
 
-    Raises RateOutOfRange when a target rate leaves (0, R(P,0)); the value
-    is reported in the message rather than clamped.
+    Each D_n comes from one slope search. ``report`` reuses the dispersion
+    quantities of the problem across block lengths; without it they are
+    computed here. Raises RateOutOfRange when a target rate leaves
+    (0, R(P,0)); the value is reported in the message rather than clamped.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    cap = ch.capacity(problem.channel)
-    v_low, v_high = jscc_dispersion(problem, h_step)
+    rep = report if report is not None else dispersion_report(problem)
     qi = q_inverse(problem.eps)
     r_zero = sa.rdf(problem.source, 0.0, tol).rate
     targets = {}
-    for tag, v in (("vlow", v_low), ("vhigh", v_high)):
-        t = problem.rho * cap.capacity - math.sqrt(v / n) * qi
+    for tag, v in (("vlow", rep.v_j_low), ("vhigh", rep.v_j_high)):
+        t = rep.r_at_d_star - math.sqrt(v / n) * qi
         if not (0.0 < t < r_zero):
             raise RateOutOfRange(
                 f"target rate {t} nats (using v_j_{tag.replace('v', '')}) "
                 f"is outside (0, {r_zero})"
             )
         targets[tag] = t
-    d_low = _solve_distortion_for_rate(problem.source, targets["vlow"], tol)
-    d_high = _solve_distortion_for_rate(problem.source, targets["vhigh"], tol)
     return ThresholdPoint(
         n=n,
-        d_with_vlow=d_low,
-        d_with_vhigh=d_high,
+        d_with_vlow=sa.distortion_rate(problem.source, targets["vlow"], tol),
+        d_with_vhigh=sa.distortion_rate(problem.source, targets["vhigh"], tol),
         target_rate_with_vlow=targets["vlow"],
         target_rate_with_vhigh=targets["vhigh"],
     )

@@ -290,8 +290,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
 
 def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
                              phi_m: EmpiricalType, n: int, trials: int,
-                             seed: int, workers: int = 1,
-                             h_step: float = sa.DEFAULT_H_STEP) -> CltResult:
+                             seed: int, workers: int = 1) -> CltResult:
     """First-order term of the distortion-rate expansion, standardized.
 
     A(S,Y) = sum_s (P_S(s)-P(s)) D'_P(s)
@@ -312,7 +311,7 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
             f"distortion-rate slope {slope} is degenerate at D = {d_star}"
         )
     d_r = 1.0 / slope
-    grad = sa.rdf_gradient(src, d_star, h_step)
+    grad = sa.rdf_gradient(src, d_star)
     dp = -grad * d_r                      # centered; constants cancel in A
     v_s = float(np.dot(p, (grad - np.dot(p, grad)) ** 2))
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import (
     AbsoluteContinuityViolated,
@@ -212,26 +213,13 @@ def q_function(x: float) -> float:
 
 
 def q_inverse(eps: float) -> float:
-    """Inverse of :func:`q_function` on (0, 1) by monotone bisection.
+    """Inverse of :func:`q_function` on (0, 1): Qinv(eps) = -Phi^{-1}(eps).
 
-    The bracket is refined below 1e-12 in the argument; q_inverse(0.5)
-    returns exactly 0.
+    q_inverse(0.5) returns exactly 0.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("q_inverse requires eps in (0, 1)")
-    lo, hi = -40.0, 40.0  # Q(40) underflows to 0, Q(-40) rounds to 1
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        qm = q_function(mid)
-        if qm == eps:
-            return mid
-        if qm > eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return -float(ndtri(eps)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 # ---------------------------------------------------------------------------

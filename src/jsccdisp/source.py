@@ -1,12 +1,17 @@
 """Discrete memoryless source analysis.
 
-Rate-distortion function R(P,D) by alternating minimization with a
-Lagrangian slope sweep, its simplex gradient by central differences, and
-the source dispersion Var_P of that gradient.
+Rate-distortion function R(P,D) and its inverse D(P,R) by alternating
+minimization inside one Lagrangian slope search, the simplex gradient of R
+as the centered d-tilted information, and the source dispersion Var_P of
+that gradient.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
 partial derivatives by an additive constant that the variance ignores.
+The d-tilted information j(x) = s*D - log sum_z q*(z) exp(s*d(x,z)), with
+s the slope and q* the reproduction marginal of the solve at D, has
+E_P[j] = R(P,D) and centered version g (Kostina & Verdu, IEEE-IT 2012;
+Ingber & Kochman, DCC 2011).
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryDistortion, DomainError, NonConvergence, StepTooLarge
+from .errors import BoundaryDistortion, DomainError, NonConvergence
 from .probcore import Distribution, q_inverse
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
-DEFAULT_H_STEP = 1e-5
 _INNER_TOL = 1e-13
 _MAX_INNER_ITER = 100_000
 _MAX_SLOPE_ITER = 300
@@ -68,6 +72,7 @@ class RdfResult:
     test_channel: np.ndarray
     lagrange_slope: float
     achieved_distortion: float
+    reproduction: np.ndarray
 
 
 def d_max(src: SourceSpec) -> float:
@@ -128,14 +133,60 @@ def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
     return rate, dist, lam, q
 
 
+def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
+                  by_rate: bool, tol: float):
+    """Find the Lagrangian slope s < 0 at which D(s), or R(s) with
+    ``by_rate``, is within ``tol`` of ``target``.
+
+    D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-. The slope
+    is bracketed by doubling from -1 and by 0, then narrowed by bisection
+    with secant proposals and warm starts. Returns (slope, rate,
+    distortion, test_channel, reproduction) at the last slope tried.
+    """
+    key, sign = (0, -1.0) if by_rate else (1, 1.0)
+    s_lo, q_warm = -1.0, None
+    for _ in range(80):
+        sol = _blahut_fixed_slope(p, dmat, s_lo, q0=q_warm)
+        q_warm = sol[3]
+        if sign * (sol[key] - target) <= 0:
+            break
+        s_lo *= 2.0
+    else:
+        raise NonConvergence("could not bracket the rate-distortion slope")
+    s_hi = 0.0
+    evals = [(s_lo, sol[key])]
+    for _ in range(_MAX_SLOPE_ITER):
+        # secant proposal from the two most recent evaluations, clipped to
+        # the bracket; fall back to its midpoint
+        slope = 0.5 * (s_lo + s_hi)
+        if len(evals) >= 2:
+            (s1, v1), (s2, v2) = evals[-2], evals[-1]
+            if v2 != v1:
+                cand = s2 + (target - v2) * (s1 - s2) / (v1 - v2)
+                if s_lo < cand < s_hi:
+                    slope = cand
+        sol = _blahut_fixed_slope(p, dmat, slope, q0=q_warm)
+        q_warm = sol[3]
+        evals.append((slope, sol[key]))
+        if abs(sol[key] - target) <= tol:
+            break
+        if sign * (sol[key] - target) < 0:
+            s_lo = slope
+        else:
+            s_hi = slope
+        if s_hi - s_lo <= 1e-15 * max(1.0, abs(s_lo)):
+            break  # slope pinned; the tangent correction handles the rest
+    return (slope,) + sol
+
+
 def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
     """R(P,D): minimal mutual information over test channels meeting D.
 
-    Sweeps the Lagrangian slope (bracketed bisection with secant proposals
-    and warm starts) until the achieved distortion is within ``tol`` of D,
-    then applies the tangent-line correction R(D) ~= R(D(s)) + s*(D - D(s)),
-    exact to O((D - D(s))^2) and exact on linear segments. Values of D
-    within 1e-12 of 0 or d_max route to closed-form endpoints.
+    Searches the Lagrangian slope until the achieved distortion is within
+    ``tol`` of D, then applies the tangent-line correction
+    R(D) ~= R(D(s)) + s*(D - D(s)), exact to O((D - D(s))^2) and exact on
+    linear segments. Values of D within 1e-12 of 0 or d_max route to
+    closed-form endpoints.
     """
     if d < 0:
         raise DomainError("distortion level must be nonnegative")
@@ -149,98 +200,64 @@ def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
         best = int(np.argmin(p @ dmat))
         lam = np.zeros_like(dmat)
         lam[:, best] = 1.0
-        return RdfResult(0.0, lam, 0.0, float((p @ dmat)[best]))
+        return RdfResult(0.0, lam, 0.0, float((p @ dmat)[best]),
+                         lam[0].copy())
 
     if d <= BOUNDARY_TOL:
-        rate, dist, lam, _ = _blahut_fixed_slope(p, dmat, 0.0,
+        rate, dist, lam, q = _blahut_fixed_slope(p, dmat, 0.0,
                                                  zero_mask=(dmat == 0))
-        return RdfResult(rate, lam, -math.inf, dist)
+        return RdfResult(rate, lam, -math.inf, dist, q)
 
-    # bracket the slope: distortion grows toward d_max as slope -> 0-
-    s_lo, q_warm = -1.0, None
-    for _ in range(80):
-        _, dist_lo, _, q_warm = _blahut_fixed_slope(p, dmat, s_lo, q0=q_warm)
-        if dist_lo <= d:
-            break
-        s_lo *= 2.0
-    else:
-        raise NonConvergence("could not bracket the rate-distortion slope")
-    s_hi, dist_hi = 0.0, dm
-    evals = [(s_lo, dist_lo)]
-    slope, rate_s, dist_s, lam = s_lo, None, dist_lo, None
-    for _ in range(_MAX_SLOPE_ITER):
-        # secant proposal from the two most recent evaluations, clipped to
-        # the bracket; fall back to its midpoint
-        slope = 0.5 * (s_lo + s_hi)
-        if len(evals) >= 2:
-            (s1, d1), (s2, d2) = evals[-2], evals[-1]
-            if d2 != d1:
-                cand = s2 + (d - d2) * (s1 - s2) / (d1 - d2)
-                if s_lo < cand < s_hi:
-                    slope = cand
-        rate_s, dist_s, lam, q_warm = _blahut_fixed_slope(p, dmat, slope,
-                                                          q0=q_warm)
-        evals.append((slope, dist_s))
-        if abs(dist_s - d) <= tol:
-            break
-        if dist_s < d:
-            s_lo = slope
-        else:
-            s_hi = slope
-        if s_hi - s_lo <= 1e-15 * max(1.0, abs(s_lo)):
-            break  # slope pinned; the tangent correction handles the rest
+    slope, rate_s, dist_s, lam, q = _slope_search(p, dmat, d, False, tol)
     rate = max(rate_s + slope * (d - dist_s), 0.0)
-    return RdfResult(rate, lam, slope, dist_s)
+    return RdfResult(rate, lam, slope, dist_s, q)
 
 
-def rdf_gradient(src: SourceSpec, d: float,
-                 h_step: float = DEFAULT_H_STEP) -> np.ndarray:
-    """Centered simplex gradient of R(Q,D) at Q=P by central differences.
+def distortion_rate(src: SourceSpec, rate: float,
+                    tol: float = DEFAULT_RDF_TOL) -> float:
+    """D(P,R): the distortion at which R(P,D) equals ``rate``.
 
-    Perturbs along Q_e = (1-e)P + e*delta_s, which stays on the simplex;
-    the result is the raw partials minus their P-mean.
+    Searches the Lagrangian slope until R(s) is within ``tol`` of the
+    rate, then applies the tangent-line correction
+    D(R) ~= D(s) + (R - R(s))/s. Returns d_max for rate <= 0 and 0 for
+    rate >= R(P,0).
     """
-    if h_step <= 0:
-        raise DomainError("h_step must be positive")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    dm = d_max(src)
+    if rate <= 0.0:
+        return dm
+    if rate >= rdf(src, 0.0, tol).rate:
+        return 0.0
+    slope, rate_s, dist_s, _, _ = _slope_search(
+        src.distribution.probs, src.distortion, rate, True, tol)
+    return min(max(dist_s + (rate - rate_s) / slope, 0.0), dm)
+
+
+def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
+    """Centered simplex gradient of R(Q,D) at Q=P: j - E_P[j].
+
+    j is the d-tilted information, built from the slope and the
+    reproduction marginal of one rdf solve at D.
+    """
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
             f"gradient needs D strictly inside (0, {dm}); got {d}"
         )
-    p = src.distribution.probs
-    k = p.size
-    grad = np.zeros(k)
-    tol = 1e-11
-    for s in range(k):
-        if (1.0 + h_step) * p[s] - h_step < 0:
-            raise StepTooLarge(
-                f"h_step={h_step} pushes coordinate {s} below the simplex"
-            )
-        delta = np.zeros(k)
-        delta[s] = 1.0
-        q_plus = (1 - h_step) * p + h_step * delta
-        q_minus = np.maximum((1 + h_step) * p - h_step * delta, 0.0)
-        r_plus = rdf(_replace_dist(src, q_plus), d, tol).rate
-        r_minus = rdf(_replace_dist(src, q_minus), d, tol).rate
-        grad[s] = (r_plus - r_minus) / (2 * h_step)
-    return grad
+    res = rdf(src, d, 1e-11)
+    s = res.lagrange_slope
+    j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
+    return j - float(np.dot(src.distribution.probs, j))
 
 
-def _replace_dist(src: SourceSpec, probs: np.ndarray) -> SourceSpec:
-    return SourceSpec(Distribution(probs / probs.sum()), src.distortion)
+def source_dispersion(src: SourceSpec, d: float) -> float:
+    """V_S(P,D) = Var_P[j(S,D)], the variance of the d-tilted information."""
+    g = rdf_gradient(src, d)
+    return float(np.dot(src.distribution.probs, g ** 2))
 
 
-def source_dispersion(src: SourceSpec, d: float,
-                      h_step: float = DEFAULT_H_STEP) -> float:
-    """V_S(P,D) = Var_P[ dR(Q,D)/dQ ], invariant to the centering constant."""
-    g = rdf_gradient(src, d, h_step)
-    p = src.distribution.probs
-    mean = float(np.dot(p, g))
-    return max(float(np.dot(p, (g - mean) ** 2)), 0.0)
-
-
-def source_rate_at(src: SourceSpec, d: float, n: int, eps: float,
-                   h_step: float = DEFAULT_H_STEP) -> float:
+def source_rate_at(src: SourceSpec, d: float, n: int, eps: float) -> float:
     """Normal approximation R(P,D) + sqrt(V_S/n) * Qinv(eps), in nats.
 
     The O(log n / n) correction term is omitted (flagged in CLI reports).
@@ -250,5 +267,5 @@ def source_rate_at(src: SourceSpec, d: float, n: int, eps: float,
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
     rate = rdf(src, d).rate
-    v_s = source_dispersion(src, d, h_step)
+    v_s = source_dispersion(src, d)
     return rate + math.sqrt(v_s / n) * q_inverse(eps)

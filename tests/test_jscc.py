@@ -33,6 +33,12 @@ from conftest import HAMMING, bernoulli, bsc, hamming_source
 
 LN2 = math.log(2.0)
 QINV_01 = 1.2815515655446004
+# docs/examples/ternary_asymmetric.json
+TERNARY_PROBLEM = JsccProblem(
+    SourceSpec(Distribution(np.array([0.5, 0.3, 0.2])),
+               np.ones((3, 3)) - np.eye(3)),
+    Channel(np.array([[0.95, 0.05], [0.2, 0.8]])),
+    2.0, 0.1)
 
 
 def h_nats(q):
@@ -131,8 +137,13 @@ class TestDistortionThreshold:
         d_oracle = bisect_h(LN2 - target)
         assert d_oracle == pytest.approx(0.1230847597852, abs=1e-10)
         assert pt.d_with_vlow == pytest.approx(d_oracle, abs=1e-6)
-        # the achieved rate meets the bisection target
-        rate = rdf(fair_problem.source, pt.d_with_vlow, 1e-12).rate
+
+    @pytest.mark.parametrize("example", ["bsc011_fair", "ternary"])
+    def test_round_trip_n1000(self, example, fair_problem):
+        # the achieved rate meets the target rate D_n was solved for
+        pb = fair_problem if example == "bsc011_fair" else TERNARY_PROBLEM
+        pt = distortion_threshold(pb, 1000, tol=1e-12)
+        rate = rdf(pb.source, pt.d_with_vlow, 1e-12).rate
         assert rate == pytest.approx(pt.target_rate_with_vlow, abs=1e-10)
 
     def test_exceeds_opta_at_small_eps(self, fair_problem):

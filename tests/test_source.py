@@ -5,12 +5,14 @@ import pytest
 
 from jsccdisp import (
     BoundaryDistortion,
+    Channel,
     Distribution,
     DomainError,
+    JsccProblem,
     SourceSpec,
-    StepTooLarge,
     d_max,
     entropy,
+    opta,
     q_inverse,
     rdf,
     rdf_gradient,
@@ -20,6 +22,7 @@ from jsccdisp import (
 from conftest import HAMMING, hamming_source
 
 LN2 = math.log(2.0)
+TERNARY_PROBS = np.array([0.5, 0.3, 0.2])
 
 
 def h_nats(q: float) -> float:
@@ -161,10 +164,29 @@ class TestRdfGradient:
         with pytest.raises(BoundaryDistortion):
             rdf_gradient(fair_hamming, 0.5)
 
-    def test_step_too_large(self):
-        src = SourceSpec(Distribution(np.array([1e-7, 1.0 - 1e-7])), HAMMING)
-        with pytest.raises(StepTooLarge):
-            rdf_gradient(src, 5e-8, h_step=1e-3)
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3])
+    def test_tilted_information_absolute_distortion(self, d):
+        # d(i,j) = |i - j|: the tilted information j(x) = s*D -
+        # log sum_z q*(z) exp(s*d(x,z)) has mean R(P,D), and its centered
+        # version matches central differences of R along (1-h)P + h*delta_x
+        idx = np.arange(3)
+        dmat = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        src = SourceSpec(Distribution(TERNARY_PROBS), dmat)
+        res = rdf(src, d, 1e-11)
+        s = res.lagrange_slope
+        j = s * d - np.log(np.exp(s * dmat) @ res.reproduction)
+        assert np.dot(TERNARY_PROBS, j) == pytest.approx(res.rate, abs=1e-12)
+
+        h = 1e-5
+        reference = np.empty(3)
+        for x in range(3):
+            delta = np.eye(3)[x]
+            plus = (1 - h) * TERNARY_PROBS + h * delta
+            minus = (1 + h) * TERNARY_PROBS - h * delta
+            r_plus = rdf(SourceSpec(Distribution(plus), dmat), d, 1e-11).rate
+            r_minus = rdf(SourceSpec(Distribution(minus), dmat), d, 1e-11).rate
+            reference[x] = (r_plus - r_minus) / (2 * h)
+        assert np.allclose(rdf_gradient(src, d), reference, rtol=0, atol=1e-8)
 
 
 class TestSourceDispersion:
@@ -187,6 +209,17 @@ class TestSourceDispersion:
             mean = np.dot(p, shifted)
             var = np.dot(p, (shifted - mean) ** 2)
             assert var == pytest.approx(source_dispersion(src, 0.08), rel=1e-9)
+
+    def test_ternary_example_equals_var_log_p(self):
+        # the shipped ternary example: under Hamming distortion V_S(P, D*)
+        # is exactly Var[log 1/P]
+        src = SourceSpec(Distribution(TERNARY_PROBS), np.ones((3, 3)) - np.eye(3))
+        channel = Channel(np.array([[0.95, 0.05], [0.2, 0.8]]))
+        d_star = opta(JsccProblem(src, channel, 2.0, 0.1))
+        logs = np.log(TERNARY_PROBS)
+        var_log = float(np.dot(TERNARY_PROBS, logs ** 2)
+                        - np.dot(TERNARY_PROBS, logs) ** 2)
+        assert source_dispersion(src, d_star) == pytest.approx(var_log, abs=1e-12)
 
     def test_lossless_limit_matches_var_log_p(self):
         # as D -> 0 the dispersion approaches Var[log P]
