@@ -1,28 +1,35 @@
 """Discrete memoryless channel analysis.
 
 Capacity with a certified Blahut-Arimoto bracket, information density,
-conditional/unconditional information variances, the V_min/V_max extremes
-over the capacity-achieving set, and the channel normal approximation
-C - sqrt(V/n) * Qinv(eps).
+conditional/unconditional information variances, the exact V_min/V_max
+extremes over the capacity-achieving set (the vertices of a polytope,
+enumerated with numpy up to a cap on their number), and the channel normal
+approximation C - sqrt(V/n) * Qinv(eps).
 
 All rates are in nats per channel use, variances in nats^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonConvergence, UnreachableOutput
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    EnumerationTooLarge,
+    NonConvergence,
+    UnreachableOutput,
+)
 from .probcore import Channel, Distribution, q_inverse
 
 DEFAULT_TOL = 1e-10
 _MAX_BA_ITER = 200_000
-_N_STARTS = 32
 _SINGLETON_TOL = 1e-8
-_START_SEED = 20240917  # fixed so multi-start results are reproducible
+_VERTEX_CAP = 1_000_000  # most candidate vertex subsets vmin_vmax enumerates
 
 CORRECTION_NOTE = "O(log n / n) correction term omitted"
 
@@ -40,9 +47,11 @@ class CapacityResult:
 class ChannelDispersion:
     """Extremes of the conditional information variance over Pi(W).
 
-    ``capacity_set_is_singleton`` is best-effort: it reports whether all
-    multi-start searches collapsed to a single input distribution.
-    ``v_min_positive`` surfaces the V_min > 0 assumption as a flag.
+    Exact up to the tolerance of the capacity solve; see ``vmin_vmax`` for
+    the vertex enumeration, the X* tolerance tau = sqrt(2 * tol) and the cap.
+    ``capacity_set_is_singleton`` is true when all vertices of Pi(W)
+    coincide within 1e-8. ``v_min_positive`` surfaces the V_min > 0
+    assumption as a flag.
     """
 
     v_min: float
@@ -112,6 +121,14 @@ def information_density(phi: Distribution, w: Channel) -> np.ndarray:
     return dens
 
 
+def _log_ratio(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
+    """log[W(y|x) / out(y)] where W(y|x) > 0, and 0 elsewhere."""
+    ratio = np.zeros_like(w_mat)
+    mask = w_mat > 0
+    ratio[mask] = np.log(w_mat[mask] / np.broadcast_to(out, w_mat.shape)[mask])
+    return ratio
+
+
 def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     """D(W_x || phiW) for every input row x, with the support convention.
 
@@ -120,10 +137,15 @@ def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     interior during the capacity searches.
     """
     out = np.maximum(phi_probs @ w_mat, 1e-300)
-    ratio = np.zeros_like(w_mat)
-    mask = w_mat > 0
-    ratio[mask] = np.log(w_mat[mask] / np.broadcast_to(out, w_mat.shape)[mask])
-    return (w_mat * ratio).sum(axis=1)
+    return (w_mat * _log_ratio(out, w_mat)).sum(axis=1)
+
+
+def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
+    """Var(i(x, Y) | X = x) for every input row x, at the output law ``out``."""
+    ratio = _log_ratio(out, w_mat)
+    row_mean = (w_mat * ratio).sum(axis=1)
+    row_second = (w_mat * ratio * ratio).sum(axis=1)
+    return np.maximum(row_second - row_mean * row_mean, 0.0)
 
 
 def capacity(w: Channel, tol: float = DEFAULT_TOL,
@@ -172,116 +194,76 @@ def unconditional_information_variance(phi: Distribution, w: Channel) -> float:
 def conditional_information_variance(phi: Distribution, w: Channel) -> float:
     """E_X[ Var(i(X,Y) | X) ] under phi x W, in nats^2."""
     _check_dims(phi, w)
-    out = phi.probs @ w.matrix
-    w_mat = w.matrix
-    ratio = np.zeros_like(w_mat)
-    mask = w_mat > 0
-    ratio[mask] = np.log(w_mat[mask] / np.broadcast_to(out, w_mat.shape)[mask])
-    row_mean = (w_mat * ratio).sum(axis=1)
-    row_second = (w_mat * ratio * ratio).sum(axis=1)
-    per_row = np.maximum(row_second - row_mean * row_mean, 0.0)
-    return float(np.dot(phi.probs, per_row))
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _ascend_to_capacity(w: Channel, start: np.ndarray, c_target: float,
-                        tol: float, max_iter: int = 20_000) -> np.ndarray | None:
-    """Projected gradient ascent on I(phi, W), polished by alternating
-    maximization until I is within tol of capacity. Returns None on failure."""
-    phi = _project_simplex(start.astype(float))
-    step = 1.0
-    for _ in range(max_iter):
-        grad = _row_divergences(phi, w.matrix)
-        val = float(np.dot(phi, grad))
-        if c_target - val <= tol:
-            break
-        # backtracking line search on the projected step
-        improved = False
-        while step > 1e-14:
-            cand = _project_simplex(phi + step * grad)
-            cand_val = float(np.dot(cand, _row_divergences(cand, w.matrix)))
-            if cand_val > val + 1e-16:
-                phi = cand
-                step *= 1.3
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    # alternating-maximization polish from wherever PGA stopped
-    phi = np.maximum(phi, 1e-300)
-    phi /= phi.sum()
-    reached = False
-    for _ in range(max_iter):
-        t = _row_divergences(phi, w.matrix)
-        val = float(np.dot(phi, t))
-        if c_target - val <= tol:
-            reached = True
-            break
-        phi = phi * np.exp(t - np.max(t))
-        phi /= phi.sum()
-    if not reached:
-        return None
-    # polish in argument: the fixed-point map contracts toward the nearest
-    # capacity achiever, leaving flat directions of Pi(W) untouched
-    for _ in range(max_iter):
-        t = _row_divergences(phi, w.matrix)
-        new = phi * np.exp(t - np.max(t))
-        new /= new.sum()
-        moved = float(np.max(np.abs(new - phi)))
-        phi = new
-        if moved <= 1e-13:
-            break
-    return phi
+    return float(np.dot(phi.probs, _row_variances(phi.probs @ w.matrix, w.matrix)))
 
 
 def vmin_vmax(w: Channel, tol: float = DEFAULT_TOL) -> ChannelDispersion:
-    """Extremes of V(phi, W) over capacity-achieving inputs, best-effort.
+    """Exact extremes of V(phi, W) over the capacity-achieving inputs Pi(W).
 
-    Explores Pi(W) with 32 random simplex starts (fixed seed) plus the
-    alternating-maximization fixed point; candidates within ``tol`` of
-    capacity form the feasible set. When all candidates coincide within
-    1e-8 the set is flagged singleton and v_min = v_max.
+    One ``capacity(w, tol)`` solve gives phi and q = phi W. X* is the set of
+    rows with D(W_x || q) >= C - tau, where tau = sqrt(2 * tol): the bracket
+    bounds D(q* || q) by tol, so by Pinsker's inequality q is within tau of
+    the capacity-achieving output law q* in L1, the scale at which
+    D(W_x || q) can miss C for a row of X*; a row outside X* carries at most
+    tol / tau of phi's mass. With A = [W_{X*}^T; 1^T] and phi restricted to
+    X* and renormalised, Pi(W) is {phi >= 0 on X* : A phi = A phi_{X*}}, on
+    which V = sum_x phi(x) v_x is linear (v_x the variance of i(x, Y) at q).
+    Its extremes therefore sit at vertices: every set of rank(A) inputs of
+    X* whose square subsystem is nonsingular and whose solution is >= 0.
+    The set is flagged singleton when all vertices coincide within 1e-8.
+
+    Raises EnumerationTooLarge when C(|X*|, rank(A)) exceeds 1,000,000.
     """
     cap = capacity(w, tol)
-    rng = np.random.default_rng(_START_SEED)
-    starts = [rng.dirichlet(np.ones(w.input_size)) for _ in range(_N_STARTS)]
+    phi = cap.input_distribution.probs
+    star = np.flatnonzero(
+        _row_divergences(phi, w.matrix) >= cap.capacity - math.sqrt(2.0 * tol))
+    v_star = _row_variances(phi @ w.matrix, w.matrix)[star]
+    a = np.vstack([w.matrix[star].T, np.ones(star.size)])
+    _, sing, vt = np.linalg.svd(a)
+    rank = int(np.sum(sing > sing[0] * max(a.shape) * np.finfo(float).eps))
+    # orthonormal rows with the null space of A: same polytope, unit scale
+    basis = vt[:rank]
+    rhs = basis @ (phi[star] / phi[star].sum())
+    count = math.comb(star.size, rank)
+    if count > _VERTEX_CAP:
+        raise EnumerationTooLarge(
+            f"vmin_vmax: {count} candidate vertices ({rank} of |X*| = "
+            f"{star.size} inputs) exceed the cap of {_VERTEX_CAP}"
+        )
 
-    members = [cap.input_distribution.probs]
-    for start in starts:
-        phi = _ascend_to_capacity(w, start, cap.capacity, tol)
-        if phi is not None:
-            members.append(phi)
-
-    spread = max(
-        float(np.max(np.abs(m - members[0]))) for m in members
-    )
-    singleton = spread <= _SINGLETON_TOL
-    if singleton:
-        v = conditional_information_variance(Distribution(members[0]), w)
-        v_min = v_max = v
-    else:
-        values = [
-            conditional_information_variance(Distribution(m), w) for m in members
-        ]
-        v_min = min(values)
-        v_max = max(values)
+    subsets = itertools.combinations(range(star.size), rank)
+    first = None
+    spread, v_min, v_max = 0.0, math.inf, -math.inf
+    while chunk := list(itertools.islice(subsets, 4096)):
+        cols = np.array(chunk)
+        blocks = np.moveaxis(basis[:, cols], 1, 0)
+        # the LU factorisation drops exactly singular blocks and solves the
+        # rest; only solutions >= 0 pay for the SVD that certifies the block
+        lu_ok = np.linalg.det(blocks) != 0
+        cols, blocks = cols[lu_ok], blocks[lu_ok]
+        sol = np.linalg.solve(blocks, rhs[:, None])[..., 0]
+        keep = sol.min(axis=1) >= -_SINGLETON_TOL
+        keep[keep] = np.linalg.svd(blocks[keep], compute_uv=False)[:, -1] > _SINGLETON_TOL
+        if not keep.any():
+            continue
+        vertices = np.zeros((int(keep.sum()), star.size))
+        np.put_along_axis(vertices, cols[keep], sol[keep], axis=1)
+        if first is None:
+            first = vertices[0]
+        spread = max(spread, float(np.max(np.abs(vertices - first))))
+        values = vertices @ v_star
+        v_min = min(v_min, float(values.min()))
+        v_max = max(v_max, float(values.max()))
+    if first is None:
+        raise NonConvergence(
+            f"vmin_vmax: no feasible vertex among {count} subsets of X*")
     v_min = max(v_min, 0.0)
     v_max = max(v_max, v_min)
     return ChannelDispersion(
         v_min=v_min,
         v_max=v_max,
-        capacity_set_is_singleton=singleton,
+        capacity_set_is_singleton=spread <= _SINGLETON_TOL,
         v_min_positive=v_min > tol,
     )
 

@@ -142,7 +142,8 @@ def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
                          ) -> ThresholdPoint:
     """D_n solving R(P, D_n) = rho*C - sqrt(V_J/n) * Qinv(eps), both V_J ends.
 
-    Each D_n comes from one slope search. ``report`` reuses the dispersion
+    Each D_n comes from one slope search, made once when V_J is a single
+    value (a singleton capacity set). ``report`` reuses the dispersion
     quantities of the problem across block lengths; without it they are
     computed here. Raises RateOutOfRange when a target rate leaves
     (0, R(P,0)); the value is reported in the message rather than clamped.
@@ -161,10 +162,15 @@ def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
                 f"is outside (0, {r_zero})"
             )
         targets[tag] = t
+    d_low = sa.distortion_rate(problem.source, targets["vlow"], tol)
+    if targets["vhigh"] == targets["vlow"]:
+        d_high = d_low
+    else:
+        d_high = sa.distortion_rate(problem.source, targets["vhigh"], tol)
     return ThresholdPoint(
         n=n,
-        d_with_vlow=sa.distortion_rate(problem.source, targets["vlow"], tol),
-        d_with_vhigh=sa.distortion_rate(problem.source, targets["vhigh"], tol),
+        d_with_vlow=d_low,
+        d_with_vhigh=d_high,
         target_rate_with_vlow=targets["vlow"],
         target_rate_with_vhigh=targets["vhigh"],
     )

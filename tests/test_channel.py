@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from jsccdisp import (
     Channel,
     DimensionMismatch,
     Distribution,
+    EnumerationTooLarge,
     capacity,
     channel_rate_at,
     conditional_information_variance,
@@ -17,7 +20,7 @@ from jsccdisp import (
     unconditional_information_variance,
     vmin_vmax,
 )
-from conftest import bsc
+from conftest import bsc, two_orbit_cyclic
 
 LN2 = math.log(2.0)
 
@@ -38,6 +41,26 @@ def bsc_cond_var_oracle(p: float) -> float:
 
 
 UNIFORM2 = Distribution(np.array([0.5, 0.5]))
+
+
+def uniform_output_variance_range(w: np.ndarray) -> tuple[float, float]:
+    # oracle: min and max of sum_x phi(x) v_x over phi >= 0 with phi W
+    # uniform, by two linear programs
+    from scipy.optimize import linprog
+
+    n_x, n_y = w.shape
+    dens = np.log(w * n_y)
+    div = (w * dens).sum(axis=1)
+    v = (w * (dens - div[:, None]) ** 2).sum(axis=1)
+    a_eq = np.vstack([w.T, np.ones(n_x)])
+    b_eq = np.append(np.full(n_y, 1.0 / n_y), 1.0)
+    ends = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * v, A_eq=a_eq, b_eq=b_eq,
+                      bounds=[(0, None)] * n_x, method="highs")
+        assert res.status == 0
+        ends.append(sign * res.fun)
+    return ends[0], ends[1]
 
 
 class TestMutualInformation:
@@ -228,12 +251,40 @@ class TestVminVmax:
                               [0.1, 0.1, 0.8]]))
         disp = vmin_vmax(w, 1e-10)
         assert 0.0 <= disp.v_min <= disp.v_max
+        # any split of mass between the two equal rows achieves capacity
+        assert not disp.capacity_set_is_singleton
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_two_orbit_cyclic_exact_range(self, k):
+        w = two_orbit_cyclic(k)
+        lo, hi = uniform_output_variance_range(w)
+        assert lo < hi
+        disp = vmin_vmax(Channel(w), 1e-10)
+        assert disp.v_min == pytest.approx(lo, abs=1e-12)
+        assert disp.v_max == pytest.approx(hi, abs=1e-12)
+        assert disp.capacity_set_is_singleton is False
+
+    def test_vertex_cap(self):
+        # C(24, 12) = 2,704,156 candidate vertices: refused before enumerating
+        w = Channel(two_orbit_cyclic(12))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(EnumerationTooLarge, match="vmin_vmax.*2704156"):
+                vmin_vmax(w, 1e-10)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 10_000_000
 
     def test_members_reach_capacity(self):
         w = bsc(0.11)
         cap = capacity(w, 1e-10)
         disp = vmin_vmax(w, 1e-10)
-        # the singleton member is the alternating-maximization fixed point
+        # the capacity solve's input achieves C, and for the BSC it is the
+        # only capacity-achieving input
         assert mutual_information(cap.input_distribution, w) >= cap.capacity - 1e-10
         assert disp.capacity_set_is_singleton
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+from conftest import two_orbit_cyclic
 from jsccdisp.cli import main
 
 LN2 = math.log(2.0)
@@ -97,6 +101,26 @@ class TestChannelCommand:
                                               abs=1e-12)
         assert bits["rates"][0]["rate"] == pytest.approx(
             nats["rates"][0]["rate"] / LN2, abs=1e-12)
+
+    def test_no_lp_library_imported(self, tmp_path):
+        # importing scipy.optimize would cost about 0.3 s and 25 MB per process
+        path = tmp_path / "channel_6x3.json"
+        path.write_text(json.dumps({"channel": {"matrix": two_orbit_cyclic(3).tolist()}}))
+        ternary = REPO / "docs" / "examples" / "ternary_asymmetric.json"
+        script = (
+            "import sys\n"
+            "from jsccdisp.cli import main\n"
+            f"assert main(['channel', {str(path)!r}]) == 0\n"
+            f"assert main(['jscc', {str(ternary)!r}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False"
 
 
 class TestSourceCommand:

@@ -146,6 +146,27 @@ class TestDistortionThreshold:
         rate = rdf(pb.source, pt.d_with_vlow, 1e-12).rate
         assert rate == pytest.approx(pt.target_rate_with_vlow, abs=1e-10)
 
+    def test_single_v_j_solves_once(self, monkeypatch):
+        # a singleton capacity set gives V_J one value, so D_n is one solve
+        import jsccdisp.source as sa
+
+        rep = dispersion_report(TERNARY_PROBLEM)
+        assert rep.v_j_low == rep.v_j_high
+        real = sa.distortion_rate
+        calls = []
+
+        def counting(src, rate, tol):
+            calls.append(rate)
+            return real(src, rate, tol)
+
+        monkeypatch.setattr(sa, "distortion_rate", counting)
+        for n in (100, 1000, 10000):
+            calls.clear()
+            pt = distortion_threshold(TERNARY_PROBLEM, n, report=rep)
+            assert calls == [pt.target_rate_with_vlow]
+            expected = real(TERNARY_PROBLEM.source, pt.target_rate_with_vhigh, 1e-9)
+            assert pt.d_with_vlow == pt.d_with_vhigh == expected
+
     def test_exceeds_opta_at_small_eps(self, fair_problem):
         pt = distortion_threshold(fair_problem, 500)
         assert pt.d_with_vlow > opta(fair_problem)
