@@ -51,13 +51,14 @@ class ChannelDispersion:
     the vertex enumeration, the X* tolerance tau = sqrt(2 * tol) and the cap.
     ``capacity_set_is_singleton`` is true when all vertices of Pi(W)
     coincide within 1e-8. ``v_min_positive`` surfaces the V_min > 0
-    assumption as a flag.
+    assumption as a flag. ``capacity`` is the capacity solve behind them.
     """
 
     v_min: float
     v_max: float
     capacity_set_is_singleton: bool
     v_min_positive: bool
+    capacity: CapacityResult
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,7 @@ def vmin_vmax(w: Channel, tol: float = DEFAULT_TOL) -> ChannelDispersion:
         v_max=v_max,
         capacity_set_is_singleton=spread <= _SINGLETON_TOL,
         v_min_positive=v_min > tol,
+        capacity=cap,
     )
 
 
@@ -274,24 +276,25 @@ def channel_rate_at(w: Channel, n: int, eps: float,
     """Normal approximation C - sqrt(V/n) * Qinv(eps) at block length n.
 
     V follows the eps <= 1/2 -> V_min, else V_max case split; the rates
-    for both extremes are reported alongside.
+    for both extremes are reported alongside. C and V come from ``disp``,
+    solved here at ``tol`` when not given.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
-    cap = capacity(w, tol)
     if disp is None:
         disp = vmin_vmax(w, tol)
+    c = disp.capacity.capacity
     qi = q_inverse(eps)
-    rate_vmin = cap.capacity - math.sqrt(disp.v_min / n) * qi
-    rate_vmax = cap.capacity - math.sqrt(disp.v_max / n) * qi
+    rate_vmin = c - math.sqrt(disp.v_min / n) * qi
+    rate_vmax = c - math.sqrt(disp.v_max / n) * qi
     selected = rate_vmin if eps <= 0.5 else rate_vmax
     return ChannelRatePoint(
         rate=selected,
         rate_with_vmin=rate_vmin,
         rate_with_vmax=rate_vmax,
-        capacity=cap.capacity,
+        capacity=c,
         n=n,
         eps=eps,
     )

@@ -149,19 +149,26 @@ def _emit_csv(header: list[str], rows: list[tuple], out_path: str | None):
     _emit("\n".join(lines) + "\n", out_path)
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_float_list(text: str, what: str, valid, need: str) -> list[float]:
+    """The comma-separated values of flag ``what``, each passing ``valid``."""
     items = [t for t in text.split(",") if t.strip()]
     if not items:
         raise ProblemFileError(f"{what}: empty grid")
     try:
-        return [float(t) for t in items]
+        values = [float(t) for t in items]
     except ValueError as exc:
         raise ProblemFileError(f"{what}: {exc}") from exc
+    for text_v, v in zip(items, values):
+        if not valid(v):
+            raise ProblemFileError(f"{what}: {text_v.strip()} is not {need}")
+    return values
 
 
 def _n_list(args, problem) -> list[int]:
     if args.n_list:
-        return [int(v) for v in _parse_float_list(args.n_list, "--n-list")]
+        return [int(v) for v in _parse_float_list(
+            args.n_list, "--n-list", lambda v: v.is_integer() and v >= 1,
+            "a positive integer")]
     sim = problem.get("sim")
     if sim and sim["n_list"]:
         return sim["n_list"]
@@ -176,8 +183,8 @@ def cmd_channel(args) -> int:
     problem = load_problem_file(args.file)
     w = _require(problem, "channel")
     units = Units(args.units or problem.get("units", "bits"))
-    cap = ch.capacity(w, args.tol)
     disp = ch.vmin_vmax(w, args.tol)
+    cap = disp.capacity
     report = {
         "units": units.name,
         "capacity": units.rate(cap.capacity),
@@ -317,11 +324,14 @@ def cmd_separation(args) -> int:
         lambdas = list(jscc.DEFAULT_LAMBDA_CURVES)
         eps_grid = np.geomspace(1e-4, 0.5, 200).tolist()
     else:
-        lambdas = (_parse_float_list(args.lambda_list, "--lambda-list")
+        lambdas = (_parse_float_list(args.lambda_list, "--lambda-list",
+                                     lambda v: 0.0 < v < math.inf,
+                                     "positive and finite")
                    if args.lambda_list else list(jscc.DEFAULT_LAMBDA_CURVES))
         if not args.eps_grid:
             raise ProblemFileError("separation needs --eps-grid or --paper-fig3")
-        eps_grid = _parse_float_list(args.eps_grid, "--eps-grid")
+        eps_grid = _parse_float_list(args.eps_grid, "--eps-grid",
+                                     lambda v: 0.0 < v < 1.0, "in (0, 1)")
     rows = jscc.separation_curve(eps_grid, lambdas)
     _emit_csv(["eps", "lambda", "eps_tilde"], rows, args.out)
     return 0

@@ -4,7 +4,8 @@ OPTA distortion, the dispersion sum V_J = V_S(P, D*) + rho * V_C(W),
 normal-approximation distortion thresholds D_n (D* and each D_n by one
 slope search of the distortion-rate function), the lossless
 bandwidth-expansion sequence rho_n, and the separation-loss quantities
-eps_tilde(eps, lambda) and V_sep.
+eps_tilde(eps, lambda) and V_sep, both from the exact optimality condition
+of the best split of eps between source and channel code.
 
 Whenever V_min != V_max the normal-approximation outputs become intervals
 (one value per extreme). Every output in this family omits the
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import channel as ch
 from . import source as sa
@@ -27,14 +29,13 @@ from .errors import (
     UndefinedAtHalf,
     UselessChannel,
 )
-from .probcore import Channel, Distribution, q_function, q_inverse
+from .probcore import Channel, Distribution, q_inverse
 from .source import SourceSpec
 
 CORRECTION_NOTE = "O(log n / n) correction term omitted"
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 
 _BOUNDARY_TOL = 1e-9
-_SPLIT_DELTA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,19 +119,20 @@ def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
 
 
 def dispersion_report(problem: JsccProblem) -> DispersionReport:
-    """All dispersion quantities for a problem, in nats."""
-    cap = ch.capacity(problem.channel)
+    """All dispersion quantities for a problem, in nats; C comes from the
+    capacity solve inside ``vmin_vmax``."""
     disp = ch.vmin_vmax(problem.channel)
-    d_star = opta(problem)
+    cap = disp.capacity.capacity
+    d_star = sa.distortion_rate(problem.source, problem.rho * cap)
     _check_interior(problem, d_star)
     v_s = sa.source_dispersion(problem.source, d_star)
     return DispersionReport(
-        capacity=cap.capacity,
+        capacity=cap,
         v_min=disp.v_min,
         v_max=disp.v_max,
         capacity_set_is_singleton=disp.capacity_set_is_singleton,
         d_star=d_star,
-        r_at_d_star=problem.rho * cap.capacity,
+        r_at_d_star=problem.rho * cap,
         v_s_at_d_star=v_s,
         v_j_low=v_s + problem.rho * disp.v_min,
         v_j_high=v_s + problem.rho * disp.v_max,
@@ -196,16 +198,15 @@ def lossless_rho(src: SourceSpec, channel: Channel, n: int, eps: float,
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
-    cap = ch.capacity(channel, tol)
-    if cap.capacity <= tol:
+    disp = ch.vmin_vmax(channel, tol)
+    c = disp.capacity.capacity
+    if c <= tol:
         raise UselessChannel("lossless transmission needs positive capacity")
     from .probcore import entropy
 
     h = entropy(src.distribution)
-    c = cap.capacity
     ratio = h / c
     v_source = log_prob_variance(src.distribution)
-    disp = ch.vmin_vmax(channel, tol)
     qi = q_inverse(eps)
     rho_low = ratio + math.sqrt((v_source + ratio * disp.v_min) / n) * qi / c
     rho_high = ratio + math.sqrt((v_source + ratio * disp.v_max) / n) * qi / c
@@ -229,71 +230,57 @@ def combine_error_probs(a: float, b: float) -> float:
     return a + b - a * b
 
 
-def _minimize_split(eps: float, weight_s: float, weight_c: float,
-                    obj_tol: float) -> tuple[float, float]:
-    """Minimize weight_s*Qinv(e_s) + weight_c*Qinv(e_c) on e_s * e_c = eps.
+def _best_split(eps, a, b):
+    """Minimize a*Qinv(e_s) + b*Qinv(e_c) over (1 - e_s)(1 - e_c) = 1 - eps,
+    elementwise for eps in (0, 1) and a, b > 0; returns (e_s, e_c, minimum).
 
-    Returns (best e_s, best objective value). Coarse log-spaced scan toward
-    both endpoints, then golden-section refinement of the best bracket (the
-    objective is unimodal in practice; the scan guards against surprises).
+    With x = Qinv(e_s), y = Qinv(e_c) the constraint is log Phi(x) +
+    log Phi(y) = log(1 - eps) with log Phi strictly concave, so the single
+    minimizer solves a*h(y) = b*h(x), h = phi/Phi. On 1 - e_s = (1 - eps)^t,
+    1 - e_c = (1 - eps)^(1 - t), g(t) = a*h(y) - b*h(x) falls strictly from
+    > 0 at t = 0 to < 0 at t = 1; bisection on its sign (in logs, so phi
+    never underflows) runs until no bracket can shrink.
     """
-
-    def eps_c(e_s: float) -> float:
-        return (eps - e_s) / (1.0 - e_s)
-
-    def obj(e_s: float) -> float:
-        return weight_s * q_inverse(e_s) + weight_c * q_inverse(eps_c(e_s))
-
-    lo_u, hi_u = _SPLIT_DELTA, 1.0 - _SPLIT_DELTA
-    height = np.geomspace(_SPLIT_DELTA, 0.5, 33)
-    us = np.unique(np.concatenate([height, 1.0 - height]))
-    grid = [lo_u] + [float(u) for u in us if lo_u < u < hi_u] + [hi_u]
-    vals = [obj(eps * u) for u in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = obj(eps * c), obj(eps * d)
-    for _ in range(300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = obj(eps * c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = obj(eps * d)
-        if (b - a) < 1e-12 or abs(fc - fd) < obj_tol * 1e-3:
-            break
-    u_best = 0.5 * (a + b)
-    return eps * u_best, obj(eps * u_best)
+    eps, a, b = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (eps, a, b)))
+    log_keep = np.log1p(-eps)
+    log_ratio = np.log(a / b)
+    lo, hi = np.zeros(eps.shape), np.ones(eps.shape)
+    while True:
+        t = 0.5 * (lo + hi)
+        e_s, e_c = -np.expm1(t * log_keep), -np.expm1((1.0 - t) * log_keep)
+        x, y = -ndtri(e_s), -ndtri(e_c)
+        if not np.any((lo < t) & (t < hi)):
+            return e_s, e_c, a * x + b * y
+        right = log_ratio + 0.5 * (x * x - y * y) + (2.0 * t - 1.0) * log_keep > 0
+        lo = np.where(right, t, lo)
+        hi = np.where(right, hi, t)
 
 
-def separation_split(eps: float, lam: float,
-                     grid_tol: float = 1e-10) -> tuple[float, float, float]:
-    """Optimal (eps_s, eps_c, eps_tilde) for the separation comparison."""
-    if not (0.0 < eps < 1.0):
+def _separation(eps, lam):
+    """(e_s, e_c, eps_tilde) arrays: the best split for Qinv(e_s) +
+    sqrt(lam)*Qinv(e_c), and eps_tilde = Q(its minimum / sqrt(1 + lam))."""
+    if not np.all((0.0 < eps) & (eps < 1.0)):
         raise DomainError("eps must lie in (0, 1)")
-    if not (lam > 0):
-        raise DomainError("lambda must be positive")
-    e_s, best = _minimize_split(eps, 1.0, math.sqrt(lam), grid_tol)
-    e_c = (eps - e_s) / (1.0 - e_s)
-    return e_s, e_c, q_function(best / math.sqrt(1.0 + lam))
+    if not np.all((0.0 < lam) & (lam < math.inf)):
+        raise DomainError("lambda must be positive and finite")
+    e_s, e_c, best = _best_split(eps, 1.0, np.sqrt(lam))
+    return e_s, e_c, ndtr(-best / np.sqrt(1.0 + lam))
 
 
-def separation_equivalent_eps(eps: float, lam: float,
-                              grid_tol: float = 1e-10) -> float:
+def separation_split(eps: float, lam: float) -> tuple[float, float, float]:
+    """Optimal (eps_s, eps_c, eps_tilde) for the separation comparison."""
+    return tuple(float(v) for v in _separation(eps, lam))
+
+
+def separation_equivalent_eps(eps: float, lam: float) -> float:
     """eps_tilde(eps, lambda): the excess probability a joint scheme would
     need to match the best separation scheme. Symmetric under lam <-> 1/lam.
     """
-    return separation_split(eps, lam, grid_tol)[2]
+    return separation_split(eps, lam)[2]
 
 
-def separation_vsep(eps: float, v_s: float, rho_v_c: float,
-                    grid_tol: float = 1e-10) -> float:
+def separation_vsep(eps: float, v_s: float, rho_v_c: float) -> float:
     """V_sep: the dispersion of the optimal separation scheme, nats^2.
 
     V_sep = (min over splits of [sqrt(v_s) Qinv(e_s) + sqrt(rho v_c) Qinv(e_c)]
@@ -305,20 +292,18 @@ def separation_vsep(eps: float, v_s: float, rho_v_c: float,
         raise UndefinedAtHalf("V_sep is undefined at eps = 1/2")
     if v_s < 0 or rho_v_c < 0 or (v_s == 0 and rho_v_c == 0):
         raise DomainError("v_s and rho_v_c must be nonnegative, not both zero")
-    _, best = _minimize_split(eps, math.sqrt(v_s), math.sqrt(rho_v_c), grid_tol)
-    qi = q_inverse(eps)
-    return (best / qi) ** 2
+    if v_s == 0 or rho_v_c == 0:
+        return v_s + rho_v_c  # all of eps goes to the side with dispersion
+    best = _best_split(eps, math.sqrt(v_s), math.sqrt(rho_v_c))[2]
+    return float(best / q_inverse(eps)) ** 2
 
 
-def separation_curve(eps_grid, lambda_list,
-                     grid_tol: float = 1e-10) -> list[tuple[float, float, float]]:
-    """Rows (eps, lambda, eps_tilde), lambda-major, for CSV emission."""
-    eps_grid = [float(e) for e in eps_grid]
-    lambda_list = [float(l) for l in lambda_list]
-    if not eps_grid or not lambda_list:
+def separation_curve(eps_grid, lambda_list) -> list[tuple[float, float, float]]:
+    """Rows (eps, lambda, eps_tilde), lambda-major, for CSV emission; one
+    vectorized solve, each row equal to ``separation_equivalent_eps``."""
+    lam, eps = (m.astype(float).ravel() for m in np.meshgrid(
+        lambda_list, eps_grid, indexing="ij"))
+    if not eps.size:
         raise DomainError("eps grid and lambda list must be nonempty")
-    rows = []
-    for lam in lambda_list:
-        for eps in eps_grid:
-            rows.append((eps, lam, separation_equivalent_eps(eps, lam, grid_tol)))
-    return rows
+    tilde = _separation(eps, lam)[2]
+    return list(zip(eps.tolist(), lam.tolist(), tilde.tolist()))

@@ -27,6 +27,7 @@ from .probcore import Distribution, q_inverse
 BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
 _INNER_TOL = 1e-13
+_WARM_FLOOR = 1e-9
 _MAX_INNER_ITER = 100_000
 _MAX_SLOPE_ITER = 300
 
@@ -96,28 +97,23 @@ def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
     Returns (rate, distortion, test_channel, q). With ``zero_mask`` the
     exp(s*d) weights become the indicator of d == 0 (the s -> -inf limit),
     which solves the D = 0 endpoint. ``q0`` warm-starts the reproduction
-    marginal.
+    marginal, floored at 1e-9: the update cannot revive a letter of mass 0,
+    and Blahut's lower bound -log max c below runs over every letter.
     """
     a = zero_mask.astype(float) if zero_mask is not None else np.exp(slope * dmat)
-    n_hat = dmat.shape[1]
-    q = np.full(n_hat, 1.0 / n_hat) if q0 is None else q0.copy()
+    q = np.ones(dmat.shape[1]) if q0 is None else np.maximum(q0, _WARM_FLOOR)
+    q /= q.sum()
     support = p > 0
     p_s = p[support]
     a_s = a[support]
     for _ in range(_MAX_INNER_ITER):
         denom = a_s @ q
-        if np.any(denom <= 0):
-            # a dead start can zero a normalizer; restart from uniform
-            q = np.full(n_hat, 1.0 / n_hat)
-            denom = a_s @ q
-            if np.any(denom <= 0):
-                raise NonConvergence("test-channel support collapsed")
         c = (p_s / denom) @ a_s
         q_new = q * c
         # two-sided bracket on the Lagrangian value at this slope
         pos = q_new > 0
         t_upper = -float(np.sum(q_new[pos] * np.log(c[pos])))
-        t_lower = -float(np.log(np.max(c[pos])))
+        t_lower = -float(np.log(np.max(c)))
         q = q_new / q_new.sum()
         if t_upper - t_lower <= _INNER_TOL:
             break

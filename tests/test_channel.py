@@ -289,7 +289,29 @@ class TestVminVmax:
         assert disp.capacity_set_is_singleton
 
 
+    def test_carries_capacity_solve(self, bsc011):
+        cap = capacity(bsc011, 1e-10)
+        got = vmin_vmax(bsc011, 1e-10).capacity
+        assert (got.capacity, got.lower_bound, got.upper_bound, got.iterations) == (
+            cap.capacity, cap.lower_bound, cap.upper_bound, cap.iterations)
+        assert np.array_equal(got.input_distribution.probs,
+                              cap.input_distribution.probs)
+
+
 class TestChannelRateAt:
+    def test_given_dispersion_solves_no_capacity(self, bsc011, monkeypatch):
+        import jsccdisp.channel as ch
+
+        disp = vmin_vmax(bsc011)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("capacity solved again")
+
+        monkeypatch.setattr(ch, "capacity", fail)
+        for n in (100, 1000):
+            pt = channel_rate_at(bsc011, n, 0.1, disp)
+            assert pt.capacity == disp.capacity.capacity
+
     def test_eps_half_is_capacity_exactly(self, bsc011):
         pt = channel_rate_at(bsc011, 977, 0.5)
         assert pt.rate == pt.capacity

@@ -90,6 +90,12 @@ class TestChannelCommand:
         assert rep["v_max"] == pytest.approx(0.0, abs=1e-9)
         assert rep["v_min_positive"] is False
 
+    @pytest.mark.parametrize("n_list", ["0", "-5", "100.9", "100,inf"])
+    def test_bad_n_list_exit_2(self, problem_file, n_list, capsys):
+        code, _, err = run(["channel", problem_file, "--n-list", n_list], capsys)
+        assert code == 2
+        assert "--n-list" in err
+
     def test_units_conversion_entrywise(self, problem_file, capsys):
         _, out_bits, _ = run(["channel", problem_file, "--units", "bits"], capsys)
         _, out_nats, _ = run(["channel", problem_file, "--units", "nats"], capsys)
@@ -205,6 +211,18 @@ class TestSeparationCommand:
         code, _, err = run(
             ["separation", "--eps-grid", ",", "--lambda-list", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--eps-grid", "0.1,1.5"],
+        ["--eps-grid", "0,0.1"],
+        ["--eps-grid", "nan"],
+        ["--eps-grid", "0.1", "--lambda-list", "-1"],
+        ["--eps-grid", "0.1", "--lambda-list", "inf"],
+    ])
+    def test_bad_grid_exit_2(self, argv, capsys):
+        code, _, err = run(["separation"] + argv, capsys)
+        assert code == 2
+        assert argv[-2] in err
 
     def test_paper_fig3_preset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"

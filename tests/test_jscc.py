@@ -114,6 +114,22 @@ class TestJsccDispersion:
         with pytest.raises(BoundaryDistortion):
             jscc_dispersion(pb)
 
+    def test_report_solves_capacity_once(self, monkeypatch):
+        # C comes from the capacity solve inside vmin_vmax
+        import jsccdisp.channel as ch
+
+        real = ch.capacity
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ch, "capacity", counting)
+        rep = dispersion_report(TERNARY_PROBLEM)
+        assert len(calls) == 1
+        assert rep.capacity == real(TERNARY_PROBLEM.channel).capacity
+
     def test_report_consistency(self, fair_problem):
         rep = dispersion_report(fair_problem)
         assert rep.r_at_d_star == pytest.approx(
@@ -267,6 +283,36 @@ class TestSeparation:
         assert e_s == pytest.approx(split, abs=1e-7)
         assert e_c == pytest.approx(split, abs=1e-7)
 
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.4])
+    def test_symmetric_split_is_exact(self, eps):
+        split = 1 - math.sqrt(1 - eps)
+        e_s, e_c, _ = separation_split(eps, 1.0)
+        assert abs(e_s - split) <= 1e-12
+        assert abs(e_c - split) <= 1e-12
+
+    def test_split_no_worse_than_dense_grid(self):
+        # the objective at the returned split against an independent scan of
+        # e_s over (0, eps), dense toward both ends
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(4)
+        u = np.geomspace(1e-14, 0.5, 20001)
+        u = np.concatenate([u, 1.0 - u])
+        for _ in range(40):
+            eps = float(np.exp(rng.uniform(math.log(1e-6), math.log(0.5))))
+            lam = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+            e_s, e_c, _ = separation_split(eps, lam)
+            assert (1 - e_s) * (1 - e_c) == pytest.approx(1 - eps, rel=1e-15)
+            got = q_inverse(e_s) + math.sqrt(lam) * q_inverse(e_c)
+            grid = eps * u
+            scan = -ndtri(grid) - math.sqrt(lam) * ndtri((eps - grid) / (1 - grid))
+            assert got <= scan.min() + 1e-12
+
+    def test_vsep_one_sided_exact(self):
+        # with no dispersion on one side all of eps goes to the other side
+        assert separation_vsep(0.1, 0.0, 2.0) == 2.0
+        assert separation_vsep(0.3, 3.0, 0.0) == 3.0
+
     def test_never_exceeds_eps(self):
         for eps in (0.01, 0.1, 0.3):
             for lam in (0.001, 0.1, 1.0, 7.0, 1000.0):
@@ -360,6 +406,21 @@ class TestSeparationCurve:
             series.sort()
             vals = [t for _, t in series]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_rows_equal_scalar_bit_for_bit(self):
+        eps_grid = np.geomspace(1e-4, 0.5, 25).tolist()
+        rows = separation_curve(eps_grid, DEFAULT_LAMBDA_CURVES)
+        assert len(rows) == 25 * len(DEFAULT_LAMBDA_CURVES)
+        assert [r[1] for r in rows[::25]] == list(DEFAULT_LAMBDA_CURVES)
+        for eps, lam, tilde in rows:
+            assert type(eps) is type(lam) is type(tilde) is float
+            assert tilde == separation_equivalent_eps(eps, lam)
+
+    def test_out_of_domain_grid_rejected(self):
+        for eps_grid, lambdas in (([0.1, 1.5], [1.0]), ([0.1, math.nan], [1.0]),
+                                  ([0.1], [2.0, 0.0]), ([0.1], [math.inf])):
+            with pytest.raises(DomainError):
+                separation_curve(eps_grid, lambdas)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

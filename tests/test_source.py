@@ -11,6 +11,7 @@ from jsccdisp import (
     JsccProblem,
     SourceSpec,
     d_max,
+    distortion_rate,
     entropy,
     opta,
     q_inverse,
@@ -120,6 +121,17 @@ class TestRdf:
         sums = res.test_channel.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-9)
         assert res.lagrange_slope <= 0
+
+    def test_warm_start_revives_dead_letter(self):
+        # a warm start carried q*(0) = 0 into steeper slopes, where letter 0
+        # is needed; R(0.05) came back as 0.6224, above R(0.045)
+        p = np.array([0.0818, 0.6308, 0.2874])
+        d = np.array([[0.0, 1.475, 0.585], [1.181, 0.0, 0.293],
+                      [1.424, 0.863, 0.0]])
+        src = SourceSpec(Distribution(p / p.sum()), d)
+        rates = [rdf(src, dd, 1e-12).rate for dd in (0.045, 0.0466, 0.05)]
+        assert rates[0] >= rates[1] >= rates[2]
+        assert distortion_rate(src, rates[1], 1e-12) == pytest.approx(0.0466, abs=1e-8)
 
     def test_sources_with_zero_mass_symbols(self):
         src = SourceSpec(Distribution(np.array([0.0, 1.0])), HAMMING)
