@@ -24,7 +24,14 @@ from .errors import (
     NonConvergence,
     UnreachableOutput,
 )
-from .probcore import Channel, Distribution, q_inverse
+from .probcore import (
+    Channel,
+    Distribution,
+    _joint_mutual_information,
+    _log_ratio,
+    _weighted_variance,
+    q_inverse,
+)
 
 DEFAULT_TOL = 1e-10
 _MAX_BA_ITER = 200_000
@@ -94,11 +101,7 @@ def output_distribution(phi: Distribution, w: Channel) -> np.ndarray:
 def mutual_information(phi: Distribution, w: Channel) -> float:
     """I(phi, W) = sum phi(x) W(y|x) log[W(y|x) / phiW(y)] in nats."""
     _check_dims(phi, w)
-    out = phi.probs @ w.matrix
-    joint = phi.probs[:, None] * w.matrix
-    mask = joint > 0
-    vals = joint[mask] * np.log(w.matrix[mask] / np.broadcast_to(out, joint.shape)[mask])
-    return max(float(vals.sum()), 0.0)
+    return float(_joint_mutual_information(phi.probs[:, None] * w.matrix))
 
 
 def information_density(phi: Distribution, w: Channel) -> np.ndarray:
@@ -115,19 +118,9 @@ def information_density(phi: Distribution, w: Channel) -> np.ndarray:
             "some output with positive transition probability is unreachable "
             "under the given input distribution"
         )
-    dens = np.full_like(w.matrix, -np.inf)
-    mask = w.matrix > 0
-    dens[mask] = np.log(w.matrix[mask] / np.broadcast_to(out, w.matrix.shape)[mask])
+    dens = np.where(w.matrix > 0, _log_ratio(w.matrix, out), -np.inf)
     dens.setflags(write=False)
     return dens
-
-
-def _log_ratio(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
-    """log[W(y|x) / out(y)] where W(y|x) > 0, and 0 elsewhere."""
-    ratio = np.zeros_like(w_mat)
-    mask = w_mat > 0
-    ratio[mask] = np.log(w_mat[mask] / np.broadcast_to(out, w_mat.shape)[mask])
-    return ratio
 
 
 def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
@@ -138,15 +131,12 @@ def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     interior during the capacity searches.
     """
     out = np.maximum(phi_probs @ w_mat, 1e-300)
-    return (w_mat * _log_ratio(out, w_mat)).sum(axis=1)
+    return (w_mat * _log_ratio(w_mat, out)).sum(axis=1)
 
 
 def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     """Var(i(x, Y) | X = x) for every input row x, at the output law ``out``."""
-    ratio = _log_ratio(out, w_mat)
-    row_mean = (w_mat * ratio).sum(axis=1)
-    row_second = (w_mat * ratio * ratio).sum(axis=1)
-    return np.maximum(row_second - row_mean * row_mean, 0.0)
+    return _weighted_variance(w_mat, _log_ratio(w_mat, out), axis=1)
 
 
 def capacity(w: Channel, tol: float = DEFAULT_TOL,
@@ -183,13 +173,9 @@ def capacity(w: Channel, tol: float = DEFAULT_TOL,
 def unconditional_information_variance(phi: Distribution, w: Channel) -> float:
     """Var of i(X,Y) under phi x W, in nats^2."""
     _check_dims(phi, w)
-    out = phi.probs @ w.matrix
     joint = phi.probs[:, None] * w.matrix
-    mask = joint > 0
-    dens = np.log(w.matrix[mask] / np.broadcast_to(out, joint.shape)[mask])
-    mean = float(np.sum(joint[mask] * dens))
-    second = float(np.sum(joint[mask] * dens * dens))
-    return max(second - mean * mean, 0.0)
+    product = np.outer(phi.probs, phi.probs @ w.matrix)
+    return float(_weighted_variance(joint, _log_ratio(joint, product)))
 
 
 def conditional_information_variance(phi: Distribution, w: Channel) -> float:

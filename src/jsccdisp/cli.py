@@ -103,6 +103,14 @@ def load_problem_file(path: str) -> dict:
     return out
 
 
+def _load(args) -> dict:
+    """The problem file of a command, with ``--eps`` overriding its eps."""
+    problem = load_problem_file(args.file)
+    if args.eps is not None:
+        problem["eps"] = args.eps
+    return problem
+
+
 def _require(problem: dict, key: str):
     if key not in problem:
         raise ProblemFileError(f"this command needs field '{key}' in the file")
@@ -180,7 +188,7 @@ def _n_list(args, problem) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_channel(args) -> int:
-    problem = load_problem_file(args.file)
+    problem = _load(args)
     w = _require(problem, "channel")
     units = Units(args.units or problem.get("units", "bits"))
     disp = ch.vmin_vmax(w, args.tol)
@@ -198,7 +206,7 @@ def cmd_channel(args) -> int:
         "v_min_positive": disp.v_min_positive,
         "correction_note": ch.CORRECTION_NOTE,
     }
-    eps = args.eps if args.eps is not None else problem.get("eps")
+    eps = problem.get("eps")
     if eps is not None:
         rows = []
         for n in _n_list(args, problem):
@@ -216,7 +224,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_source(args) -> int:
-    problem = load_problem_file(args.file)
+    problem = _load(args)
     src = _require(problem, "source")
     units = Units(args.units or problem.get("units", "bits"))
     d = args.distortion
@@ -237,7 +245,7 @@ def cmd_source(args) -> int:
     if 1e-12 < d < dm - 1e-12:
         v_s = sa.source_dispersion(src, d)
         report["v_s"] = units.var(v_s)
-        eps = args.eps if args.eps is not None else problem.get("eps")
+        eps = problem.get("eps")
         if eps is not None:
             rows = []
             for n in _n_list(args, problem):
@@ -258,13 +266,14 @@ def _jscc_problem(problem: dict) -> jscc.JsccProblem:
 
 
 def cmd_jscc(args) -> int:
-    problem = load_problem_file(args.file)
+    problem = _load(args)
     units = Units(args.units or problem.get("units", "bits"))
     pb = _jscc_problem(problem)
     n_list = _n_list(args, problem)
 
     if args.lossless:
-        pts = [jscc.lossless_rho(pb.source, pb.channel, n, pb.eps)
+        disp = ch.vmin_vmax(pb.channel)
+        pts = [jscc.lossless_rho(pb.source, pb.channel, n, pb.eps, disp=disp)
                for n in n_list]
         rows = [(pt.n, pt.rho_with_vlow, pt.rho_with_vhigh) for pt in pts]
         if args.format == "csv":
@@ -347,7 +356,7 @@ def _sim_context(args, problem):
 
 
 def cmd_simulate(args) -> int:
-    problem = load_problem_file(args.file)
+    problem = _load(args)
     seed, trials = _sim_context(args, problem)
     n_list = _n_list(args, problem)
     workers = args.workers
@@ -356,8 +365,8 @@ def cmd_simulate(args) -> int:
 
     if what == "excess":
         pb = _jscc_problem(problem)
-        cap = ch.capacity(pb.channel)
         rep = jscc.dispersion_report(pb)
+        cap = rep.channel_dispersion.capacity
         results = []
         for n in n_list:
             pt = jscc.distortion_threshold(pb, n, report=rep)
@@ -397,7 +406,7 @@ def cmd_simulate(args) -> int:
     elif what == "clt-jscc":
         pb = _jscc_problem(problem)
         cap = ch.capacity(pb.channel)
-        d_star = jscc.opta(pb)
+        d_star = sa.distortion_rate(pb.source, pb.rho * cap.capacity)
         results = []
         for n in n_list:
             m = int(math.floor(pb.rho * n))
@@ -434,7 +443,7 @@ def cmd_simulate(args) -> int:
 
     elif what == "uep":
         w = _require(problem, "channel")
-        eps_i = args.eps if args.eps is not None else _require(problem, "eps")
+        eps_i = _require(problem, "eps")
         n = n_list[0]
         cap = ch.capacity(w)
         phi_n = nearest_type(cap.input_distribution, n)
@@ -533,47 +542,57 @@ def cmd_simulate(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=["bits", "nats"], default=None,
-                        help="output units (default: file setting, else bits)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="numerical tolerance in nats")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
-    common.add_argument("--eps", type=float, default=None,
-                        help="override the target probability")
-    common.add_argument("--n-list", default=None,
-                        help="comma-separated block lengths")
+_COMMON_FLAGS = {
+    "--units": dict(choices=["bits", "nats"],
+                    help="output units (default: file setting, else bits)"),
+    "--out": dict(help="output path (default stdout)"),
+    "--tol": dict(type=float, default=1e-10, help="numerical tolerance in nats"),
+    "--seed": dict(type=int, help="override the simulation seed"),
+    "--eps": dict(type=float, help="override the target probability"),
+    "--n-list": dict(help="comma-separated block lengths"),
+}
 
+
+def _subcommand(sub, name: str, flags: tuple, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand that accepts the common ``flags`` it reads, and no other.
+
+    Flags are matched whole: a prefix such as ``--eps`` would otherwise be
+    taken for ``--eps-grid``.
+    """
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+    for flag in flags:
+        p.add_argument(flag, **_COMMON_FLAGS[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jsccdisp",
         description="Finite-blocklength joint source-channel dispersion toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("channel", parents=[common],
-                       help="capacity, V_min/V_max, and rate approximations")
+    p = _subcommand(sub, "channel", ("--units", "--out", "--tol", "--eps", "--n-list"),
+                    help="capacity, V_min/V_max, and rate approximations")
     p.add_argument("file")
     p.set_defaults(fn=cmd_channel)
 
-    p = sub.add_parser("source", parents=[common],
-                       help="rate-distortion, V_S, and rate approximations")
+    p = _subcommand(sub, "source", ("--units", "--out", "--tol", "--eps", "--n-list"),
+                    help="rate-distortion, V_S, and rate approximations")
     p.add_argument("file")
     p.add_argument("--distortion", "-D", type=float, default=None)
     p.set_defaults(fn=cmd_source)
 
-    p = sub.add_parser("jscc", parents=[common],
-                       help="dispersion report and D_n (or rho_n) tables")
+    p = _subcommand(sub, "jscc", ("--units", "--out", "--eps", "--n-list"),
+                    help="dispersion report and D_n (or rho_n) tables")
     p.add_argument("file")
     p.add_argument("--lossless", action="store_true",
                    help="emit the lossless rho_n table instead")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_jscc)
 
-    p = sub.add_parser("separation", parents=[common],
-                       help="eps_tilde(eps, lambda) curves as CSV")
+    p = _subcommand(sub, "separation", ("--out",),
+                    help="eps_tilde(eps, lambda) curves as CSV")
     p.add_argument("--eps-grid", default=None,
                    help="comma-separated eps values")
     p.add_argument("--lambda-list", default=None,
@@ -582,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset: 8 lambda curves on 200 log-spaced eps in [1e-4, 0.5]")
     p.set_defaults(fn=cmd_separation)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte-Carlo and exact-enumeration validations")
+    p = _subcommand(sub, "simulate", ("--out", "--seed", "--eps", "--n-list"),
+                    help="Monte-Carlo and exact-enumeration validations")
     p.add_argument("file")
     p.add_argument("--what", required=True,
                    choices=["excess", "clt-mi", "clt-jscc", "xi", "uep",

@@ -29,7 +29,14 @@ from .errors import (
     UndefinedAtHalf,
     UselessChannel,
 )
-from .probcore import Channel, Distribution, q_inverse
+from .probcore import (
+    Channel,
+    Distribution,
+    _log_ratio,
+    _weighted_variance,
+    entropy,
+    q_inverse,
+)
 from .source import SourceSpec
 
 CORRECTION_NOTE = "O(log n / n) correction term omitted"
@@ -56,6 +63,9 @@ class JsccProblem:
 
 @dataclass(frozen=True)
 class DispersionReport:
+    """The dispersion quantities of a problem; ``channel_dispersion`` is the
+    channel solve that C, V_min and V_max come from."""
+
     capacity: float
     v_min: float
     v_max: float
@@ -65,6 +75,7 @@ class DispersionReport:
     v_s_at_d_star: float
     v_j_low: float
     v_j_high: float
+    channel_dispersion: ch.ChannelDispersion
     units: str = "nats"
     correction_note: str = CORRECTION_NOTE
 
@@ -136,6 +147,7 @@ def dispersion_report(problem: JsccProblem) -> DispersionReport:
         v_s_at_d_star=v_s,
         v_j_low=v_s + problem.rho * disp.v_min,
         v_j_high=v_s + problem.rho * disp.v_max,
+        channel_dispersion=disp,
     )
 
 
@@ -180,30 +192,27 @@ def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
 
 def log_prob_variance(p: Distribution) -> float:
     """Var[log P(S)] in nats^2, the lossless source dispersion."""
-    probs = p.probs
-    mask = probs > 0
-    logs = np.log(probs[mask])
-    mean = float(np.sum(probs[mask] * logs))
-    return max(float(np.sum(probs[mask] * logs * logs)) - mean * mean, 0.0)
+    return float(_weighted_variance(p.probs, _log_ratio(p.probs, 1.0)))
 
 
 def lossless_rho(src: SourceSpec, channel: Channel, n: int, eps: float,
-                 tol: float = 1e-10) -> LosslessRhoPoint:
+                 tol: float = 1e-10,
+                 disp: ch.ChannelDispersion | None = None) -> LosslessRhoPoint:
     """Bandwidth expansion rho_n for (near) lossless transmission.
 
     rho_n = H/C + sqrt((Var[log P] + rho*V_C)/n) * Qinv(eps)/C with
-    rho = H/C inside V_J (the limiting value).
+    rho = H/C inside V_J (the limiting value). C and V_C come from
+    ``disp``, solved here at ``tol`` when not given.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
-    disp = ch.vmin_vmax(channel, tol)
+    if disp is None:
+        disp = ch.vmin_vmax(channel, tol)
     c = disp.capacity.capacity
     if c <= tol:
         raise UselessChannel("lossless transmission needs positive capacity")
-    from .probcore import entropy
-
     h = entropy(src.distribution)
     ratio = h / c
     v_source = log_prob_variance(src.distribution)

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln, logsumexp, ndtr
 
 from . import source as sa
-from .channel import conditional_information_variance
+from .channel import conditional_information_variance, mutual_information
 from .errors import (
-    BoundaryDistortion,
     DeltaTooLarge,
     DomainError,
     EnumerationTooLarge,
@@ -41,7 +40,10 @@ from .probcore import (
     DEFAULT_ENUMERATION_CAP,
     Distribution,
     EmpiricalType,
+    _joint_mutual_information,
+    _log_ratio,
     entropy,
+    q_inverse,
 )
 from .source import SourceSpec
 
@@ -153,18 +155,6 @@ def _joint_counts_given_type(row_counts: np.ndarray, w_mat: np.ndarray,
     return joint
 
 
-def _empirical_mi_batch(joint: np.ndarray, m: int) -> np.ndarray:
-    """Empirical mutual information I(type, conditional type) per trial."""
-    rows = joint.sum(axis=2, dtype=np.float64)           # (size, |X|)
-    cols = joint.sum(axis=1, dtype=np.float64)           # (size, |Y|)
-    jf = joint.astype(np.float64)
-    denom = rows[:, :, None] * cols[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = jf * np.log(jf * m / denom)
-    terms[jf == 0] = 0.0
-    return np.maximum(terms.sum(axis=(1, 2)) / m, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Excess-distortion event (Lemma-level simulation)
 # ---------------------------------------------------------------------------
@@ -202,7 +192,7 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
         rng = _stream(seed, batch_index)
         src_counts = rng.multinomial(n, p, size=size)
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
-        mi = _empirical_mi_batch(joint, m)
+        mi = _joint_mutual_information(joint)  # empirical MI per trial
         uniq, inverse = np.unique(src_counts, axis=0, return_inverse=True)
         rates = np.array([rate_of_type(tuple(int(c) for c in u)) for u in uniq])
         r_t = rates[inverse]
@@ -243,13 +233,15 @@ class CltResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _mi_deviation_coeff(phi: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
-    """log(W(y|x) / phiW(y)) with zeros where W vanishes."""
-    out = phi @ w_mat
-    coeff = np.zeros_like(w_mat)
-    mask = w_mat > 0
-    coeff[mask] = np.log(w_mat[mask] / np.broadcast_to(out, w_mat.shape)[mask])
-    return coeff
+def _clt_result(samples: np.ndarray, trials: int, **diagnostics) -> CltResult:
+    return CltResult(
+        samples=samples,
+        ks_statistic=ks_distance_to_normal(samples),
+        sample_mean=float(samples.mean()),
+        sample_variance=float(samples.var(ddof=1)),
+        trials=trials,
+        diagnostics=diagnostics,
+    )
 
 
 def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
@@ -267,7 +259,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     v_cond = conditional_information_variance(Distribution(phi), w)
     if v_cond <= var_tol:
         raise ZeroVariance(f"V(phi_n, W) = {v_cond} is numerically zero")
-    coeff = _mi_deviation_coeff(phi, w.matrix)
+    coeff = _log_ratio(w.matrix, phi @ w.matrix)
     expected = phi_n.counts[:, None] * w.matrix
     scale = 1.0 / (n * math.sqrt(v_cond / n))
 
@@ -278,14 +270,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
         return (dev * coeff[None, :, :]).sum(axis=(1, 2)) * scale
 
     samples = np.concatenate(_map_batches(run, trials, workers))
-    return CltResult(
-        samples=samples,
-        ks_statistic=ks_distance_to_normal(samples),
-        sample_mean=float(samples.mean()),
-        sample_variance=float(samples.var(ddof=1)),
-        trials=trials,
-        diagnostics={"standardizer_variance": v_cond / n},
-    )
+    return _clt_result(samples, trials, standardizer_variance=v_cond / n)
 
 
 def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
@@ -304,16 +289,10 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     rho_eff = m / n
     p = src.distribution.probs
 
-    rd = sa.rdf(src, d_star, 1e-11)
-    slope = rd.lagrange_slope
-    if not math.isfinite(slope) or slope >= 0:
-        raise BoundaryDistortion(
-            f"distortion-rate slope {slope} is degenerate at D = {d_star}"
-        )
+    slope, grad = sa._tilted_gradient(src, d_star)
     d_r = 1.0 / slope
-    grad = sa.rdf_gradient(src, d_star)
     dp = -grad * d_r                      # centered; constants cancel in A
-    v_s = float(np.dot(p, (grad - np.dot(p, grad)) ** 2))
+    v_s = float(np.dot(p, grad ** 2))
 
     phi = phi_m.counts / m
     v_chan = conditional_information_variance(Distribution(phi), w)
@@ -321,7 +300,7 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     if sigma2 <= 1e-18:
         raise ZeroVariance("the first-order statistic has vanishing variance")
 
-    coeff = _mi_deviation_coeff(phi, w.matrix)
+    coeff = _log_ratio(w.matrix, phi @ w.matrix)
     expected = phi_m.counts[:, None] * w.matrix
     chan_scale = rho_eff * d_r / m
     scale = 1.0 / math.sqrt(sigma2)
@@ -336,20 +315,9 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
         return (src_part + chan_part) * scale
 
     samples = np.concatenate(_map_batches(run, trials, workers))
-    return CltResult(
-        samples=samples,
-        ks_statistic=ks_distance_to_normal(samples),
-        sample_mean=float(samples.mean()),
-        sample_variance=float(samples.var(ddof=1)),
-        trials=trials,
-        diagnostics={
-            "standardizer_variance": sigma2,
-            "d_prime_r": d_r,
-            "v_s": v_s,
-            "v_channel": v_chan,
-            "rho_effective": rho_eff,
-        },
-    )
+    return _clt_result(samples, trials, standardizer_variance=sigma2,
+                       d_prime_r=d_r, v_s=v_s, v_channel=v_chan,
+                       rho_effective=rho_eff)
 
 
 def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
@@ -427,9 +395,6 @@ def uep_dispersion_rate(phi_m: EmpiricalType, w: Channel, eps: float,
     {empirical MI < R + gamma} has probability ~ eps; the -gamma term is
     the construction's O(log m / m) rate correction.
     """
-    from .channel import mutual_information
-    from .probcore import q_inverse
-
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
     m = phi_m.n
@@ -538,15 +503,6 @@ def _enumerate_tables(row_counts: tuple, col_counts: tuple):
     yield from rec(0)
 
 
-def _table_mi(table: np.ndarray, m: int) -> float:
-    rows = table.sum(axis=1, dtype=float)
-    cols = table.sum(axis=0, dtype=float)
-    tf = table.astype(float)
-    mask = tf > 0
-    denom = np.outer(rows, cols)
-    return float(np.sum(tf[mask] * np.log(tf[mask] * m / denom[mask])) / m)
-
-
 @lru_cache(maxsize=None)
 def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
                       threshold: float) -> float:
@@ -560,17 +516,13 @@ def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
     log_total = gammaln(m + 1) - sum(gammaln(r + 1) for r in row_counts)
     hits = []
     for table in _enumerate_tables(row_counts, col_counts):
-        if _table_mi(table, m) >= threshold - 1e-12:
+        if _joint_mutual_information(table) >= threshold - 1e-12:
             lp = -log_total
             for b in range(len(col_counts)):
                 lp += gammaln(col_counts[b] + 1) - gammaln(table[:, b] + 1).sum()
             hits.append(lp)
         # note: `table` is reused by the generator; no references kept
-    if not hits:
-        return -math.inf
-    arr = np.array(hits)
-    mx = float(arr.max())
-    return mx + math.log(float(np.exp(arr - mx).sum()))
+    return float(logsumexp(hits)) if hits else -math.inf
 
 
 @dataclass(frozen=True)
@@ -646,7 +598,7 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
             rng = _stream(seed_for_class(sim.seed, i), batch_index)
             joint = _joint_counts_given_type(counts, w.matrix, rng, size)
             u = rng.random(size)
-            mi_true = _empirical_mi_batch(joint, m)
+            mi_true = _joint_mutual_information(joint)
             e1 = mi_true - cfg.rates[i] < cfg.gamma
             cols = joint.sum(axis=1)
             e2 = np.empty(size, dtype=bool)
@@ -749,8 +701,6 @@ def mi_continuity_check(p: Distribution, q: Distribution, w: Channel,
     """Check |I(p,W) - I(q,W)| against the continuity bound
     delta |X| log|Y| - |Y||X| delta log(|X| delta), valid for
     sup|p-q| <= delta <= 1 / (2 |X||Y|)."""
-    from .channel import mutual_information
-
     n_x, n_y = w.matrix.shape
     if delta < 0 or delta > 1.0 / (2 * n_x * n_y):
         raise DeltaTooLarge(f"delta = {delta} outside [0, 1/(2*{n_x}*{n_y})]")

@@ -1,7 +1,8 @@
 """Finite-alphabet probability primitives and method-of-types machinery.
 
 All logarithms are natural (nats); the CLI converts to bits on output.
-The conventions 0*log(0) = 0 and 0*log(0/0) = 0 are applied throughout.
+The conventions 0*log(0) = 0 and 0*log(0/0) = 0 are applied throughout,
+by the private kernels below that every information quantity is built on.
 Every value type is immutable after construction, so everything here is
 safe for concurrent use.
 """
@@ -160,11 +161,42 @@ class ConditionalType:
 # Entropy and divergence quantities
 # ---------------------------------------------------------------------------
 
+def _log_ratio(num, den) -> np.ndarray:
+    """log(num / den) where num > 0 and 0 elsewhere, ``den`` broadcast to
+    the shape of ``num``: the one place the 0*log(0) = 0 convention lives."""
+    ratio = np.divide(num, den, out=np.ones(np.shape(num)), where=num > 0)
+    return np.log(ratio, out=ratio)
+
+
+def _weighted_variance(w, x, axis=None):
+    """sum w*x^2 - (sum w*x)^2 along ``axis``, floored at 0."""
+    mean = np.sum(w * x, axis=axis)
+    return np.maximum(np.sum(w * x * x, axis=axis) - mean * mean, 0.0)
+
+
+def _joint_mutual_information(joint):
+    """I(X;Y) of the law joint / total over the last two axes, batched and
+    floored at 0; ``joint`` may hold counts."""
+    joint = np.asarray(joint, dtype=np.float64)
+    rows = joint.sum(axis=-1, keepdims=True)
+    cols = joint.sum(axis=-2, keepdims=True)
+    total = rows.sum(axis=-2, keepdims=True)
+    terms = joint * _log_ratio(joint * total, rows * cols)
+    return np.maximum(terms.sum(axis=(-2, -1)) / total[..., 0, 0], 0.0)
+
+
 def entropy(p: Distribution) -> float:
     """Shannon entropy H(p) in nats, with 0*log(0) = 0."""
-    probs = p.probs
-    mask = probs > 0
-    return float(-np.sum(probs[mask] * np.log(probs[mask])))
+    return float(-np.sum(p.probs * _log_ratio(p.probs, 1.0)))
+
+
+def _log_likelihood_ratio(p: Distribution, q: Distribution) -> np.ndarray:
+    """log(p/q) on the support of p, once p << q on a shared alphabet."""
+    if p.alphabet_size != q.alphabet_size:
+        raise DomainError("p and q must share an alphabet")
+    if np.any((q.probs == 0) & (p.probs > 0)):
+        raise AbsoluteContinuityViolated("support(p) must be contained in support(q)")
+    return _log_ratio(p.probs, q.probs)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -172,27 +204,12 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
     Requires absolute continuity: q_i = 0 implies p_i = 0.
     """
-    if p.alphabet_size != q.alphabet_size:
-        raise DomainError("p and q must share an alphabet")
-    pp, qq = p.probs, q.probs
-    if np.any((qq == 0) & (pp > 0)):
-        raise AbsoluteContinuityViolated("support(p) must be contained in support(q)")
-    mask = pp > 0
-    return float(np.sum(pp[mask] * np.log(pp[mask] / qq[mask])))
+    return float(np.sum(p.probs * _log_likelihood_ratio(p, q)))
 
 
 def divergence_variance(p: Distribution, q: Distribution) -> float:
     """Variance of the log-likelihood ratio log(p/q) under p, in nats^2."""
-    if p.alphabet_size != q.alphabet_size:
-        raise DomainError("p and q must share an alphabet")
-    pp, qq = p.probs, q.probs
-    if np.any((qq == 0) & (pp > 0)):
-        raise AbsoluteContinuityViolated("support(p) must be contained in support(q)")
-    mask = pp > 0
-    ratio = np.log(pp[mask] / qq[mask])
-    mean = float(np.sum(pp[mask] * ratio))
-    second = float(np.sum(pp[mask] * ratio * ratio))
-    return max(second - mean * mean, 0.0)
+    return float(_weighted_variance(p.probs, _log_likelihood_ratio(p, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryDistortion, DomainError, NonConvergence
-from .probcore import Distribution, q_inverse
+from .probcore import Distribution, _joint_mutual_information, q_inverse
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
@@ -81,14 +81,6 @@ def d_max(src: SourceSpec) -> float:
     return float(np.min(src.distribution.probs @ src.distortion))
 
 
-def _mutual_information_pl(p: np.ndarray, lam: np.ndarray) -> float:
-    out = p @ lam
-    joint = p[:, None] * lam
-    mask = joint > 0
-    return max(float(np.sum(joint[mask] * np.log(
-        lam[mask] / np.broadcast_to(out, joint.shape)[mask]))), 0.0)
-
-
 def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
                         zero_mask: np.ndarray | None = None,
                         q0: np.ndarray | None = None):
@@ -125,7 +117,7 @@ def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
     if np.any(~support):
         lam[~support] = q  # rows off the source support never matter
     dist = float(np.sum(p[:, None] * lam * dmat))
-    rate = _mutual_information_pl(p, lam)
+    rate = float(_joint_mutual_information(p[:, None] * lam))
     return rate, dist, lam, q
 
 
@@ -230,12 +222,9 @@ def distortion_rate(src: SourceSpec, rate: float,
     return min(max(dist_s + (rate - rate_s) / slope, 0.0), dm)
 
 
-def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
-    """Centered simplex gradient of R(Q,D) at Q=P: j - E_P[j].
-
-    j is the d-tilted information, built from the slope and the
-    reproduction marginal of one rdf solve at D.
-    """
+def _tilted_gradient(src: SourceSpec, d: float) -> tuple[float, np.ndarray]:
+    """(s, j - E_P[j]) from one rdf solve at D: its Lagrangian slope s < 0
+    and the centered d-tilted information built from s and q*."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
@@ -244,7 +233,16 @@ def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
     res = rdf(src, d, 1e-11)
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
-    return j - float(np.dot(src.distribution.probs, j))
+    return s, j - float(np.dot(src.distribution.probs, j))
+
+
+def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
+    """Centered simplex gradient of R(Q,D) at Q=P: j - E_P[j].
+
+    j is the d-tilted information, built from the slope and the
+    reproduction marginal of one rdf solve at D.
+    """
+    return _tilted_gradient(src, d)[1]
 
 
 def source_dispersion(src: SourceSpec, d: float) -> float:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jsccdisp import Channel, Distribution, SourceSpec
+
+# properties draw the same examples on every run and keep no example file
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 

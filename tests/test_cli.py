@@ -8,12 +8,15 @@ import sys
 import jsonschema
 import pytest
 
+import jsccdisp.channel as ch
+import jsccdisp.source as sa
 from conftest import two_orbit_cyclic
 from jsccdisp.cli import main
 
 LN2 = math.log(2.0)
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "problem_file.schema.json").read_text())
+TERNARY = str(REPO / "docs" / "examples" / "ternary_asymmetric.json")
 
 BSC_PROBLEM = {
     "source": {"probs": [0.5, 0.5], "distortion": [[0.0, 1.0], [1.0, 0.0]]},
@@ -36,6 +39,19 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so that each call appends its arguments."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestProblemFile:
@@ -181,6 +197,25 @@ class TestJsccCommand:
         assert code == 4
         assert "boundary" in err
 
+    def test_eps_flag_overrides_file(self, problem_file, capsys):
+        _, out, _ = run(["jscc", problem_file, "--n-list", "1000"], capsys)
+        code, over, _ = run(["jscc", problem_file, "--n-list", "1000",
+                             "--eps", "0.001"], capsys)
+        assert code == 0
+        base, over = json.loads(out), json.loads(over)
+        assert (base["eps"], over["eps"]) == (0.1, 0.001)
+        # a smaller eps asks for a larger rate margin, so D_n grows
+        assert (over["thresholds"][0]["d_n_with_vlow"]
+                > base["thresholds"][0]["d_n_with_vlow"])
+
+    def test_lossless_solves_channel_once(self, monkeypatch, capsys):
+        vertices = count_calls(monkeypatch, ch, "vmin_vmax")
+        capacities = count_calls(monkeypatch, ch, "capacity")
+        code, _, _ = run(["jscc", TERNARY, "--lossless",
+                          "--n-list", "100,1000,10000"], capsys)
+        assert code == 0
+        assert (len(vertices), len(capacities)) == (1, 1)
+
     def test_csv_format(self, problem_file, tmp_path, capsys):
         out_path = tmp_path / "t.csv"
         code, _, _ = run(["jscc", problem_file, "--format", "csv",
@@ -223,6 +258,19 @@ class TestSeparationCommand:
         code, _, err = run(["separation"] + argv, capsys)
         assert code == 2
         assert argv[-2] in err
+
+    @pytest.mark.parametrize("argv", [
+        ["separation", "--paper-fig3", "--tol", "5"],
+        ["separation", "--paper-fig3", "--eps", "0.1"],  # not --eps-grid
+        ["channel", TERNARY, "--seed", "1"],
+        ["jscc", TERNARY, "--tol", "1e-6"],
+        ["simulate", TERNARY, "--what", "xi", "--units", "nats"],
+    ])
+    def test_unread_flag_exit_2(self, argv):
+        # each command accepts only the common flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_paper_fig3_preset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"
@@ -274,6 +322,26 @@ class TestSimulateCommand:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_excess_solves_capacity_once(self, problem_file, monkeypatch,
+                                         capsys):
+        capacities = count_calls(monkeypatch, ch, "capacity")
+        code, out, _ = run(
+            ["simulate", problem_file, "--what", "excess", "--eps", "0.001",
+             "--n-list", "100,200", "--trials", "200"], capsys)
+        assert code == 0
+        assert len(capacities) == 1
+        assert [r["eps_target"] for r in json.loads(out)["results"]] == [0.001] * 2
+
+    def test_clt_jscc_solves_once(self, monkeypatch, capsys):
+        # one capacity solve; one rdf for D*, then one per n for the gradient
+        capacities = count_calls(monkeypatch, ch, "capacity")
+        rdfs = count_calls(monkeypatch, sa, "rdf")
+        code, _, _ = run(
+            ["simulate", TERNARY, "--what", "clt-jscc",
+             "--n-list", "100,1000,10000", "--trials", "200"], capsys)
+        assert code == 0
+        assert (len(capacities), len(rdfs)) == (1, 4)
 
     def test_excess_estimate_near_target(self, problem_file, capsys):
         code, out, _ = run(
