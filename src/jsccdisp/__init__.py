@@ -61,7 +61,6 @@ from .mcsim import (
     UepResult,
     dball_bound,
     dball_count_exact,
-    default_k_n,
     eta_n,
     excess_event_probability,
     first_order_jscc_samples,
@@ -78,7 +77,6 @@ from .probcore import (
     ConditionalType,
     Distribution,
     EmpiricalType,
-    canonical_word,
     conditional_type,
     divergence_variance,
     empirical_type,

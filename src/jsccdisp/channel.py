@@ -93,11 +93,6 @@ def _check_dims(phi: Distribution, w: Channel):
         )
 
 
-def output_distribution(phi: Distribution, w: Channel) -> np.ndarray:
-    _check_dims(phi, w)
-    return phi.probs @ w.matrix
-
-
 def mutual_information(phi: Distribution, w: Channel) -> float:
     """I(phi, W) = sum phi(x) W(y|x) log[W(y|x) / phiW(y)] in nats."""
     _check_dims(phi, w)

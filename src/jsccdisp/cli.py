@@ -23,7 +23,7 @@ from . import jscc
 from . import mcsim
 from . import source as sa
 from .errors import BoundaryDistortion, JsccDispError, RateOutOfRange
-from .probcore import Channel, Distribution, nearest_type, q_inverse
+from .probcore import Channel, Distribution, nearest_type
 from .source import SourceSpec
 
 LN2 = math.log(2.0)
@@ -230,7 +230,12 @@ def cmd_source(args) -> int:
     d = args.distortion
     if d is None:
         raise ProblemFileError("the source command needs --distortion")
-    res = sa.rdf(src, d, min(args.tol, 1e-9))
+    dm = sa.d_max(src)
+    interior = sa.BOUNDARY_TOL < d < dm - sa.BOUNDARY_TOL
+    if interior:
+        res, _, v_s = sa._tilted_solve(src, d, min(args.tol, 1e-11))
+    else:
+        res = sa.rdf(src, d, min(args.tol, 1e-9))
     report = {
         "units": units.name,
         "distortion": d,
@@ -238,20 +243,17 @@ def cmd_source(args) -> int:
         "achieved_distortion": res.achieved_distortion,
         "lagrange_slope": None if not math.isfinite(res.lagrange_slope)
         else units.rate(res.lagrange_slope),
-        "d_max": sa.d_max(src),
+        "d_max": dm,
         "correction_note": jscc.CORRECTION_NOTE,
     }
-    dm = sa.d_max(src)
-    if 1e-12 < d < dm - 1e-12:
-        v_s = sa.source_dispersion(src, d)
+    if interior:
         report["v_s"] = units.var(v_s)
         eps = problem.get("eps")
         if eps is not None:
-            rows = []
-            for n in _n_list(args, problem):
-                rate = res.rate + math.sqrt(v_s / n) * q_inverse(eps)
-                rows.append({"n": n, "eps": eps, "rate": units.rate(rate)})
-            report["rates"] = rows
+            report["rates"] = [
+                {"n": n, "eps": eps,
+                 "rate": units.rate(sa._normal_rate(res.rate, v_s, n, eps))}
+                for n in _n_list(args, problem)]
     _emit_json(report, args.out)
     return 0
 
@@ -407,12 +409,14 @@ def cmd_simulate(args) -> int:
         pb = _jscc_problem(problem)
         cap = ch.capacity(pb.channel)
         d_star = sa.distortion_rate(pb.source, pb.rho * cap.capacity)
+        solve = sa._tilted_solve(pb.source, d_star)
         results = []
         for n in n_list:
             m = int(math.floor(pb.rho * n))
             phi_m = nearest_type(cap.input_distribution, m)
             res = mcsim.first_order_jscc_samples(
-                pb.source, d_star, pb.channel, phi_m, n, trials, seed, workers)
+                pb.source, d_star, pb.channel, phi_m, n, trials, seed, workers,
+                solve=solve)
             results.append({
                 "n": n,
                 "d_star": d_star,

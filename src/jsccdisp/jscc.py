@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import channel as ch
 from . import source as sa
@@ -35,6 +34,8 @@ from .probcore import (
     _log_ratio,
     _weighted_variance,
     entropy,
+    ndtr,
+    ndtri,
     q_inverse,
 )
 from .source import SourceSpec
@@ -258,7 +259,7 @@ def _best_split(eps, a, b):
     while True:
         t = 0.5 * (lo + hi)
         e_s, e_c = -np.expm1(t * log_keep), -np.expm1((1.0 - t) * log_keep)
-        x, y = -ndtri(e_s), -ndtri(e_c)
+        x, y = -ndtri((e_s, e_c))
         if not np.any((lo < t) & (t < hi)):
             return e_s, e_c, a * x + b * y
         right = log_ratio + 0.5 * (x * x - y * y) + (2.0 * t - 1.0) * log_keep > 0

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
 
 from . import source as sa
 from .channel import conditional_information_variance, mutual_information
@@ -43,12 +42,22 @@ from .probcore import (
     _joint_mutual_information,
     _log_ratio,
     entropy,
+    ndtr,
     q_inverse,
 )
 from .source import SourceSpec
 
 DEFAULT_BATCH = 4096
 _TABLE_CAP = 5_000_000
+
+# Phi on a grid over [-9, 9] for the KS statistic: linear interpolation of
+# it is within h^2/8 * max|Phi''| + Phi(-9) of Phi, h the grid step and
+# max|Phi''| = phi(1), the second term for the clamping outside the grid.
+_KS_GRID = np.linspace(-9.0, 9.0, 4097)
+_KS_GRID_CDF = ndtr(_KS_GRID)
+_KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
+                  * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+                  + float(_KS_GRID_CDF[0]))
 
 
 @dataclass(frozen=True)
@@ -212,13 +221,23 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 # ---------------------------------------------------------------------------
 
 def ks_distance_to_normal(samples: np.ndarray) -> float:
-    """Kolmogorov-Smirnov sup distance between the ECDF and N(0,1)."""
+    """Kolmogorov-Smirnov sup distance between the ECDF and N(0,1), exact.
+
+    The deviation of every sorted sample is first taken against the
+    interpolated Phi; only the samples within twice its error bound of the
+    largest one can attain the supremum, and exact Phi is evaluated on
+    those alone.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
-    cdf = ndtr(x)
     k = x.size
     hi = np.arange(1, k + 1) / k
     lo = np.arange(0, k) / k
-    return float(np.max(np.maximum(hi - cdf, cdf - lo)))
+    approx = np.interp(x, _KS_GRID, _KS_GRID_CDF)
+    dev = np.maximum(hi - approx, approx - lo)
+    # negated so that NaN samples (and a NaN maximum) stay candidates
+    keep = ~(dev < dev.max() - 2.0 * _KS_INTERP_ERR)
+    cdf = ndtr(x[keep])
+    return float(np.max(np.maximum(hi[keep] - cdf, cdf - lo[keep])))
 
 
 @dataclass(frozen=True)
@@ -275,13 +294,17 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
 
 def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
                              phi_m: EmpiricalType, n: int, trials: int,
-                             seed: int, workers: int = 1) -> CltResult:
+                             seed: int, workers: int = 1,
+                             solve=None) -> CltResult:
     """First-order term of the distortion-rate expansion, standardized.
 
     A(S,Y) = sum_s (P_S(s)-P(s)) D'_P(s)
            + rho * D'_R * sum_{x,y} (P_{Y|x}(y|x)-W(y|x)) I'_W(y|x),
     a sum of n + m independent variables; the standardizer is its exact
     variance (D'_R)^2 V_S / n + (rho D'_R)^2 V(phi_m, W) / m with rho = m/n.
+    ``solve``, the value of ``source._tilted_solve(src, d_star)``, lets one
+    rdf solve at D* serve every block length; it is computed here when not
+    given.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
@@ -289,10 +312,9 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     rho_eff = m / n
     p = src.distribution.probs
 
-    slope, grad = sa._tilted_gradient(src, d_star)
-    d_r = 1.0 / slope
+    res, grad, v_s = solve if solve is not None else sa._tilted_solve(src, d_star)
+    d_r = 1.0 / res.lagrange_slope
     dp = -grad * d_r                      # centered; constants cancel in A
-    v_s = float(np.dot(p, grad ** 2))
 
     phi = phi_m.counts / m
     v_chan = conditional_information_variance(Distribution(phi), w)
@@ -368,11 +390,6 @@ def gamma_n(n: int, input_alphabet_size: int, k_n: int,
     a = (poly_degree + 1.0) / 2.0
     return (2.0 * eta_n(n, input_alphabet_size, k_n)
             + math.log(k_n) / (2.0 * n) + a * math.log(n) / n)
-
-
-def default_k_n(n: int, source_alphabet_size: int) -> int:
-    """Codebook-count budget (n+1)^(|S|+1) used by the joint construction."""
-    return (n + 1) ** (source_alphabet_size + 1)
 
 
 def union_bound_gamma(m: int, k_n: int, poly_degree: float = 0.0) -> float:
@@ -513,16 +530,20 @@ def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
     joint table is hypergeometric-like with both margins fixed.
     """
     m = int(sum(row_counts))
-    log_total = gammaln(m + 1) - sum(gammaln(r + 1) for r in row_counts)
+    log_total = math.lgamma(m + 1) - sum(math.lgamma(r + 1) for r in row_counts)
     hits = []
     for table in _enumerate_tables(row_counts, col_counts):
         if _joint_mutual_information(table) >= threshold - 1e-12:
             lp = -log_total
             for b in range(len(col_counts)):
-                lp += gammaln(col_counts[b] + 1) - gammaln(table[:, b] + 1).sum()
+                lp += math.lgamma(col_counts[b] + 1) - sum(
+                    math.lgamma(c + 1) for c in table[:, b].tolist())
             hits.append(lp)
         # note: `table` is reused by the generator; no references kept
-    return float(logsumexp(hits)) if hits else -math.inf
+    if not hits:
+        return -math.inf
+    top = max(hits)
+    return top + math.log(sum(math.exp(h - top) for h in hits))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     AbsoluteContinuityViolated,
@@ -181,7 +180,10 @@ def _joint_mutual_information(joint):
     rows = joint.sum(axis=-1, keepdims=True)
     cols = joint.sum(axis=-2, keepdims=True)
     total = rows.sum(axis=-2, keepdims=True)
-    terms = joint * _log_ratio(joint * total, rows * cols)
+    # the conditional first: rows * cols can underflow to 0 on a denormal
+    # column, while cols >= joint keeps every denominator below positive
+    cond = np.divide(joint, rows, out=np.zeros(joint.shape), where=joint > 0)
+    terms = joint * _log_ratio(cond * total, cols)
     return np.maximum(terms.sum(axis=(-2, -1)) / total[..., 0, 0], 0.0)
 
 
@@ -217,6 +219,92 @@ def divergence_variance(p: Distribution, q: Distribution) -> float:
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
+
+# Wichura's AS 241 (PPND16) rational functions, highest degree first: the
+# central one in r = 0.180625 - q^2 for |q| <= 0.425, q = p - 1/2, and two
+# tail ones in r = sqrt(-log min(p, 1 - p)) - 1.6 for r <= 5, else - 5.
+_AS241_CENTRAL = (
+    (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+     45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+     133.14166789178437745, 3.387132872796366608),
+    (5226.495278852854561, 28729.085735721942674, 39307.89580009271061,
+     21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+     42.313330701600911252, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 0.0227238449892691845833,
+     0.24178072517745061177, 1.27045825245236838258, 3.64784832476320460504,
+     5.7694972214606914055, 4.6303378461565452959, 1.42343711074968357734),
+    (1.05075007164441684324e-9, 5.475938084995344946e-4,
+     0.0151986665636164571966, 0.14810397642748007459, 0.68976733498510000455,
+     1.6763848301838038494, 2.05319162663775882187, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+     1.24266094738807843860e-3, 0.026532189526576123093,
+     0.29656057182850489123, 1.7848265399172913358, 5.4637849111641143699,
+     6.6579046435011037772),
+    (2.04426310338993978564e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.868691311456132591e-4,
+     0.0148753612908506148525, 0.13692988092273580531,
+     0.59983220655588793769, 1.0),
+)
+
+
+def _as241_ratio(coeffs, r: np.ndarray) -> np.ndarray:
+    """num(r) / den(r) for one AS 241 pair, by Horner's rule in place."""
+    if not r.size:
+        return r
+    num, den = (r * poly[0] + poly[1] for poly in coeffs)
+    for a, b in zip(coeffs[0][2:], coeffs[1][2:]):
+        num *= r
+        num += a
+        den *= r
+        den += b
+    num /= den
+    return num
+
+
+def ndtri(p):
+    """Phi^{-1}(p), the standard normal quantile, elementwise.
+
+    Wichura's AS 241 (Applied Statistics 37, 1988), the algorithm of the
+    standard library's ``NormalDist.inv_cdf``: three rational functions,
+    each evaluated only on the elements in its range. Against 50-digit
+    arithmetic the relative error is below 7e-16 on (0, 1), down to
+    p = 1e-300, with a median of about 1.3e-16. ndtri(0) = -inf,
+    ndtri(1) = +inf, and NaN or p outside [0, 1] give NaN.
+    """
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    out = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, np.nan))
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _as241_ratio(_AS241_CENTRAL, 0.180625 - qc * qc)
+    tail = ~central & (p > 0.0) & (p < 1.0)
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    near = r <= 5.0
+    x = np.empty(r.shape)
+    x[near] = _as241_ratio(_AS241_NEAR, r[near] - 1.6)
+    x[~near] = _as241_ratio(_AS241_FAR, r[~near] - 5.0)
+    out[tail] = np.where(pt < 0.5, -x, x)
+    return out[()]
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def ndtr(x):
+    """Phi(x) = erfc(-x/sqrt(2))/2, the standard normal CDF, elementwise.
+
+    One ``math.erfc`` call per element, so it is meant for small arrays.
+    Its relative error is a few units in the last place, times about x^2
+    for x < -1: Phi's condition number there turns the rounding of
+    x/sqrt(2) into that much. ndtr(-inf) = 0, ndtr(+inf) = 1, NaN gives NaN.
+    """
+    return 0.5 * np.asarray(_erfc(np.multiply(x, -_SQRT_HALF)), dtype=float)
 
 
 def q_function(x: float) -> float:
@@ -328,8 +416,3 @@ def nearest_type(dist: Distribution, n: int) -> EmpiricalType:
         order = np.argsort(scaled - base, kind="stable")[::-1]
         base[order[:short]] += 1
     return EmpiricalType(base, n)
-
-
-def canonical_word(etype: EmpiricalType) -> np.ndarray:
-    """A fixed arrangement of a type: symbol a repeated counts[a] times."""
-    return np.repeat(np.arange(etype.alphabet_size, dtype=np.int64), etype.counts)

@@ -118,6 +118,11 @@ def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
         lam[~support] = q  # rows off the source support never matter
     dist = float(np.sum(p[:, None] * lam * dmat))
     rate = float(_joint_mutual_information(p[:, None] * lam))
+    if not math.isfinite(rate):
+        raise NonConvergence(
+            f"rate-distortion solve at slope {slope} for P = {p.tolist()}: "
+            f"the rate of the test channel is {rate}"
+        )
     return rate, dist, lam, q
 
 
@@ -222,18 +227,22 @@ def distortion_rate(src: SourceSpec, rate: float,
     return min(max(dist_s + (rate - rate_s) / slope, 0.0), dm)
 
 
-def _tilted_gradient(src: SourceSpec, d: float) -> tuple[float, np.ndarray]:
-    """(s, j - E_P[j]) from one rdf solve at D: its Lagrangian slope s < 0
-    and the centered d-tilted information built from s and q*."""
+def _tilted_solve(src: SourceSpec, d: float, tol: float = 1e-11
+                  ) -> tuple[RdfResult, np.ndarray, float]:
+    """(res, g, V_S) from one rdf solve at D: the solve, the centered
+    d-tilted information g = j - E_P[j] built from its slope s < 0 and q*,
+    and V_S = Var_P[j]."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
             f"gradient needs D strictly inside (0, {dm}); got {d}"
         )
-    res = rdf(src, d, 1e-11)
+    res = rdf(src, d, tol)
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
-    return s, j - float(np.dot(src.distribution.probs, j))
+    p = src.distribution.probs
+    g = j - float(np.dot(p, j))
+    return res, g, float(np.dot(p, g ** 2))
 
 
 def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
@@ -242,17 +251,23 @@ def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
     j is the d-tilted information, built from the slope and the
     reproduction marginal of one rdf solve at D.
     """
-    return _tilted_gradient(src, d)[1]
+    return _tilted_solve(src, d)[1]
 
 
 def source_dispersion(src: SourceSpec, d: float) -> float:
     """V_S(P,D) = Var_P[j(S,D)], the variance of the d-tilted information."""
-    g = rdf_gradient(src, d)
-    return float(np.dot(src.distribution.probs, g ** 2))
+    return _tilted_solve(src, d)[2]
+
+
+def _normal_rate(rate: float, v_s: float, n: int, eps: float) -> float:
+    """R + sqrt(V_S/n) * Qinv(eps), the rate the normal approximation
+    needs at block length n."""
+    return rate + math.sqrt(v_s / n) * q_inverse(eps)
 
 
 def source_rate_at(src: SourceSpec, d: float, n: int, eps: float) -> float:
-    """Normal approximation R(P,D) + sqrt(V_S/n) * Qinv(eps), in nats.
+    """Normal approximation R(P,D) + sqrt(V_S/n) * Qinv(eps), in nats, with
+    R and V_S from one rdf solve.
 
     The O(log n / n) correction term is omitted (flagged in CLI reports).
     """
@@ -260,6 +275,5 @@ def source_rate_at(src: SourceSpec, d: float, n: int, eps: float) -> float:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
-    rate = rdf(src, d).rate
-    v_s = source_dispersion(src, d)
-    return rate + math.sqrt(v_s / n) * q_inverse(eps)
+    res, _, v_s = _tilted_solve(src, d)
+    return _normal_rate(res.rate, v_s, n, eps)

@@ -144,6 +144,32 @@ class TestChannelCommand:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "False"
 
+    def test_no_scipy_imported(self, tmp_path):
+        # importing scipy.special would cost about 0.3 s and 24 MB per process
+        path = tmp_path / "channel_6x3.json"
+        path.write_text(json.dumps({"channel": {"matrix": two_orbit_cyclic(3).tolist()}}))
+        examples = REPO / "docs" / "examples"
+        ternary = str(examples / "ternary_asymmetric.json")
+        bsc = str(examples / "bsc011_hamming.json")
+        argvs = [["channel", str(path)], ["source", ternary, "-D", "0.1"],
+                 ["jscc", ternary], ["separation", "--paper-fig3"]]
+        argvs += [["simulate", bsc, "--what", what, "--trials", "2000",
+                   "--workers", "2"] for what in ("excess", "clt-mi", "xi")]
+        script = (
+            "import sys\n"
+            "from jsccdisp.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+
 
 class TestSourceCommand:
     def test_rdf_report(self, problem_file, capsys):
@@ -153,6 +179,14 @@ class TestSourceCommand:
         rep = json.loads(out)
         assert rep["rate"] == pytest.approx(0.5310044, abs=1e-6)
         assert rep["d_max"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_one_rdf_solve(self, monkeypatch, capsys):
+        # the rate, the slope and V_S all come from one solve at D
+        rdfs = count_calls(monkeypatch, sa, "rdf")
+        code, out, _ = run(["source", TERNARY, "-D", "0.1"], capsys)
+        assert code == 0
+        assert len(rdfs) == 1
+        assert "v_s" in json.loads(out)
 
     def test_requires_distortion(self, problem_file, capsys):
         code, _, err = run(["source", problem_file], capsys)
@@ -334,14 +368,14 @@ class TestSimulateCommand:
         assert [r["eps_target"] for r in json.loads(out)["results"]] == [0.001] * 2
 
     def test_clt_jscc_solves_once(self, monkeypatch, capsys):
-        # one capacity solve; one rdf for D*, then one per n for the gradient
+        # one capacity solve; one rdf for D*, then one for the gradient at D*
         capacities = count_calls(monkeypatch, ch, "capacity")
         rdfs = count_calls(monkeypatch, sa, "rdf")
         code, _, _ = run(
             ["simulate", TERNARY, "--what", "clt-jscc",
              "--n-list", "100,1000,10000", "--trials", "200"], capsys)
         assert code == 0
-        assert (len(capacities), len(rdfs)) == (1, 4)
+        assert (len(capacities), len(rdfs)) == (1, 2)
 
     def test_excess_estimate_near_target(self, problem_file, capsys):
         code, out, _ = run(

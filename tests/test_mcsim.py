@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import hypergeom
 
 from jsccdisp import (
@@ -35,9 +36,11 @@ from jsccdisp import (
 from jsccdisp.mcsim import (
     UepConfig,
     _mi_tail_log_prob,
+    ks_distance_to_normal,
     uep_dispersion_rate,
     union_bound_gamma,
 )
+from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 
 LN2 = math.log(2.0)
@@ -156,6 +159,36 @@ class TestFirstOrderMi:
         assert (a.samples == b.samples).all()
 
 
+class TestKsDistance:
+    @staticmethod
+    def reference(samples):
+        # the plain form: exact Phi at every sorted sample
+        x = np.sort(samples)
+        cdf = ndtr(x)
+        k = x.size
+        hi = np.arange(1, k + 1) / k
+        lo = np.arange(0, k) / k
+        return float(np.max(np.maximum(hi - cdf, cdf - lo)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_full_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(10 ** rng.uniform(1, 5.5))
+        samples = [
+            rng.standard_normal(n),
+            rng.standard_t(2, n),                      # heavy tails
+            np.round(rng.standard_normal(n), 1),       # ties
+            rng.integers(-3, 4, n).astype(float),      # few distinct values
+            1.03 * rng.standard_normal(n) + 0.02,
+            20.0 * rng.standard_normal(n),             # beyond the grid
+        ][seed % 6]
+        assert ks_distance_to_normal(samples) == pytest.approx(
+            self.reference(samples), abs=2e-16)
+
+    def test_nan_propagates(self):
+        assert math.isnan(ks_distance_to_normal(np.array([0.1, np.nan])))
+
+
 class TestFirstOrderJscc:
     @pytest.fixture
     def skew_problem(self, bsc011):
@@ -177,6 +210,17 @@ class TestFirstOrderJscc:
             lemma_form, rel=1e-12)
         assert res.sample_variance == pytest.approx(1.0, abs=0.05)
         assert res.ks_statistic <= 0.05
+
+    def test_given_solve_same_samples(self, skew_problem):
+        src, w = skew_problem
+        from jsccdisp import opta
+        d_star = opta(JsccProblem(src, w, 1.0, 0.1))
+        phi = EmpiricalType(np.array([250, 250]), 500)
+        a = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7)
+        b = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7,
+                                     solve=_tilted_solve(src, d_star))
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.diagnostics == b.diagnostics
 
     def test_symmetric_source_reduces_to_channel_part(self, fair_hamming, bsc011):
         pb = JsccProblem(fair_hamming, bsc011, 1.0, 0.1)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from jsccdisp import (
@@ -23,6 +24,7 @@ from jsccdisp import (
     q_function,
     q_inverse,
 )
+from jsccdisp.probcore import _joint_mutual_information, ndtr, ndtri
 
 
 def direct_entropy(probs) -> float:
@@ -187,6 +189,48 @@ class TestGaussianTail:
             with pytest.raises(DomainError):
                 q_inverse(bad)
 
+
+
+class TestNormalQuantileAndCdf:
+    # scipy.special is the independent reference for both functions
+    @pytest.fixture
+    def probs(self):
+        rng = np.random.default_rng(11)
+        sweep = np.geomspace(1e-300, 0.5, 3000)
+        return np.concatenate([rng.random(100_000), sweep, 1.0 - sweep,
+                               [1.0 - 1e-16]])
+
+    def test_ndtri_against_scipy(self, probs):
+        np.testing.assert_allclose(ndtri(probs), special.ndtri(probs),
+                                   rtol=2e-15, atol=0)
+
+    def test_ndtri_edge_values(self):
+        got = ndtri(np.array([0.0, 1.0, 0.5, np.nan, -0.1, 1.1]))
+        assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+        assert np.isnan(got[3:]).all()
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+
+    def test_ndtri_keeps_shape(self):
+        p = np.array([[0.01, 0.3], [0.7, 1e-20]])
+        assert ndtri(p).tolist() == ndtri(p.ravel()).reshape(2, 2).tolist()
+
+    def test_ndtr_against_scipy(self, probs):
+        # Phi's condition number at x < 0 is about x^2, so the two ways of
+        # rounding x/sqrt(2) may differ by x^2 units in the last place
+        x = np.concatenate([ndtri(probs), np.linspace(-37, 9, 10_001)])
+        got, ref = ndtr(x), special.ndtr(x)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, x * x) * ref)
+
+    def test_ndtr_edge_values(self):
+        got = ndtr(np.array([-np.inf, np.inf, 0.0, np.nan]))
+        assert got[:3].tolist() == [0.0, 1.0, 0.5] and np.isnan(got[3])
+
+
+class TestJointMutualInformation:
+    def test_denormal_column_stays_finite(self):
+        # rows * cols underflows to 0 here while the joint entry does not
+        got = _joint_mutual_information(np.array([[0.5, 5e-324], [0.5, 0.0]]))
+        assert np.isfinite(got) and got == pytest.approx(0.0, abs=1e-300)
 
 class TestTypes:
     def test_empirical_type_counts(self):

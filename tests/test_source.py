@@ -9,6 +9,7 @@ from jsccdisp import (
     Distribution,
     DomainError,
     JsccProblem,
+    NonConvergence,
     SourceSpec,
     d_max,
     distortion_rate,
@@ -20,6 +21,7 @@ from jsccdisp import (
     source_dispersion,
     source_rate_at,
 )
+import jsccdisp.source as sa
 from conftest import HAMMING, hamming_source
 
 LN2 = math.log(2.0)
@@ -132,6 +134,25 @@ class TestRdf:
         rates = [rdf(src, dd, 1e-12).rate for dd in (0.045, 0.0466, 0.05)]
         assert rates[0] >= rates[1] >= rates[2]
         assert distortion_rate(src, rates[1], 1e-12) == pytest.approx(0.0466, abs=1e-8)
+
+    def test_denormal_test_channel_column(self):
+        # a Blahut test channel here holds a column of mass about 5e-324:
+        # the MI kernel returned +inf and D(P, 0.297101) came back as 0
+        p = (0.6502521130101436, 0.03324047668541826, 0.31650741030443813)
+        d = np.array([[0.0, 0.1756831022851436, 1.5752762308615476],
+                      [2.8521232446353104, 0.0, 0.04965918310435646],
+                      [0.9208449873225897, 0.5840085075607915, 0.0]])
+        src = SourceSpec(Distribution(np.array(p)), d)
+        rate = rdf(src, 0.1226).rate
+        assert rate == pytest.approx(0.297101, abs=1e-6)
+        assert distortion_rate(src, 0.297101) == pytest.approx(0.1226, abs=1e-6)
+        assert distortion_rate(src, rate) == pytest.approx(0.1226, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [0.0, 0.1])
+    def test_non_finite_rate_raises(self, fair_hamming, monkeypatch, d):
+        monkeypatch.setattr(sa, "_joint_mutual_information", lambda j: np.inf)
+        with pytest.raises(NonConvergence, match="rate-distortion solve at slope"):
+            rdf(fair_hamming, d)
 
     def test_sources_with_zero_mass_symbols(self):
         src = SourceSpec(Distribution(np.array([0.0, 1.0])), HAMMING)
