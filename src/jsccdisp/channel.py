@@ -1,10 +1,10 @@
 """Discrete memoryless channel analysis.
 
-Capacity with a certified Blahut-Arimoto bracket, information density,
-conditional/unconditional information variances, the exact V_min/V_max
-extremes over the capacity-achieving set (the vertices of a polytope,
-enumerated with numpy up to a cap on their number), and the channel normal
-approximation C - sqrt(V/n) * Qinv(eps).
+Capacity with a certified bracket from the simplex Newton kernel of
+``probcore``, information density, conditional/unconditional information
+variances, the exact V_min/V_max extremes over the capacity-achieving set
+(the vertices of a polytope, enumerated with numpy up to a cap on their
+number), and the channel normal approximation C - sqrt(V/n) * Qinv(eps).
 
 All rates are in nats per channel use, variances in nats^2.
 """
@@ -29,12 +29,12 @@ from .probcore import (
     Distribution,
     _joint_mutual_information,
     _log_ratio,
+    _simplex_newton,
     _weighted_variance,
     q_inverse,
 )
 
 DEFAULT_TOL = 1e-10
-_MAX_BA_ITER = 200_000
 _SINGLETON_TOL = 1e-8
 _VERTEX_CAP = 1_000_000  # most candidate vertex subsets vmin_vmax enumerates
 
@@ -43,6 +43,10 @@ CORRECTION_NOTE = "O(log n / n) correction term omitted"
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """C within the certified bracket [lower_bound, upper_bound], the input
+    law that attains the lower bound, and the number of Newton steps the
+    solve took (0 when the uniform input already meets the tolerance)."""
+
     capacity: float
     input_distribution: Distribution
     lower_bound: float
@@ -121,12 +125,11 @@ def information_density(phi: Distribution, w: Channel) -> np.ndarray:
 def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     """D(W_x || phiW) for every input row x, with the support convention.
 
-    Output letters that phi cannot reach get their marginal floored, which
-    keeps the divergence finite so boundary iterates can re-enter the
-    interior during the capacity searches.
+    The capacity solve keeps phi in the interior of the simplex, so phiW is
+    positive on every output that some row reaches, and no divergence is
+    infinite.
     """
-    out = np.maximum(phi_probs @ w_mat, 1e-300)
-    return (w_mat * _log_ratio(w_mat, out)).sum(axis=1)
+    return (w_mat * _log_ratio(w_mat, phi_probs @ w_mat)).sum(axis=1)
 
 
 def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
@@ -134,35 +137,35 @@ def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     return _weighted_variance(w_mat, _log_ratio(w_mat, out), axis=1)
 
 
-def capacity(w: Channel, tol: float = DEFAULT_TOL,
-             max_iter: int = _MAX_BA_ITER) -> CapacityResult:
-    """Channel capacity by alternating maximization with a certified bracket.
+def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
+    """Channel capacity with a certified bracket.
 
-    Iterates phi <- phi * exp(D(W_x || phiW)) / Z; at every step
-    I(phi, W) <= C <= max_x D(W_x || phiW), and the loop stops once the
-    bracket width is at most ``tol``.
+    Minimises -I(phi, W) over the input simplex with
+    ``probcore._simplex_newton``: the gradient is -D(W_x || phiW), the
+    Hessian W diag(1/phiW) W^T, and I(phi, W) <= C <= max_x D(W_x || phiW)
+    brackets C at every iterate. Raises NonConvergence naming W when the
+    bracket width of the final iterate exceeds ``tol``; ``iterations``
+    counts the Newton steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    phi = np.full(w.input_size, 1.0 / w.input_size)
-    lower = upper = 0.0
-    for it in range(1, max_iter + 1):
-        t = _row_divergences(phi, w.matrix)
+    mat = w.matrix
+
+    def oracle(phi):
+        t = _row_divergences(phi, mat)
         lower = float(np.dot(phi, t))
-        upper = float(np.max(t))
-        if upper - lower <= tol:
-            return CapacityResult(
-                capacity=max(lower, 0.0),
-                input_distribution=Distribution(phi / phi.sum()),
-                lower_bound=max(lower, 0.0),
-                upper_bound=upper,
-                iterations=it,
-            )
-        phi = phi * np.exp(t - upper)
-        phi /= phi.sum()
-    raise NonConvergence(
-        f"capacity bracket {upper - lower:.3e} > tol {tol} after {max_iter} iterations"
-    )
+        scaled = np.divide(mat, phi @ mat, out=np.zeros(mat.shape), where=mat > 0)
+        hess = scaled @ mat.T
+        return -lower, -t, hess, float(np.max(t)) - lower
+
+    phi, gap, steps = _simplex_newton(oracle, w.input_size, tol)
+    if not gap <= tol:
+        raise NonConvergence(f"capacity: bracket {gap:.3e} > tol {tol} after "
+                             f"{steps} Newton steps for W = {mat.tolist()}")
+    t = _row_divergences(phi, mat)
+    lower = max(float(np.dot(phi, t)), 0.0)
+    return CapacityResult(lower, Distribution(phi / phi.sum()), lower,
+                          float(np.max(t)), steps)
 
 
 def unconditional_information_variance(phi: Distribution, w: Channel) -> float:

@@ -167,7 +167,7 @@ def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
         raise DomainError("n must be at least 1")
     rep = report if report is not None else dispersion_report(problem)
     qi = q_inverse(problem.eps)
-    r_zero = sa.rdf(problem.source, 0.0, tol).rate
+    r_zero = problem.source._zero_rate
     targets = {}
     for tag, v in (("vlow", rep.v_j_low), ("vhigh", rep.v_j_high)):
         t = rep.r_at_d_star - math.sqrt(v / n) * qi

@@ -1,9 +1,10 @@
 """Discrete memoryless source analysis.
 
-Rate-distortion function R(P,D) and its inverse D(P,R) by alternating
-minimization inside one Lagrangian slope search, the simplex gradient of R
-as the centered d-tilted information, and the source dispersion Var_P of
-that gradient.
+Rate-distortion function R(P,D) and its inverse D(P,R) by one Lagrangian
+slope search, each slope solved by the simplex Newton kernel of
+``probcore`` with Blahut's bound as its certificate, the simplex gradient
+of R as the centered d-tilted information, and the source dispersion Var_P
+of that gradient.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -16,19 +17,23 @@ Ingber & Kochman, DCC 2011).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryDistortion, DomainError, NonConvergence
-from .probcore import Distribution, _joint_mutual_information, q_inverse
+from .probcore import (
+    Distribution,
+    _joint_mutual_information,
+    _simplex_newton,
+    q_inverse,
+)
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
 _INNER_TOL = 1e-13
-_WARM_FLOOR = 1e-9
-_MAX_INNER_ITER = 100_000
 _MAX_SLOPE_ITER = 300
 
 
@@ -66,6 +71,12 @@ class SourceSpec:
     def reproduction_size(self) -> int:
         return int(self.distortion.shape[1])
 
+    @functools.cached_property
+    def _zero_rate(self) -> float:
+        """R(P, 0), at and above which D(P, R) is 0: solved on first use
+        and kept with the source, so every later caller reads it."""
+        return rdf(self, 0.0).rate
+
 
 @dataclass(frozen=True)
 class RdfResult:
@@ -81,36 +92,31 @@ def d_max(src: SourceSpec) -> float:
     return float(np.min(src.distribution.probs @ src.distortion))
 
 
-def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
-                        zero_mask: np.ndarray | None = None,
-                        q0: np.ndarray | None = None):
-    """Alternating minimization at a fixed Lagrangian slope s <= 0.
+def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float, tol: float,
+                 zero_mask: np.ndarray | None = None):
+    """The rate-distortion problem at a fixed Lagrangian slope s <= 0.
 
-    Returns (rate, distortion, test_channel, q). With ``zero_mask`` the
-    exp(s*d) weights become the indicator of d == 0 (the s -> -inf limit),
-    which solves the D = 0 endpoint. ``q0`` warm-starts the reproduction
-    marginal, floored at 1e-9: the update cannot revive a letter of mass 0,
-    and Blahut's lower bound -log max c below runs over every letter.
+    Returns (rate, distortion, test_channel, q). The reproduction marginal q
+    minimises -sum_x P(x) log (A q)_x over the simplex, A = exp(s*d)
+    (Csiszar's dual form), by ``probcore._simplex_newton`` with the gradient
+    -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A and Blahut's
+    bound log max c on the gap. The solve aims for 1e-13 and accepts any gap
+    within ``tol``, or within 1e-13 for a smaller ``tol``. With ``zero_mask``
+    the weights A become the indicator of d == 0 (the s -> -inf limit),
+    which solves the D = 0 endpoint.
     """
     a = zero_mask.astype(float) if zero_mask is not None else np.exp(slope * dmat)
-    q = np.ones(dmat.shape[1]) if q0 is None else np.maximum(q0, _WARM_FLOOR)
-    q /= q.sum()
     support = p > 0
     p_s = p[support]
     a_s = a[support]
-    for _ in range(_MAX_INNER_ITER):
+
+    def oracle(q):
         denom = a_s @ q
         c = (p_s / denom) @ a_s
-        q_new = q * c
-        # two-sided bracket on the Lagrangian value at this slope
-        pos = q_new > 0
-        t_upper = -float(np.sum(q_new[pos] * np.log(c[pos])))
-        t_lower = -float(np.log(np.max(c)))
-        q = q_new / q_new.sum()
-        if t_upper - t_lower <= _INNER_TOL:
-            break
-    else:
-        raise NonConvergence("rate-distortion inner loop did not converge")
+        hess = (a_s.T * (p_s / denom ** 2)) @ a_s
+        return -float(p_s @ np.log(denom)), -c, hess, math.log(float(c.max()))
+
+    q, gap, _ = _simplex_newton(oracle, dmat.shape[1], _INNER_TOL)
     denom = a_s @ q
     lam = np.zeros_like(a)
     lam[support] = (q[None, :] * a_s) / denom[:, None]
@@ -118,11 +124,10 @@ def _blahut_fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float,
         lam[~support] = q  # rows off the source support never matter
     dist = float(np.sum(p[:, None] * lam * dmat))
     rate = float(_joint_mutual_information(p[:, None] * lam))
-    if not math.isfinite(rate):
+    if not (gap <= max(tol, _INNER_TOL) and math.isfinite(rate)):
         raise NonConvergence(
             f"rate-distortion solve at slope {slope} for P = {p.tolist()}: "
-            f"the rate of the test channel is {rate}"
-        )
+            f"gap {gap:.3e} (tol {tol}), test channel rate {rate}")
     return rate, dist, lam, q
 
 
@@ -133,19 +138,18 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
 
     D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-. The slope
     is bracketed by doubling from -1 and by 0, then narrowed by bisection
-    with secant proposals and warm starts. Returns (slope, rate,
-    distortion, test_channel, reproduction) at the last slope tried.
+    with secant proposals. Returns (slope, rate, distortion, test_channel,
+    reproduction) at the last slope tried.
     """
     key, sign = (0, -1.0) if by_rate else (1, 1.0)
-    s_lo, q_warm = -1.0, None
+    s_lo = -1.0
     for _ in range(80):
-        sol = _blahut_fixed_slope(p, dmat, s_lo, q0=q_warm)
-        q_warm = sol[3]
+        sol = _fixed_slope(p, dmat, s_lo, tol)
         if sign * (sol[key] - target) <= 0:
             break
         s_lo *= 2.0
     else:
-        raise NonConvergence("could not bracket the rate-distortion slope")
+        raise NonConvergence(f"could not bracket the slope for P = {p.tolist()}")
     s_hi = 0.0
     evals = [(s_lo, sol[key])]
     for _ in range(_MAX_SLOPE_ITER):
@@ -158,8 +162,7 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
                 cand = s2 + (target - v2) * (s1 - s2) / (v1 - v2)
                 if s_lo < cand < s_hi:
                     slope = cand
-        sol = _blahut_fixed_slope(p, dmat, slope, q0=q_warm)
-        q_warm = sol[3]
+        sol = _fixed_slope(p, dmat, slope, tol)
         evals.append((slope, sol[key]))
         if abs(sol[key] - target) <= tol:
             break
@@ -197,8 +200,8 @@ def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
                          lam[0].copy())
 
     if d <= BOUNDARY_TOL:
-        rate, dist, lam, q = _blahut_fixed_slope(p, dmat, 0.0,
-                                                 zero_mask=(dmat == 0))
+        rate, dist, lam, q = _fixed_slope(p, dmat, 0.0, tol,
+                                          zero_mask=(dmat == 0))
         return RdfResult(rate, lam, -math.inf, dist, q)
 
     slope, rate_s, dist_s, lam, q = _slope_search(p, dmat, d, False, tol)
@@ -213,14 +216,14 @@ def distortion_rate(src: SourceSpec, rate: float,
     Searches the Lagrangian slope until R(s) is within ``tol`` of the
     rate, then applies the tangent-line correction
     D(R) ~= D(s) + (R - R(s))/s. Returns d_max for rate <= 0 and 0 for
-    rate >= R(P,0).
+    rate >= R(P,0), which is solved once per source.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     dm = d_max(src)
     if rate <= 0.0:
         return dm
-    if rate >= rdf(src, 0.0, tol).rate:
+    if rate >= src._zero_rate:
         return 0.0
     slope, rate_s, dist_s, _, _ = _slope_search(
         src.distribution.probs, src.distortion, rate, True, tol)

@@ -171,6 +171,22 @@ class TestCapacity:
             c = capacity(w, 1e-9).capacity
             assert -1e-12 <= c <= math.log(min(nx, ny)) + 1e-9
 
+    @pytest.mark.parametrize("mat", [
+        [[0.2469, 0.7531], [0.2504, 0.7496]],
+        [[0.2631, 0.7369], [0.2632, 0.7368], [0.5685, 0.4315]],
+    ])
+    def test_near_duplicate_rows_converge(self, mat):
+        # nearly equal rows: the Hessian is close to rank-deficient, and
+        # first-order updates converge sublinearly (4.8e-10 after 200,000
+        # Arimoto steps on the first)
+        w = Channel(np.array(mat))
+        start = time.perf_counter()
+        res = capacity(w, 1e-10)
+        assert time.perf_counter() - start < 0.05
+        assert res.upper_bound - res.lower_bound <= 1e-10
+        mi = mutual_information(res.input_distribution, w)
+        assert res.lower_bound - 1e-14 <= mi <= res.upper_bound + 1e-14
+
 
 class TestInformationVariances:
     def test_identity_unconditional_zero(self):

@@ -242,6 +242,13 @@ class TestJsccCommand:
         assert (over["thresholds"][0]["d_n_with_vlow"]
                 > base["thresholds"][0]["d_n_with_vlow"])
 
+    def test_zero_distortion_rate_solved_once(self, monkeypatch, capsys):
+        # R(P, 0) bounds D* and every D_n target: one solve serves them all
+        rdfs = count_calls(monkeypatch, sa, "rdf")
+        code, _, _ = run(["jscc", TERNARY, "--n-list", "100,1000,10000"], capsys)
+        assert code == 0
+        assert [args[1] for args in rdfs].count(0.0) == 1
+
     def test_lossless_solves_channel_once(self, monkeypatch, capsys):
         vertices = count_calls(monkeypatch, ch, "vmin_vmax")
         capacities = count_calls(monkeypatch, ch, "capacity")

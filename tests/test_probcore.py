@@ -24,7 +24,12 @@ from jsccdisp import (
     q_function,
     q_inverse,
 )
-from jsccdisp.probcore import _joint_mutual_information, ndtr, ndtri
+from jsccdisp.probcore import (
+    _joint_mutual_information,
+    _simplex_newton,
+    ndtr,
+    ndtri,
+)
 
 
 def direct_entropy(probs) -> float:
@@ -160,6 +165,11 @@ class TestGaussianTail:
         vals = [q_function(x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_equals_ndtr_bit_for_bit(self):
+        # one Gaussian CDF: Q(x) is Phi(-x) to the last bit
+        xs = np.linspace(-8.0, 8.0, 20_001)
+        assert np.array_equal([q_function(x) for x in xs], ndtr(-xs))
+
     def test_qinv_half_is_exact_zero(self):
         assert q_inverse(0.5) == 0.0
 
@@ -224,6 +234,44 @@ class TestNormalQuantileAndCdf:
     def test_ndtr_edge_values(self):
         got = ndtr(np.array([-np.inf, np.inf, 0.0, np.nan]))
         assert got[:3].tolist() == [0.0, 1.0, 0.5] and np.isnan(got[3])
+
+
+class TestSimplexNewton:
+    @staticmethod
+    def projection(c):
+        """Oracle of F(x) = |x - c|^2 / 2 with the Frank-Wolfe gap."""
+        def oracle(x):
+            grad = x - c
+            return (0.5 * float(grad @ grad), grad, np.eye(c.size),
+                    float(grad @ x - grad.min()))
+        return oracle
+
+    def test_projection_onto_a_face(self):
+        # the projection of c onto the simplex is (0.75, 0.25, 0, 0): two
+        # letters end at 0, where the barrier never lets an iterate arrive
+        c = np.array([1.0, 0.5, -0.5, -2.0])
+        x, gap, steps = _simplex_newton(self.projection(c), 4, 1e-13)
+        assert gap <= 1e-13 and 0 < steps < 200
+        assert np.all(x > 0)
+        assert np.allclose(x, [0.75, 0.25, 0.0, 0.0], atol=1e-12)
+
+    def test_optimal_start_takes_no_step(self):
+        c = np.full(3, 1.0 / 3.0)
+        x, gap, steps = _simplex_newton(self.projection(c), 3, 1e-13)
+        assert (steps, gap) == (0, 0.0)
+        assert np.array_equal(x, c)
+
+    def test_singular_hessian(self):
+        # F is linear in x: the Hessian is 0 and the minimum is a vertex
+        cost = np.array([0.3, 0.1, 0.7])
+
+        def oracle(x):
+            return (float(cost @ x), cost, np.zeros((3, 3)),
+                    float(cost @ x - cost.min()))
+
+        x, gap, _ = _simplex_newton(oracle, 3, 1e-12)
+        assert gap <= 1e-12
+        assert x[1] == pytest.approx(1.0, abs=1e-11)
 
 
 class TestJointMutualInformation:

@@ -148,6 +148,20 @@ class TestRdf:
         assert distortion_rate(src, 0.297101) == pytest.approx(0.1226, abs=1e-6)
         assert distortion_rate(src, rate) == pytest.approx(0.1226, abs=1e-8)
 
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3])
+    def test_small_reproduction_mass(self, d):
+        # q* at slope -1 is (0.780, 0.2198, 1.6e-4): near a zero letter
+        # first-order updates converge sublinearly (Blahut's met no bracket
+        # of 1e-13 within 100,000 steps at any of these D)
+        p = np.array([248.0, 146.0, 106.0]) / 500.0
+        src = SourceSpec(Distribution(p), np.ones((3, 3)) - np.eye(3))
+        res = rdf(src, d)
+        # Hamming: R = H(P) - h(D) - D log 2 for D <= 2 min P
+        h = -d * math.log(d) - (1 - d) * math.log(1 - d)
+        assert res.rate == pytest.approx(
+            entropy(src.distribution) - h - d * LN2, abs=1e-10)
+        assert distortion_rate(src, res.rate) == pytest.approx(d, abs=1e-8)
+
     @pytest.mark.parametrize("d", [0.0, 0.1])
     def test_non_finite_rate_raises(self, fair_hamming, monkeypatch, d):
         monkeypatch.setattr(sa, "_joint_mutual_information", lambda j: np.inf)
