@@ -137,28 +137,35 @@ def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     return _weighted_variance(w_mat, _log_ratio(w_mat, out), axis=1)
 
 
+def _capacity_oracle(mats: np.ndarray):
+    """``probcore._simplex_newton`` oracle of F = -I(phi, W_t) for a stack
+    of channel matrices (T, |X|, |Y|): the gradient is -D(W_x || phiW), the
+    Hessian W diag(1/phiW) W^T and the gap max_x D(W_x || phiW) - I."""
+    def oracle(phi, rows):
+        mat = mats[rows]
+        out = phi[:, None, :] @ mat  # phi W, as (R, 1, |Y|)
+        t = (mat * _log_ratio(mat, out)).sum(axis=2)
+        lower = (phi * t).sum(axis=1)
+        scaled = np.divide(mat, out, out=np.zeros(mat.shape), where=mat > 0)
+        return -lower, -t, scaled @ mat.transpose(0, 2, 1), t.max(axis=1) - lower
+    return oracle
+
+
 def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
     """Channel capacity with a certified bracket.
 
     Minimises -I(phi, W) over the input simplex with
-    ``probcore._simplex_newton``: the gradient is -D(W_x || phiW), the
-    Hessian W diag(1/phiW) W^T, and I(phi, W) <= C <= max_x D(W_x || phiW)
-    brackets C at every iterate. Raises NonConvergence naming W when the
-    bracket width of the final iterate exceeds ``tol``; ``iterations``
-    counts the Newton steps.
+    ``probcore._simplex_newton`` on ``_capacity_oracle``, a batch of one;
+    I(phi, W) <= C <= max_x D(W_x || phiW) brackets C at every iterate.
+    Raises NonConvergence naming W when the bracket width of the final
+    iterate exceeds ``tol``; ``iterations`` counts the Newton steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     mat = w.matrix
-
-    def oracle(phi):
-        t = _row_divergences(phi, mat)
-        lower = float(np.dot(phi, t))
-        scaled = np.divide(mat, phi @ mat, out=np.zeros(mat.shape), where=mat > 0)
-        hess = scaled @ mat.T
-        return -lower, -t, hess, float(np.max(t)) - lower
-
-    phi, gap, steps = _simplex_newton(oracle, w.input_size, tol)
+    phi, gap, steps = _simplex_newton(_capacity_oracle(mat[None]),
+                                      (1, w.input_size), tol)
+    phi, gap, steps = phi[0], float(gap[0]), int(steps[0])
     if not gap <= tol:
         raise NonConvergence(f"capacity: bracket {gap:.3e} > tol {tol} after "
                              f"{steps} Newton steps for W = {mat.tolist()}")

@@ -11,6 +11,12 @@ Reproducibility contract: trials are grouped into fixed-size batches
 and order-fixed, so results are bit-identical for any worker count.
 Because sampling never depends on swept parameters (thresholds, distortion
 levels), a shared seed acts as common random numbers across a sweep.
+
+The excess-event simulator needs R(P_S, D) for every source type P_S a run
+draws. It makes two passes over the same streams: the first collects the
+distinct types, one batched ``source._rdf_rates`` call solves them all,
+and the second redraws each batch and compares. No per-trial array
+outlives its batch.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .errors import (
     DeltaTooLarge,
     DomainError,
     EnumerationTooLarge,
-    JsccDispError,
     LengthMismatch,
     RateCapViolated,
     SymbolOutOfRange,
@@ -114,11 +119,29 @@ def _batches(trials: int, batch: int = DEFAULT_BATCH):
 
 
 def _map_batches(fn, trials: int, workers: int):
+    """fn(batch_index, size) over every batch, yielded in batch order as
+    each is consumed, so a caller that folds them holds none for long."""
     batches = _batches(trials)
     if workers <= 1:
-        return [fn(b, size) for b, size in batches]
+        yield from (fn(b, size) for b, size in batches)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda args: fn(*args), batches))
+        yield from pool.map(lambda args: fn(*args), batches)
+
+
+def _unique_rows(a: np.ndarray):
+    """The distinct rows of a 2-D array and, for each row of ``a``, the
+    index of its distinct row. The distinct rows come in ``np.lexsort``
+    order of the columns (the last column the primary key), which one
+    stable sort per column gives without ``np.unique(axis=0)``'s sort of a
+    void view."""
+    order = np.lexsort(a.T)
+    rows = a[order]
+    first = np.ones(len(a), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +198,53 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     Per trial the source type is a Multinomial(n, P) draw and the channel
     conditional type comes from a fixed word of type phi_m; rho is realized
-    as m/n with m = phi_m.n. Rate-distortion values are memoized per source
-    type. Types whose RDF cannot be evaluated count as excess (conservative
-    boundary convention); their number is reported in the diagnostics.
+    as m/n with m = phi_m.n. Two passes run over the same batch streams,
+    each batch held only while it is drawn. The first draws only the
+    source counts, which each stream draws first, and collects the
+    distinct source types; one batched solve then gives R(P_S, d) for all
+    of them. The second redraws every batch with its channel counts and
+    compares. Types whose RDF cannot be evaluated count as excess
+    (conservative boundary convention); their trials are reported as
+    ``boundary_trials`` in the diagnostics.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
     if trials < 1 or n < 1:
         raise DomainError("trials and n must be positive")
+    if d < 0:
+        raise DomainError("distortion level must be nonnegative")
     m = phi_m.n
     rho_eff = m / n
     p = src.distribution.probs
     row_counts = phi_m.counts
 
-    @lru_cache(maxsize=None)
-    def rate_of_type(counts: tuple) -> float:
-        # NaN marks "RDF undefined" and is counted as excess downstream
-        try:
-            typed = SourceSpec(Distribution(np.array(counts) / n), src.distortion)
-            return sa.rdf(typed, d, 1e-10).rate
-        except JsccDispError:
-            return math.nan
+    def types_of(batch_index: int, size: int):
+        src_counts = _stream(seed, batch_index).multinomial(n, p, size=size)
+        return _unique_rows(src_counts)[0]
+
+    types = np.empty((0, p.size), dtype=np.int64)
+    for batch_types in _map_batches(types_of, trials, workers):
+        types = _unique_rows(np.concatenate([types, batch_types]))[0]
+    # NaN marks "RDF undefined" and is counted as excess below
+    rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10)
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         src_counts = rng.multinomial(n, p, size=size)
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
         mi = _joint_mutual_information(joint)  # empirical MI per trial
-        uniq, inverse = np.unique(src_counts, axis=0, return_inverse=True)
-        rates = np.array([rate_of_type(tuple(int(c) for c in u)) for u in uniq])
-        r_t = rates[inverse]
+        # every row of the batch is in ``types``, so the distinct rows of the
+        # stack are ``types`` in its own order, and a row's index is its rate's
+        which = _unique_rows(np.concatenate([types, src_counts]))[1]
+        r_t = rates[which[len(types):]]
         undefined = np.isnan(r_t)
         excess = undefined | (r_t > rho_eff * mi)
         return int(excess.sum()), int(undefined.sum())
 
-    parts = _map_batches(run, trials, workers)
-    total = sum(p_[0] for p_ in parts)
-    boundary = sum(p_[1] for p_ in parts)
+    total = boundary = 0
+    for excess, undefined in _map_batches(run, trials, workers):
+        total += excess
+        boundary += undefined
     return _binomial_result(total, trials,
                             boundary_trials=boundary, rho_effective=rho_eff)
 
@@ -288,7 +321,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
         dev = joint - expected[None, :, :]
         return (dev * coeff[None, :, :]).sum(axis=(1, 2)) * scale
 
-    samples = np.concatenate(_map_batches(run, trials, workers))
+    samples = np.concatenate(list(_map_batches(run, trials, workers)))
     return _clt_result(samples, trials, standardizer_variance=v_cond / n)
 
 
@@ -336,7 +369,7 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
         chan_part = (dev * coeff[None, :, :]).sum(axis=(1, 2)) * chan_scale
         return (src_part + chan_part) * scale
 
-    samples = np.concatenate(_map_batches(run, trials, workers))
+    samples = np.concatenate(list(_map_batches(run, trials, workers)))
     return _clt_result(samples, trials, standardizer_variance=sigma2,
                        d_prime_r=d_r, v_s=v_s, v_channel=v_chan,
                        rho_effective=rho_eff)
@@ -632,7 +665,7 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
             both = e1 | e2
             return int(e1.sum()), int(e2.sum()), int(both.sum())
 
-        parts = _map_batches(run, sim.trials, workers)
+        parts = list(_map_batches(run, sim.trials, workers))
         e1_total = sum(p[0] for p in parts)
         e2_total = sum(p[1] for p in parts)
         all_total = sum(p[2] for p in parts)

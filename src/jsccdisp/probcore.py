@@ -219,48 +219,85 @@ def divergence_variance(p: Distribution, q: Distribution) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_NEWTON_ITER = 200
+_ALL = slice(None)
 
 
-def _simplex_newton(oracle, k: int, tol: float):
-    """Minimise a convex F over the probability simplex in R^k by a
-    log-barrier Newton method; returns (x, gap, iterations).
+def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
+    """Minimise T convex functions F_t over the probability simplex in R^k
+    by a log-barrier Newton method, all at once; ``shape`` is (T, k).
+    Returns (x, gap, iterations) with shapes (T, k), (T,) and (T,).
 
-    ``oracle(x)`` returns (F, grad F, Hessian H of F, gap) at an interior x,
-    where gap is a certified bound on F(x) - min F. Starting at uniform, the
-    barrier weight mu = min(mu, gap / (10 k)) never rises. Each step solves
-    the Newton system of F - mu * sum(log x) under sum(dx) = 0 in the scaled
-    variable dy = dx / x, with matrix X H X + mu I; a symmetric diagonal
-    scaling keeps that system well conditioned as a letter nears 0, and
-    ``lstsq`` takes a singular H. The step stops at 0.99 of the way to the
-    boundary and is halved until the barrier rises by at most
-    1e-15 * (1 + |F|). The loop ends once gap <= tol, when no step down to
+    ``oracle(x, rows)`` returns fresh arrays (F, grad F, Hessian H of F,
+    gap) of the problems ``rows`` (a slice or an index array) at their
+    interior iterates x (R, k), with shapes (R,), (R, k), (R, k, k) and
+    (R,), where gap is a certified bound on F(x) - min F. Each row runs on
+    its own: starting at uniform, its barrier weight mu = min(mu,
+    gap / (10 k)) never rises. A step solves the Newton system of
+    F - mu * sum(log x) under sum(dx) = 0 in the scaled variable
+    dy = dx / x, with matrix X H X + mu I; a symmetric diagonal (Jacobi)
+    scaling keeps that system well conditioned as a letter nears 0, and its
+    leading block is positive definite for mu > 0, so the bordered system
+    is nonsingular even where H is singular. The step stops at 0.99 of the
+    way to the boundary and is halved until the barrier rises by at most
+    1e-15 * (1 + |F|). A row stops once gap <= tol, when no step down to
     1e-12 passes that test, or after 200 steps; the caller judges the gap
     of the returned x. Iterates never reach the boundary.
     """
-    x = np.full(k, 1.0 / k)
-    f, grad, hess, gap = oracle(x)
-    mu, steps = math.inf, 0
-    while gap > tol and steps < _MAX_NEWTON_ITER:
-        mu = min(mu, gap / (10 * k))
-        scale = 1.0 / np.sqrt(x * x * hess.diagonal() + mu)
-        sx = scale * x
-        kkt = np.block([[sx[:, None] * hess * sx + mu * np.diag(scale * scale),
-                         sx[:, None]], [sx, np.zeros(1)]])
-        rhs = np.append(scale * (mu - x * grad), 0.0)
-        dy = scale * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+    t, k = shape
+    x = np.full(shape, 1.0 / k)
+    f, grad, hess, gap = oracle(x, _ALL)
+    log_x = np.log(x).sum(axis=1)
+    mu = np.full(t, math.inf)
+    steps = np.zeros(t, dtype=np.int64)
+    live = gap > tol
+    # the bordered Newton matrices, built in place in the first m rows for
+    # m live problems; the corner stays 0
+    kkt = np.zeros((t, k + 1, k + 1))
+    rhs = np.zeros((t, k + 1))
+    block, column, border = kkt[:, :k, :k], kkt[:, :k, k], kkt[:, k, :k]
+    diagonal = kkt.reshape(t, -1)[:, :k * (k + 2):k + 2]  # the block's, a view
+    while n := np.count_nonzero(live):
+        rows = _ALL if n == t else np.flatnonzero(live)
+        xr, fr = x[rows], f[rows]
+        mur = np.minimum(mu[rows], gap[rows] / (10 * k))
+        mu[rows] = mur
+        hr = hess[rows]
+        scale = 1.0 / np.sqrt(xr * xr * hr.diagonal(axis1=1, axis2=2)
+                              + mur[:, None])
+        sx = scale * xr
+        np.multiply(sx[:, :, None] * hr, sx[:, None, :], out=block[:n])
+        diagonal[:n] += mur[:, None] * (scale * scale)
+        column[:n] = sx
+        border[:n] = sx
+        rhs[:n, :k] = scale * (mur[:, None] - xr * grad[rows])
+        dy = scale * np.linalg.solve(kkt[:n], rhs[:n, :, None])[:, :k, 0]
         # the barrier may rise by its rounding error at F
-        ceiling = f - mu * np.log(x).sum() + 1e-15 * (1.0 + abs(f))
-        step = min(1.0, 0.99 / max(-dy.min(), 1e-300))
-        while step >= 1e-12:
-            trial = x * (1.0 + step * dy)
-            values = oracle(trial)
-            if values[0] - mu * np.log(trial).sum() <= ceiling:
+        ceiling = fr - mur * log_x[rows] + 1e-15 * (1.0 + np.abs(fr))
+        step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)
+        np.minimum(step, 1.0, out=step)
+        while True:
+            # a row whose step fell below 1e-12, or is NaN, stays and stops
+            stop = ~(step >= 1e-12)
+            if np.count_nonzero(stop):
+                step[stop], dy[stop] = 0.0, 0.0
+            trial = xr * (1.0 + step[:, None] * dy)
+            values = oracle(trial, rows)
+            logs = np.log(trial).sum(axis=1)
+            passed = stop | (values[0] - mur * logs <= ceiling)
+            if np.count_nonzero(passed) == n:
                 break
-            step *= 0.5
+            step[~passed] *= 0.5
+        moved = step > 0.0  # else no step lowers the barrier
+        if rows is _ALL:
+            x, (f, grad, hess, gap), log_x = trial, values, logs
+            steps += moved
+            live = moved & (gap > tol) & (steps < _MAX_NEWTON_ITER)
         else:
-            break  # no step lowers the barrier
-        x, (f, grad, hess, gap) = trial, values
-        steps += 1
+            x[rows], f[rows], grad[rows], hess[rows], gap[rows] = trial, *values
+            log_x[rows] = logs
+            steps[rows] += moved
+            live[rows] = moved & (values[3] > tol) & (
+                steps[rows] < _MAX_NEWTON_ITER)
     return x, gap, steps
 
 

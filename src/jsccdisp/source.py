@@ -4,7 +4,8 @@ Rate-distortion function R(P,D) and its inverse D(P,R) by one Lagrangian
 slope search, each slope solved by the simplex Newton kernel of
 ``probcore`` with Blahut's bound as its certificate, the simplex gradient
 of R as the centered d-tilted information, and the source dispersion Var_P
-of that gradient.
+of that gradient. The slope search runs on a batch of source laws at once
+(``_rdf_rates``); ``rdf`` and ``distortion_rate`` are batches of one.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -80,11 +81,19 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class RdfResult:
+    """R(P, D) with the solve behind it: the test channel and reproduction
+    marginal at the accepted Lagrangian slope, the distortion they achieve,
+    ``gap``, the final Blahut bound of that slope's solve, and
+    ``iterations``, the Newton steps of the whole slope search (both 0 at
+    D >= d_max)."""
+
     rate: float
     test_channel: np.ndarray
     lagrange_slope: float
     achieved_distortion: float
     reproduction: np.ndarray
+    gap: float
+    iterations: int
 
 
 def d_max(src: SourceSpec) -> float:
@@ -92,87 +101,200 @@ def d_max(src: SourceSpec) -> float:
     return float(np.min(src.distribution.probs @ src.distortion))
 
 
-def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: float, tol: float,
-                 zero_mask: np.ndarray | None = None):
-    """The rate-distortion problem at a fixed Lagrangian slope s <= 0.
+class _Solves:
+    """Per-row results of a batch of rate-distortion solves: the slope,
+    rate, distortion, test channel, reproduction and gap of the last slope
+    tried, the Newton steps summed over the search, and an error message
+    for each row that failed (None elsewhere)."""
 
-    Returns (rate, distortion, test_channel, q). The reproduction marginal q
+    def __init__(self, t: int, ns: int, nr: int):
+        self.slope = np.zeros(t)
+        self.rate = np.zeros(t)
+        self.dist = np.zeros(t)
+        self.lam = np.zeros((t, ns, nr))
+        self.q = np.zeros((t, nr))
+        self.gap = np.zeros(t)
+        self.iterations = np.zeros(t, dtype=np.int64)
+        self.error: list[str | None] = [None] * t
+
+    def store(self, rows: np.ndarray, slope: np.ndarray, sol: tuple,
+              done=slice(None)) -> None:
+        """Record the ``_fixed_slope`` solves of ``rows[done]`` at their
+        slopes, and every error of the batch."""
+        rate, dist, lam, q, gap, _, errors = sol
+        at = rows[done]
+        self.slope[at], self.rate[at] = slope[done], rate[done]
+        self.dist[at], self.gap[at] = dist[done], gap[done]
+        self.lam[at], self.q[at] = lam[done], q[done]
+        self.fail(rows, errors)
+
+    def fail(self, rows: np.ndarray, errors: dict) -> np.ndarray:
+        """Record the error of each failed row of a batch; returns the mask
+        of those rows."""
+        failed = np.zeros(len(rows), dtype=bool)
+        for i, message in errors.items():
+            self.error[rows[i]] = message
+            failed[i] = True
+        return failed
+
+    def result(self, row: int) -> RdfResult:
+        """The solve of one row, or its NonConvergence."""
+        if self.error[row] is not None:
+            raise NonConvergence(self.error[row])
+        return RdfResult(float(self.rate[row]), self.lam[row],
+                         float(self.slope[row]), float(self.dist[row]),
+                         self.q[row], float(self.gap[row]),
+                         int(self.iterations[row]))
+
+
+def _rd_oracle(p: np.ndarray, a: np.ndarray):
+    """``probcore._simplex_newton`` oracle of F(q) = -sum_x P(x) log (A q)_x
+    for the rows of ``p`` (T, |S|) and weights ``a`` (T, |S|, |Shat|): the
+    gradient is -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A,
+    and the gap Blahut's bound log max c."""
+    def oracle(q, rows):
+        pr, ar = p[rows], a[rows]
+        denom = (ar @ q[:, :, None])[:, :, 0]
+        c = ((pr / denom)[:, None, :] @ ar)[:, 0, :]
+        hess = (ar.transpose(0, 2, 1) * (pr / denom ** 2)[:, None, :]) @ ar
+        return (-(pr * np.log(denom)).sum(axis=1), -c, hess,
+                np.log(c.max(axis=1)))
+    return oracle
+
+
+def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
+                 tol: float, zero: bool = False):
+    """The rate-distortion problems of the rows of ``p`` (T, |S|), each at
+    its own fixed Lagrangian slope s <= 0.
+
+    Returns per-row arrays (rate, distortion, test_channel, q, gap, steps)
+    and a dict of error messages by row. Each reproduction marginal q
     minimises -sum_x P(x) log (A q)_x over the simplex, A = exp(s*d)
-    (Csiszar's dual form), by ``probcore._simplex_newton`` with the gradient
-    -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A and Blahut's
-    bound log max c on the gap. The solve aims for 1e-13 and accepts any gap
-    within ``tol``, or within 1e-13 for a smaller ``tol``. With ``zero_mask``
-    the weights A become the indicator of d == 0 (the s -> -inf limit),
-    which solves the D = 0 endpoint.
+    (Csiszar's dual form), in one ``probcore._simplex_newton`` call on
+    ``_rd_oracle``. A solve aims for 1e-13 and passes with a finite rate
+    and any gap within ``tol``, or within 1e-13 for a smaller ``tol``. With
+    ``zero`` the weights A become the indicator of d == 0 (the s -> -inf
+    limit), which solves the D = 0 endpoint.
     """
-    a = zero_mask.astype(float) if zero_mask is not None else np.exp(slope * dmat)
-    support = p > 0
-    p_s = p[support]
-    a_s = a[support]
-
-    def oracle(q):
-        denom = a_s @ q
-        c = (p_s / denom) @ a_s
-        hess = (a_s.T * (p_s / denom ** 2)) @ a_s
-        return -float(p_s @ np.log(denom)), -c, hess, math.log(float(c.max()))
-
-    q, gap, _ = _simplex_newton(oracle, dmat.shape[1], _INNER_TOL)
-    denom = a_s @ q
-    lam = np.zeros_like(a)
-    lam[support] = (q[None, :] * a_s) / denom[:, None]
-    if np.any(~support):
-        lam[~support] = q  # rows off the source support never matter
-    dist = float(np.sum(p[:, None] * lam * dmat))
-    rate = float(_joint_mutual_information(p[:, None] * lam))
-    if not (gap <= max(tol, _INNER_TOL) and math.isfinite(rate)):
-        raise NonConvergence(
-            f"rate-distortion solve at slope {slope} for P = {p.tolist()}: "
-            f"gap {gap:.3e} (tol {tol}), test channel rate {rate}")
-    return rate, dist, lam, q
+    if zero:
+        a = np.broadcast_to(dmat == 0, (len(p),) + dmat.shape).astype(float)
+    else:
+        a = np.exp(slope[:, None, None] * dmat)
+    q, gap, steps = _simplex_newton(_rd_oracle(p, a), (len(p), dmat.shape[1]),
+                                    _INNER_TOL)
+    lam = np.where(p[:, :, None] > 0, q[:, None, :] * a / (a @ q[:, :, None]),
+                   q[:, None, :])  # rows off the source support never matter
+    joint = p[:, :, None] * lam
+    dist = (joint * dmat).sum(axis=(1, 2))
+    rate = np.full(len(p), _joint_mutual_information(joint))
+    passed = (gap <= max(tol, _INNER_TOL)) & np.isfinite(rate)
+    errors = {} if passed.all() else {
+        int(i): f"rate-distortion solve at slope {slope[i]} for "
+                f"P = {p[i].tolist()}: gap {gap[i]:.3e} (tol {tol}), "
+                f"test channel rate {rate[i]}" for i in np.flatnonzero(~passed)}
+    return rate, dist, lam, q, gap, steps, errors
 
 
 def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
-                  by_rate: bool, tol: float):
-    """Find the Lagrangian slope s < 0 at which D(s), or R(s) with
-    ``by_rate``, is within ``tol`` of ``target``.
+                  by_rate: bool, tol: float, out: _Solves,
+                  rows: np.ndarray) -> None:
+    """For each of the ``rows`` of ``p`` (T, |S|), find the Lagrangian slope
+    s < 0 at which D(s), or R(s) with ``by_rate``, is within ``tol`` of
+    ``target``, and record it in ``out``.
 
-    D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-. The slope
-    is bracketed by doubling from -1 and by 0, then narrowed by bisection
-    with secant proposals. Returns (slope, rate, distortion, test_channel,
-    reproduction) at the last slope tried.
+    D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-. Each row's
+    slope is bracketed by doubling from -1 and by 0, then narrowed by
+    bisection with secant proposals from its own two latest slopes, until
+    its value is within ``tol`` or the slope is pinned; each round solves
+    every row still searching as one batch. ``out`` keeps each row at the
+    last slope it tried, or its error.
     """
     key, sign = (0, -1.0) if by_rate else (1, 1.0)
-    s_lo = -1.0
+    slope = np.full(len(rows), -1.0)
+    found, lows, values = [], [], []
     for _ in range(80):
-        sol = _fixed_slope(p, dmat, s_lo, tol)
-        if sign * (sol[key] - target) <= 0:
+        sol = _fixed_slope(p[rows], dmat, slope, tol)
+        out.iterations[rows] += sol[5]
+        failed = out.fail(rows, sol[6])
+        far = sign * (sol[key] - target) > 0
+        done = ~far & ~failed
+        found.append(rows[done])
+        lows.append(slope[done])
+        values.append(sol[key][done])
+        rows, slope = rows[far & ~failed], 2.0 * slope[far & ~failed]
+        if not rows.size:
             break
-        s_lo *= 2.0
-    else:
-        raise NonConvergence(f"could not bracket the slope for P = {p.tolist()}")
-    s_hi = 0.0
-    evals = [(s_lo, sol[key])]
-    for _ in range(_MAX_SLOPE_ITER):
-        # secant proposal from the two most recent evaluations, clipped to
-        # the bracket; fall back to its midpoint
-        slope = 0.5 * (s_lo + s_hi)
-        if len(evals) >= 2:
-            (s1, v1), (s2, v2) = evals[-2], evals[-1]
-            if v2 != v1:
-                cand = s2 + (target - v2) * (s1 - s2) / (v1 - v2)
-                if s_lo < cand < s_hi:
-                    slope = cand
-        sol = _fixed_slope(p, dmat, slope, tol)
-        evals.append((slope, sol[key]))
-        if abs(sol[key] - target) <= tol:
+    for r in rows:
+        out.error[r] = f"could not bracket the slope for P = {p[r].tolist()}"
+    # each row searching keeps its bracket and its two latest (slope, value)
+    # pairs; the older is NaN until the second slope, which makes the first
+    # proposal the midpoint
+    rows, lo, v2 = (np.concatenate(parts) for parts in (found, lows, values))
+    hi, s2 = np.zeros(len(rows)), lo.copy()
+    s1, v1 = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    for it in range(_MAX_SLOPE_ITER):
+        if not rows.size:
             break
-        if sign * (sol[key] - target) < 0:
-            s_lo = slope
+        # the secant through the two latest pairs, clipped to the bracket
+        cand = np.divide((target - v2) * (s1 - s2), v1 - v2,
+                         out=np.full(len(rows), np.nan), where=v1 != v2)
+        cand += s2
+        slope = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
+        sol = _fixed_slope(p[rows], dmat, slope, tol)
+        out.iterations[rows] += sol[5]
+        val = sol[key]
+        below = sign * (val - target) < 0
+        lo, hi = np.where(below, slope, lo), np.where(below, hi, slope)
+        # a pinned slope is left to the tangent correction
+        going = (np.abs(val - target) > tol) & (
+            hi - lo > 1e-15 * np.maximum(1.0, np.abs(lo)))
+        if sol[6]:
+            going[list(sol[6])] = False
+        if it == _MAX_SLOPE_ITER - 1:
+            going[:] = False
+        if np.count_nonzero(going) < len(rows):
+            out.store(rows, slope, sol, ~going)
+            rows, lo, hi, s1, v1, s2, v2 = (
+                part[going] for part in (rows, lo, hi, s2, v2, slope, val))
         else:
-            s_hi = slope
-        if s_hi - s_lo <= 1e-15 * max(1.0, abs(s_lo)):
-            break  # slope pinned; the tangent correction handles the rest
-    return (slope,) + sol
+            s1, v1, s2, v2 = s2, v2, slope, val
+
+
+def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
+                tol: float) -> _Solves:
+    """R(P_t, D) for every row P_t of ``p`` (T, |S|) at one D, as in
+    ``rdf``: the rows at or above their d_max, within 1e-12, take the
+    constant reproduction and rate 0; for D within 1e-12 of 0 the rest
+    solve the zero-distortion endpoint; otherwise one batched slope search
+    solves them, and their rates get the tangent-line correction."""
+    out = _Solves(len(p), *dmat.shape)
+    expected = p @ dmat
+    best = np.argmin(expected, axis=1)
+    at_max = d >= expected[np.arange(len(p)), best] - BOUNDARY_TOL
+    ends, rows = np.flatnonzero(at_max), np.flatnonzero(~at_max)
+    out.lam[ends, :, best[ends]] = 1.0
+    out.q[ends, best[ends]] = 1.0
+    out.dist[ends] = expected[ends, best[ends]]
+    if not rows.size:
+        return out
+    if d <= BOUNDARY_TOL:
+        slope = np.full(rows.size, -math.inf)
+        sol = _fixed_slope(p[rows], dmat, slope, tol, zero=True)
+        out.store(rows, slope, sol)
+        out.iterations[rows] += sol[5]
+        return out
+    _slope_search(p, dmat, d, False, tol, out, rows)
+    out.rate[rows] = np.maximum(
+        out.rate[rows] + out.slope[rows] * (d - out.dist[rows]), 0.0)
+    return out
+
+
+def _rdf_rates(p: np.ndarray, dmat: np.ndarray, d: float,
+               tol: float) -> np.ndarray:
+    """R(P_t, D) for every row of ``p`` (T, |S|) from one batched solve, as
+    ``rdf`` gives it, with NaN for each row whose ``rdf`` would raise."""
+    out = _rdf_solves(p, dmat, d, tol)
+    return np.where([e is None for e in out.error], out.rate, np.nan)
 
 
 def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
@@ -182,31 +304,14 @@ def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
     ``tol`` of D, then applies the tangent-line correction
     R(D) ~= R(D(s)) + s*(D - D(s)), exact to O((D - D(s))^2) and exact on
     linear segments. Values of D within 1e-12 of 0 or d_max route to
-    closed-form endpoints.
+    closed-form endpoints. A batch of one of ``_rdf_solves``.
     """
     if d < 0:
         raise DomainError("distortion level must be nonnegative")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    p = src.distribution.probs
-    dmat = src.distortion
-    dm = d_max(src)
-
-    if d >= dm - BOUNDARY_TOL:
-        best = int(np.argmin(p @ dmat))
-        lam = np.zeros_like(dmat)
-        lam[:, best] = 1.0
-        return RdfResult(0.0, lam, 0.0, float((p @ dmat)[best]),
-                         lam[0].copy())
-
-    if d <= BOUNDARY_TOL:
-        rate, dist, lam, q = _fixed_slope(p, dmat, 0.0, tol,
-                                          zero_mask=(dmat == 0))
-        return RdfResult(rate, lam, -math.inf, dist, q)
-
-    slope, rate_s, dist_s, lam, q = _slope_search(p, dmat, d, False, tol)
-    rate = max(rate_s + slope * (d - dist_s), 0.0)
-    return RdfResult(rate, lam, slope, dist_s, q)
+    return _rdf_solves(src.distribution.probs[None], src.distortion, d,
+                       tol).result(0)
 
 
 def distortion_rate(src: SourceSpec, rate: float,
@@ -225,9 +330,12 @@ def distortion_rate(src: SourceSpec, rate: float,
         return dm
     if rate >= src._zero_rate:
         return 0.0
-    slope, rate_s, dist_s, _, _ = _slope_search(
-        src.distribution.probs, src.distortion, rate, True, tol)
-    return min(max(dist_s + (rate - rate_s) / slope, 0.0), dm)
+    out = _Solves(1, *src.distortion.shape)
+    _slope_search(src.distribution.probs[None], src.distortion, rate, True,
+                  tol, out, np.arange(1))
+    res = out.result(0)
+    return min(max(res.achieved_distortion
+                   + (rate - res.rate) / res.lagrange_slope, 0.0), dm)
 
 
 def _tilted_solve(src: SourceSpec, d: float, tol: float = 1e-11

@@ -352,6 +352,17 @@ class TestSimulateCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_ternary_excess_estimate(self, capsys):
+        # the estimate and its boundary trials as the parent computed them
+        # with one rdf solve per source type
+        code, out, _ = run(
+            ["simulate", TERNARY, "--what", "excess", "--n-list", "500",
+             "--trials", "2000", "--seed", "7"], capsys)
+        assert code == 0
+        res = json.loads(out)["results"][0]
+        assert res["estimate"] == 0.0845
+        assert res["diagnostics"]["boundary_trials"] == 0
+
     def test_uep_byte_identical(self, problem_file, tmp_path, capsys):
         outs = []
         for i, workers in enumerate((1, 4)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from jsccdisp.mcsim import (
     uep_dispersion_rate,
     union_bound_gamma,
 )
+import jsccdisp.source as sa
 from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 
@@ -128,6 +130,43 @@ class TestExcessEvent:
         want = math.sqrt(res.estimate * (1 - res.estimate) / res.trials)
         assert res.std_error == want
         assert 0.0 <= res.estimate <= 1.0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_solves_distinct_types_once(self, fair_hamming, bsc011,
+                                        monkeypatch, workers):
+        calls = []
+        solve = sa._rdf_rates
+
+        def counted(p, *args):
+            calls.append(p)
+            return solve(p, *args)
+
+        monkeypatch.setattr(sa, "_rdf_rates", counted)
+        phi = EmpiricalType(np.array([100, 100]), 200)
+        excess_event_probability(fair_hamming, bsc011, phi, 0.12, 200,
+                                 10_000, 3, workers=workers)
+        assert len(calls) == 1
+        types = np.rint(calls[0] * 200).astype(int)
+        assert len(np.unique(types, axis=0)) == len(types) > 1
+        assert np.array_equal(types / 200, calls[0])
+
+    def test_memory_does_not_grow_with_trials(self, fair_hamming, bsc011):
+        # two passes redraw every batch instead of keeping per-trial arrays:
+        # a batch works in about 1 MB, and 32 batches are enough for 8
+        # bytes kept per trial to show
+        phi = EmpiricalType(np.array([100, 100]), 200)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                excess_event_probability(fair_hamming, bsc011, phi, 0.12,
+                                         200, trials, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations of the first call
+        assert peak(4 * 131_072) <= 1.5 * peak(131_072)
 
     def test_tracks_theorem_prediction_midscale(self, fair_hamming, bsc011):
         pb = JsccProblem(fair_hamming, bsc011, 1.0, 0.1)

@@ -240,38 +240,51 @@ class TestSimplexNewton:
     @staticmethod
     def projection(c):
         """Oracle of F(x) = |x - c|^2 / 2 with the Frank-Wolfe gap."""
-        def oracle(x):
+        def oracle(x, rows):
             grad = x - c
-            return (0.5 * float(grad @ grad), grad, np.eye(c.size),
-                    float(grad @ x - grad.min()))
+            hess = np.tile(np.eye(c.size), (len(x), 1, 1))
+            return (0.5 * (grad * grad).sum(axis=1), grad, hess,
+                    (grad * x).sum(axis=1) - grad.min(axis=1))
         return oracle
 
     def test_projection_onto_a_face(self):
         # the projection of c onto the simplex is (0.75, 0.25, 0, 0): two
         # letters end at 0, where the barrier never lets an iterate arrive
         c = np.array([1.0, 0.5, -0.5, -2.0])
-        x, gap, steps = _simplex_newton(self.projection(c), 4, 1e-13)
-        assert gap <= 1e-13 and 0 < steps < 200
+        x, gap, steps = _simplex_newton(self.projection(c), (1, 4), 1e-13)
+        assert gap[0] <= 1e-13 and 0 < steps[0] < 200
         assert np.all(x > 0)
-        assert np.allclose(x, [0.75, 0.25, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(x[0], [0.75, 0.25, 0.0, 0.0], atol=1e-12)
 
     def test_optimal_start_takes_no_step(self):
         c = np.full(3, 1.0 / 3.0)
-        x, gap, steps = _simplex_newton(self.projection(c), 3, 1e-13)
-        assert (steps, gap) == (0, 0.0)
-        assert np.array_equal(x, c)
+        x, gap, steps = _simplex_newton(self.projection(c), (1, 3), 1e-13)
+        assert (steps[0], gap[0]) == (0, 0.0)
+        assert np.array_equal(x[0], c)
 
     def test_singular_hessian(self):
         # F is linear in x: the Hessian is 0 and the minimum is a vertex
         cost = np.array([0.3, 0.1, 0.7])
 
-        def oracle(x):
-            return (float(cost @ x), cost, np.zeros((3, 3)),
-                    float(cost @ x - cost.min()))
+        def oracle(x, rows):
+            f = x @ cost
+            return (f, np.tile(cost, (len(x), 1)), np.zeros((len(x), 3, 3)),
+                    f - cost.min())
 
-        x, gap, _ = _simplex_newton(oracle, 3, 1e-12)
-        assert gap <= 1e-12
-        assert x[1] == pytest.approx(1.0, abs=1e-11)
+        x, gap, _ = _simplex_newton(oracle, (1, 3), 1e-12)
+        assert gap[0] <= 1e-12
+        assert x[0, 1] == pytest.approx(1.0, abs=1e-11)
+
+    def test_non_finite_step_stops_in_place(self):
+        # a NaN Newton direction must end the row where it is, not loop
+        def oracle(x, rows):
+            f = (x * x).sum(axis=1)
+            return (f, 2.0 * x, np.full((len(x), 3, 3), np.nan),
+                    np.ones(len(x)))
+
+        x, gap, steps = _simplex_newton(oracle, (2, 3), 1e-12)
+        assert np.array_equal(x, np.full((2, 3), 1.0 / 3.0))
+        assert steps.tolist() == [0, 0] and gap.tolist() == [1.0, 1.0]
 
 
 class TestJointMutualInformation:

@@ -1,21 +1,23 @@
 """Properties of the two simplex solves: the fixed-slope rate-distortion
 problem inside ``rdf``/``distortion_rate`` and ``capacity``.
 
-Both run on the same Newton kernel. The properties draw the inputs on
-which first-order updates converge sublinearly: zero-mass source letters,
-more reproduction letters than source letters, duplicate reproduction
-columns, and channels with duplicate or near-duplicate rows.
+Both run on the same batched Newton kernel. The properties draw the inputs
+on which first-order updates converge sublinearly: zero-mass source
+letters, more reproduction letters than source letters, duplicate
+reproduction columns, and channels with duplicate or near-duplicate rows.
+A batch of solves must give each row what a batch of one gives it.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jsccdisp import (
     Channel,
     Distribution,
+    NonConvergence,
     SourceSpec,
     capacity,
     d_max,
@@ -23,28 +25,52 @@ from jsccdisp import (
     mutual_information,
     rdf,
 )
+from jsccdisp.channel import _capacity_oracle
+from jsccdisp.probcore import _simplex_newton
+from jsccdisp.source import _rd_oracle, _rdf_rates, _tilted_solve
 
 TOL = 1e-10
 
 weights = st.floats(1e-3, 1.0)
 
 
-@st.composite
-def sources(draw):
-    """A 2-5-letter source, maybe with a zero-mass letter, with a distortion
-    matrix of 2-7 columns, one zero per row, maybe with a duplicate column."""
-    k = draw(st.integers(2, 5))
-    m = draw(st.integers(2, 6))
+def laws(draw, k: int) -> np.ndarray:
+    """A law on k letters, maybe with a zero-mass letter."""
     p = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
     if draw(st.booleans()):
         p[draw(st.integers(0, k - 1))] = 0.0
+    return p / p.sum()
+
+
+def distortions(draw, k: int, m: int) -> np.ndarray:
+    """A distortion matrix of k rows and m or m + 1 columns, one zero per
+    row, maybe with a duplicate column."""
     cells = st.lists(st.floats(0.05, 3.0), min_size=k * m, max_size=k * m)
     d = np.array(draw(cells)).reshape(k, m)
     for row in range(k):
         d[row, draw(st.integers(0, m - 1))] = 0.0
     if draw(st.booleans()):
         d = np.hstack([d, d[:, [draw(st.integers(0, m - 1))]]])
-    return SourceSpec(Distribution(p / p.sum()), d)
+    return d
+
+
+@st.composite
+def sources(draw):
+    """A 2-5-letter source, maybe with a zero-mass letter, with a distortion
+    matrix of 2-7 columns, one zero per row, maybe with a duplicate column."""
+    k, m = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    p = laws(draw, k)
+    return SourceSpec(Distribution(p), distortions(draw, k, m))
+
+
+@st.composite
+def type_batches(draw):
+    """1-40 laws on one 2-5-letter alphabet, each maybe with a zero-mass
+    letter, and one distortion matrix as in ``sources``."""
+    k, m = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    t = draw(st.integers(1, 40))
+    p = np.array([laws(draw, k) for _ in range(t)])
+    return p, distortions(draw, k, m)
 
 
 @given(sources(), st.floats(0.02, 0.95))
@@ -56,18 +82,23 @@ def test_distortion_rate_inverts_rdf(src, fraction):
     assert math.isclose(distortion_rate(src, rate), d, rel_tol=0.0, abs_tol=1e-8)
 
 
-@st.composite
-def channels(draw):
-    """A 2-6 x 2-6 channel whose second row is a copy of the first, exact
-    or moved by at most 1e-4 in each entry."""
-    nx, ny = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+def channel_matrix(draw, nx: int, ny: int) -> np.ndarray:
+    """An nx x ny channel matrix whose second row is a copy of the first,
+    exact or moved by at most 1e-4 in each entry."""
     rows = [np.array(draw(st.lists(weights, min_size=ny, max_size=ny)))
             for _ in range(nx)]
     shift = np.array(draw(st.lists(st.floats(-1e-4, 1e-4), min_size=ny,
                                    max_size=ny)))
     rows[1] = rows[0] / rows[0].sum() + draw(st.sampled_from([0.0, 1.0])) * shift
     mat = np.abs(np.array(rows))
-    return Channel(mat / mat.sum(axis=1, keepdims=True))
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def channels(draw):
+    """A 2-6 x 2-6 channel as in ``channel_matrix``."""
+    return Channel(channel_matrix(draw, draw(st.integers(2, 6)),
+                                  draw(st.integers(2, 6))))
 
 
 @given(channels())
@@ -77,3 +108,86 @@ def test_capacity_bracket_holds_the_mutual_information(w):
     mi = mutual_information(res.input_distribution, w)
     # the two routes to I(phi, W) round differently by a few ulp
     assert res.lower_bound - 1e-14 <= mi <= res.upper_bound + 1e-14
+
+
+@settings(max_examples=40)
+@given(type_batches(), st.floats(0.02, 1.2))
+def test_batched_rates_equal_rdf_row_by_row(batch, fraction):
+    p, dmat = batch
+    # D up to above the largest d_max, so that some rows are endpoints
+    d = fraction * float(np.max(np.min(p @ dmat, axis=1)))
+    rates = _rdf_rates(p, dmat, d, TOL)
+    for row, rate in zip(p, rates):
+        try:
+            want = rdf(SourceSpec(Distribution(row), dmat), d, TOL).rate
+        except NonConvergence:
+            assert math.isnan(rate)
+        else:
+            assert math.isclose(rate, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+@st.composite
+def mixed_problems(draw):
+    """1-5 capacity problems on k-input channels and 1-5 fixed-slope
+    rate-distortion problems with k reproduction letters, k in 2-5, as one
+    stacked ``_simplex_newton`` oracle, and the oracle of each row alone."""
+    k, ny, ns = (draw(st.integers(2, 5)) for _ in range(3))
+    mats = np.array([channel_matrix(draw, k, ny)
+                     for _ in range(draw(st.integers(1, 5)))])
+    n_rd = draw(st.integers(1, 5))
+    p = np.array([laws(draw, ns) for _ in range(n_rd)])
+    cells = st.lists(st.floats(0.05, 3.0), min_size=ns * k, max_size=ns * k)
+    a = []
+    for _ in range(n_rd):
+        d = np.array(draw(cells)).reshape(ns, k)
+        d[np.arange(ns), draw(st.lists(st.integers(0, k - 1), min_size=ns,
+                                       max_size=ns))] = 0.0
+        a.append(np.exp(-draw(st.floats(0.1, 20.0)) * d))
+    a = np.array(a)
+    cap, rd = _capacity_oracle(mats), _rd_oracle(p, a)
+
+    def stacked(x, rows):
+        rows = np.arange(len(mats) + n_rd)[rows]
+        first = rows < len(mats)  # a prefix: rows come in ascending order
+        parts = zip(cap(x[first], rows[first]),
+                    rd(x[~first], rows[~first] - len(mats)))
+        return tuple(np.concatenate(pair) for pair in parts)
+
+    alone = ([_capacity_oracle(m[None]) for m in mats]
+             + [_rd_oracle(p[[i]], a[[i]]) for i in range(n_rd)])
+    return k, stacked, alone
+
+
+@given(mixed_problems())
+def test_stacked_newton_equals_batches_of_one(problem):
+    k, stacked, alone = problem
+    tol = 1e-11
+    x, gap, steps = _simplex_newton(stacked, (len(alone), k), tol)
+    assert np.all(gap <= tol)
+    for row, oracle in enumerate(alone):
+        x1, gap1, steps1 = _simplex_newton(oracle, (1, k), tol)
+        assert np.allclose(x[row], x1[0], rtol=0.0, atol=1e-12)
+        assert abs(gap[row] - gap1[0]) <= 1e-12 and steps[row] == steps1[0]
+
+
+@settings(max_examples=50)
+@given(sources(), st.floats(0.02, 0.9), st.floats(0.05, 0.95))
+def test_rate_is_nonincreasing_and_convex_in_d(src, fraction, split):
+    assume(d_max(src) > 1e-3)
+    d1, d3 = 0.5 * fraction * d_max(src), fraction * d_max(src)
+    d2 = d1 + split * (d3 - d1)
+    r1, r2, r3 = (rdf(src, d).rate for d in (d1, d2, d3))
+    assert r1 >= r2 - 1e-9 and r2 >= r3 - 1e-9
+    assert r2 <= (1.0 - split) * r1 + split * r3 + 1e-9
+
+
+@given(sources(), st.floats(0.02, 0.95))
+def test_tilted_information_averages_to_the_rate(src, fraction):
+    assume(d_max(src) > 1e-3)
+    d = fraction * d_max(src)
+    res, g, _ = _tilted_solve(src, d)
+    s = res.lagrange_slope
+    j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
+    p = src.distribution.probs
+    assert math.isclose(float(p @ j), res.rate, rel_tol=0.0, abs_tol=1e-10)
+    assert np.allclose(g, j - p @ j, rtol=0.0, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from jsccdisp import (
     source_rate_at,
 )
 import jsccdisp.source as sa
+from jsccdisp.cli import load_problem_file
 from conftest import HAMMING, hamming_source
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 LN2 = math.log(2.0)
 TERNARY_PROBS = np.array([0.5, 0.3, 0.2])
@@ -175,6 +179,19 @@ class TestRdf:
     def test_negative_distortion_rejected(self, fair_hamming):
         with pytest.raises(DomainError):
             rdf(fair_hamming, -0.1)
+
+
+class TestRdfCertificates:
+    @pytest.mark.parametrize("name", ["bsc011_hamming", "ternary_asymmetric"])
+    def test_gap_within_tol_on_shipped_examples(self, name):
+        src = load_problem_file(str(EXAMPLES / f"{name}.json"))["source"]
+        for tol in (1e-9, 1e-12, 1e-15):
+            res = rdf(src, 0.5 * d_max(src), tol)
+            assert 0.0 <= res.gap <= max(tol, 1e-13)
+
+    def test_no_iterations_at_d_max(self, fair_hamming):
+        res = rdf(fair_hamming, d_max(fair_hamming))
+        assert (res.rate, res.gap, res.iterations) == (0.0, 0.0, 0)
 
 
 class TestRdfGradient:
