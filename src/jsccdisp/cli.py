@@ -100,6 +100,8 @@ def load_problem_file(path: str) -> dict:
             }
         except (TypeError, ValueError) as exc:
             raise ProblemFileError(f"field 'sim': {exc}") from exc
+        if out["sim"]["trials"] < 1:
+            raise ProblemFileError("field 'sim.trials': must be a positive integer")
     return out
 
 
@@ -357,189 +359,215 @@ def _sim_context(args, problem):
     return int(seed), int(trials)
 
 
+# One function per ``simulate --what`` mode: (args, problem, seed, trials,
+# n_list) -> the report's "results". The CLT modes build each block
+# length's row in a function of its own, so that the row's samples are
+# freed before the next block length is drawn.
+
+def _simulate_excess(args, problem, seed, trials, n_list):
+    pb = _jscc_problem(problem)
+    rep = jscc.dispersion_report(pb)
+    cap = rep.channel_dispersion.capacity
+
+    def row(n):
+        pt = jscc.distortion_threshold(pb, n, report=rep)
+        m = int(math.floor(pb.rho * n))
+        phi_m = nearest_type(cap.input_distribution, m)
+        res = mcsim.excess_event_probability(
+            pb.source, pb.channel, phi_m, pt.d_with_vlow, n,
+            trials, seed, args.workers)
+        return {
+            "n": n,
+            "d_n_with_vlow": pt.d_with_vlow,
+            "d_n_with_vhigh": pt.d_with_vhigh,
+            "eps_target": pb.eps,
+            "estimate": res.estimate,
+            "std_error": res.std_error,
+            "trials": res.trials,
+            "diagnostics": res.diagnostics,
+        }
+
+    return [row(n) for n in n_list]
+
+
+def _clt_row(res: mcsim.CltResult, n: int, **extra) -> dict:
+    return {"n": n, "ks_statistic": res.ks_statistic,
+            "sample_mean": res.sample_mean,
+            "sample_variance": res.sample_variance,
+            "trials": res.trials, **extra}
+
+
+def _simulate_clt_mi(args, problem, seed, trials, n_list):
+    w = _require(problem, "channel")
+    cap = ch.capacity(w)
+
+    def row(n):
+        phi_n = nearest_type(cap.input_distribution, n)
+        return _clt_row(mcsim.first_order_mi_samples(
+            phi_n, w, trials, seed, args.workers), n)
+
+    return [row(n) for n in n_list]
+
+
+def _simulate_clt_jscc(args, problem, seed, trials, n_list):
+    pb = _jscc_problem(problem)
+    cap = ch.capacity(pb.channel)
+    d_star = sa.distortion_rate(pb.source, pb.rho * cap.capacity)
+    solve = sa._tilted_solve(pb.source, d_star)
+
+    def row(n):
+        m = int(math.floor(pb.rho * n))
+        phi_m = nearest_type(cap.input_distribution, m)
+        return _clt_row(mcsim.first_order_jscc_samples(
+            pb.source, d_star, pb.channel, phi_m, n, trials, seed,
+            args.workers, solve=solve), n, d_star=d_star)
+
+    return [row(n) for n in n_list]
+
+
+def _simulate_xi(args, problem, seed, trials, n_list):
+    w = _require(problem, "channel")
+    cap = ch.capacity(w)
+
+    def row(n):
+        phi_n = nearest_type(cap.input_distribution, n)
+        res = mcsim.xi_n_violation_rate(phi_n, w, trials, seed, args.workers)
+        bound = res.diagnostics["bound"]
+        return {
+            "n": n,
+            "estimate": res.estimate,
+            "std_error": res.std_error,
+            "bound": bound,
+            "bound_respected": res.estimate <= bound + 3 * res.std_error,
+            "trials": res.trials,
+        }
+
+    return [row(n) for n in n_list]
+
+
+def _simulate_uep(args, problem, seed, trials, n_list):
+    w = _require(problem, "channel")
+    eps_i = _require(problem, "eps")
+    n = n_list[0]
+    cap = ch.capacity(w)
+    phi_n = nearest_type(cap.input_distribution, n)
+    classes = max(args.uep_classes, 1)
+    gamma = (args.uep_gamma if args.uep_gamma is not None
+             else mcsim.union_bound_gamma(n, classes))
+    rate = mcsim.uep_dispersion_rate(phi_n, w, eps_i, gamma)
+    cfg = mcsim.UepConfig(
+        rates=tuple([rate] * classes),
+        input_types=tuple([phi_n] * classes),
+        gamma=gamma,
+    )
+    sim = mcsim.SimConfig(seed=seed, trials=trials, n=n, rho=1.0)
+    res = mcsim.uep_simulate(cfg, w, sim, args.workers)
+    return {
+        "n": n,
+        "gamma": res.gamma,
+        "eta_n": res.eta,
+        "eps_target": eps_i,
+        "classes": [{
+            "class_index": c.class_index,
+            "rate_nats": c.rate,
+            "n_codewords": c.n_codewords,
+            "e1": c.e1.estimate,
+            "e1_std_error": c.e1.std_error,
+            "e2": c.e2.estimate,
+            "e2_std_error": c.e2.std_error,
+            "overall": c.overall.estimate,
+        } for c in res.classes],
+    }
+
+
+def _simulate_dball(args, problem, seed, trials, n_list):
+    src = _require(problem, "source")
+    n = min(min(n_list), 14)
+    q_type = nearest_type(src.distribution, n)
+    best = int(np.argmin(src.distribution.probs @ src.distortion))
+    s_hat = np.full(n, best, dtype=np.int64)
+    dm = sa.d_max(src)
+    results = []
+    for frac in range(0, 11):
+        d = dm * frac / 10.0
+        count = mcsim.dball_count_exact(q_type, s_hat, src.distortion, d)
+        bound = mcsim.dball_bound(q_type, src, d)
+        results.append({
+            "n": n,
+            "d": d,
+            "count": count,
+            "bound": bound,
+            "bound_respected": count <= bound * (1 + 1e-9),
+        })
+    return results
+
+
+def _simulate_mi_cont(args, problem, seed, trials, n_list):
+    w = _require(problem, "channel")
+    rng = np.random.default_rng(seed)
+    n_x = w.input_size
+    delta_cap = 1.0 / (2 * n_x * w.output_size)
+    held = 0
+    worst = 0.0
+    for _ in range(trials):
+        p = rng.dirichlet(np.ones(n_x))
+        v = rng.uniform(-1.0, 1.0, n_x)
+        v -= v.mean()
+        vmax = np.max(np.abs(v))
+        if vmax == 0:
+            continue
+        v /= vmax
+        t = rng.uniform(0.0, delta_cap)
+        neg = v < 0
+        if np.any(neg):
+            t = min(t, float(np.min(p[neg] / -v[neg])))
+        q = np.maximum(p + t * v, 0.0)
+        q /= q.sum()
+        delta = max(float(np.max(np.abs(p - q))), 1e-300)
+        delta = min(delta, delta_cap)
+        lhs, rhs, ok = mcsim.mi_continuity_check(
+            Distribution(p), Distribution(q), w, delta)
+        held += int(ok)
+        if rhs > 0:
+            worst = max(worst, lhs / rhs)
+    return {
+        "held": held,
+        "trials": trials,
+        "all_held": held == trials,
+        "worst_lhs_over_rhs": worst,
+    }
+
+
+_SIMULATIONS = {
+    "excess": _simulate_excess,
+    "clt-mi": _simulate_clt_mi,
+    "clt-jscc": _simulate_clt_jscc,
+    "xi": _simulate_xi,
+    "uep": _simulate_uep,
+    "dball": _simulate_dball,
+    "mi-cont": _simulate_mi_cont,
+}
+
+
 def cmd_simulate(args) -> int:
     problem = _load(args)
     seed, trials = _sim_context(args, problem)
     n_list = _n_list(args, problem)
-    workers = args.workers
-    what = args.what
-    report = {"what": what, "seed": seed, "trials": trials}
-
-    if what == "excess":
-        pb = _jscc_problem(problem)
-        rep = jscc.dispersion_report(pb)
-        cap = rep.channel_dispersion.capacity
-        results = []
-        for n in n_list:
-            pt = jscc.distortion_threshold(pb, n, report=rep)
-            m = int(math.floor(pb.rho * n))
-            phi_m = nearest_type(cap.input_distribution, m)
-            res = mcsim.excess_event_probability(
-                pb.source, pb.channel, phi_m, pt.d_with_vlow, n,
-                trials, seed, workers)
-            results.append({
-                "n": n,
-                "d_n_with_vlow": pt.d_with_vlow,
-                "d_n_with_vhigh": pt.d_with_vhigh,
-                "eps_target": pb.eps,
-                "estimate": res.estimate,
-                "std_error": res.std_error,
-                "trials": res.trials,
-                "diagnostics": res.diagnostics,
-            })
-        report["results"] = results
-
-    elif what == "clt-mi":
-        w = _require(problem, "channel")
-        cap = ch.capacity(w)
-        results = []
-        for n in n_list:
-            phi_n = nearest_type(cap.input_distribution, n)
-            res = mcsim.first_order_mi_samples(phi_n, w, trials, seed, workers)
-            results.append({
-                "n": n,
-                "ks_statistic": res.ks_statistic,
-                "sample_mean": res.sample_mean,
-                "sample_variance": res.sample_variance,
-                "trials": res.trials,
-            })
-        report["results"] = results
-
-    elif what == "clt-jscc":
-        pb = _jscc_problem(problem)
-        cap = ch.capacity(pb.channel)
-        d_star = sa.distortion_rate(pb.source, pb.rho * cap.capacity)
-        solve = sa._tilted_solve(pb.source, d_star)
-        results = []
-        for n in n_list:
-            m = int(math.floor(pb.rho * n))
-            phi_m = nearest_type(cap.input_distribution, m)
-            res = mcsim.first_order_jscc_samples(
-                pb.source, d_star, pb.channel, phi_m, n, trials, seed, workers,
-                solve=solve)
-            results.append({
-                "n": n,
-                "d_star": d_star,
-                "ks_statistic": res.ks_statistic,
-                "sample_mean": res.sample_mean,
-                "sample_variance": res.sample_variance,
-                "trials": res.trials,
-            })
-        report["results"] = results
-
-    elif what == "xi":
-        w = _require(problem, "channel")
-        cap = ch.capacity(w)
-        results = []
-        for n in n_list:
-            phi_n = nearest_type(cap.input_distribution, n)
-            res = mcsim.xi_n_violation_rate(phi_n, w, trials, seed, workers)
-            bound = res.diagnostics["bound"]
-            results.append({
-                "n": n,
-                "estimate": res.estimate,
-                "std_error": res.std_error,
-                "bound": bound,
-                "bound_respected": res.estimate <= bound + 3 * res.std_error,
-                "trials": res.trials,
-            })
-        report["results"] = results
-
-    elif what == "uep":
-        w = _require(problem, "channel")
-        eps_i = _require(problem, "eps")
-        n = n_list[0]
-        cap = ch.capacity(w)
-        phi_n = nearest_type(cap.input_distribution, n)
-        classes = max(args.uep_classes, 1)
-        gamma = (args.uep_gamma if args.uep_gamma is not None
-                 else mcsim.union_bound_gamma(n, classes))
-        rate = mcsim.uep_dispersion_rate(phi_n, w, eps_i, gamma)
-        cfg = mcsim.UepConfig(
-            rates=tuple([rate] * classes),
-            input_types=tuple([phi_n] * classes),
-            gamma=gamma,
-        )
-        sim = mcsim.SimConfig(seed=seed, trials=trials, n=n, rho=1.0)
-        res = mcsim.uep_simulate(cfg, w, sim, workers)
-        report["results"] = {
-            "n": n,
-            "gamma": res.gamma,
-            "eta_n": res.eta,
-            "eps_target": eps_i,
-            "classes": [{
-                "class_index": c.class_index,
-                "rate_nats": c.rate,
-                "n_codewords": c.n_codewords,
-                "e1": c.e1.estimate,
-                "e1_std_error": c.e1.std_error,
-                "e2": c.e2.estimate,
-                "e2_std_error": c.e2.std_error,
-                "overall": c.overall.estimate,
-            } for c in res.classes],
-        }
-
-    elif what == "dball":
-        src = _require(problem, "source")
-        n = min(min(n_list), 14)
-        q_type = nearest_type(src.distribution, n)
-        best = int(np.argmin(src.distribution.probs @ src.distortion))
-        s_hat = np.full(n, best, dtype=np.int64)
-        dm = sa.d_max(src)
-        results = []
-        for frac in range(0, 11):
-            d = dm * frac / 10.0
-            count = mcsim.dball_count_exact(q_type, s_hat, src.distortion, d)
-            bound = mcsim.dball_bound(q_type, src, d)
-            results.append({
-                "n": n,
-                "d": d,
-                "count": count,
-                "bound": bound,
-                "bound_respected": count <= bound * (1 + 1e-9),
-            })
-        report["results"] = results
-
-    elif what == "mi-cont":
-        w = _require(problem, "channel")
-        rng = np.random.default_rng(seed)
-        n_x = w.input_size
-        delta_cap = 1.0 / (2 * n_x * w.output_size)
-        held = 0
-        worst = 0.0
-        for _ in range(trials):
-            p = rng.dirichlet(np.ones(n_x))
-            v = rng.uniform(-1.0, 1.0, n_x)
-            v -= v.mean()
-            vmax = np.max(np.abs(v))
-            if vmax == 0:
-                continue
-            v /= vmax
-            t = rng.uniform(0.0, delta_cap)
-            neg = v < 0
-            if np.any(neg):
-                t = min(t, float(np.min(p[neg] / -v[neg])))
-            q = np.maximum(p + t * v, 0.0)
-            q /= q.sum()
-            delta = max(float(np.max(np.abs(p - q))), 1e-300)
-            delta = min(delta, delta_cap)
-            lhs, rhs, ok = mcsim.mi_continuity_check(
-                Distribution(p), Distribution(q), w, delta)
-            held += int(ok)
-            if rhs > 0:
-                worst = max(worst, lhs / rhs)
-        report["results"] = {
-            "held": held,
-            "trials": trials,
-            "all_held": held == trials,
-            "worst_lhs_over_rhs": worst,
-        }
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ProblemFileError(f"unknown --what {what!r}")
-
+    report = {"what": args.what, "seed": seed, "trials": trials,
+              "results": _SIMULATIONS[args.what](args, problem, seed, trials,
+                                                 n_list)}
     _emit_json(report, args.out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer, else a usage error."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "simulate", ("--out", "--seed", "--eps", "--n-list"),
                     help="Monte-Carlo and exact-enumeration validations")
     p.add_argument("file")
-    p.add_argument("--what", required=True,
-                   choices=["excess", "clt-mi", "clt-jscc", "xi", "uep",
-                            "dball", "mi-cont"])
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--what", required=True, choices=list(_SIMULATIONS))
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--uep-classes", type=int, default=2)
     p.add_argument("--uep-gamma", type=float, default=None,
                    help="decoder threshold in nats (default: union-bound terms)")

@@ -17,6 +17,12 @@ draws. It makes two passes over the same streams: the first collects the
 distinct types, one batched ``source._rdf_rates`` call solves them all,
 and the second redraws each batch and compares. No per-trial array
 outlives its batch.
+
+The CLT simulators keep one float64 per trial: each batch's values are
+written into their slice of one preallocated array, in trial order. The KS
+distance sorts a copy of it and walks the copy in fixed chunks
+(``_KS_CHUNK`` samples), so a CLT run holds two float64 per trial plus a
+constant.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ _KS_GRID_CDF = ndtr(_KS_GRID)
 _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
                   * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
                   + float(_KS_GRID_CDF[0]))
+# sorted samples per step of the KS walk; bounds its temporaries
+_KS_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,17 @@ def _map_batches(fn, trials: int, workers: int):
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(lambda args: fn(*args), batches)
+
+
+def _fill_batches(fn, trials: int, workers: int) -> np.ndarray:
+    """The per-trial values of fn(batch_index, size) over every batch, each
+    batch written into its slice of one array, in trial order."""
+    out = np.empty(trials)
+    start = 0
+    for values in _map_batches(fn, trials, workers):
+        out[start:start + values.size] = values
+        start += values.size
+    return out
 
 
 def _unique_rows(a: np.ndarray):
@@ -256,26 +275,47 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 def ks_distance_to_normal(samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov sup distance between the ECDF and N(0,1), exact.
 
-    The deviation of every sorted sample is first taken against the
-    interpolated Phi; only the samples within twice its error bound of the
-    largest one can attain the supremum, and exact Phi is evaluated on
-    those alone.
+    The samples are sorted into one copy (the caller's array keeps its
+    order), which is then walked in chunks of ``_KS_CHUNK``. In each chunk
+    the deviation of every sample is first taken against the interpolated
+    Phi, and exact Phi is evaluated only on the samples within twice its
+    error bound of the largest deviation seen so far. That running maximum
+    never exceeds the final one, so every sample that can attain the
+    supremum is evaluated exactly and the result does not depend on the
+    chunk size. Memory is the sorted copy plus a constant. NaN samples give
+    NaN; an empty sample raises DomainError.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     k = x.size
-    hi = np.arange(1, k + 1) / k
-    lo = np.arange(0, k) / k
-    approx = np.interp(x, _KS_GRID, _KS_GRID_CDF)
-    dev = np.maximum(hi - approx, approx - lo)
-    # negated so that NaN samples (and a NaN maximum) stay candidates
-    keep = ~(dev < dev.max() - 2.0 * _KS_INTERP_ERR)
-    cdf = ndtr(x[keep])
-    return float(np.max(np.maximum(hi[keep] - cdf, cdf - lo[keep])))
+    if k == 0:
+        raise DomainError("the KS distance needs at least one sample")
+    top = best = -np.inf
+    for a in range(0, k, _KS_CHUNK):
+        b = min(a + _KS_CHUNK, k)
+        xs = x[a:b]
+        hi = np.arange(a + 1, b + 1) / k
+        lo = np.arange(a, b) / k
+        approx = np.interp(xs, _KS_GRID, _KS_GRID_CDF)
+        dev = np.maximum(hi - approx, approx - lo)
+        # negated so that NaN samples stay candidates; np.maximum, unlike
+        # max, carries a NaN deviation into the result
+        top = np.maximum(top, dev.max())
+        keep = ~(dev < top - 2.0 * _KS_INTERP_ERR)
+        cdf = ndtr(xs[keep])
+        best = np.maximum(best, np.max(
+            np.maximum(hi[keep] - cdf, cdf - lo[keep]), initial=-np.inf))
+    return float(best)
 
 
 @dataclass(frozen=True)
 class CltResult:
-    """Standardized samples of a first-order statistic, with diagnostics."""
+    """Standardized samples of a first-order statistic, with diagnostics.
+
+    ``samples`` holds one float64 per trial, in trial order (batch b's
+    trials follow batch b-1's), whatever the worker count. Computing the
+    KS statistic takes one sorted copy of it more, so a CLT run holds two
+    float64 per trial plus a constant.
+    """
 
     samples: np.ndarray
     ks_statistic: float
@@ -306,6 +346,8 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     """
     if phi_n.alphabet_size != w.input_size:
         raise DomainError("phi_n must live on the channel input alphabet")
+    if trials < 1:
+        raise DomainError("trials must be positive")
     n = phi_n.n
     phi = phi_n.counts / n
     v_cond = conditional_information_variance(Distribution(phi), w)
@@ -321,7 +363,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
         dev = joint - expected[None, :, :]
         return (dev * coeff[None, :, :]).sum(axis=(1, 2)) * scale
 
-    samples = np.concatenate(list(_map_batches(run, trials, workers)))
+    samples = _fill_batches(run, trials, workers)
     return _clt_result(samples, trials, standardizer_variance=v_cond / n)
 
 
@@ -341,6 +383,8 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
+    if trials < 1 or n < 1:
+        raise DomainError("trials and n must be positive")
     m = phi_m.n
     rho_eff = m / n
     p = src.distribution.probs
@@ -369,7 +413,7 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
         chan_part = (dev * coeff[None, :, :]).sum(axis=(1, 2)) * chan_scale
         return (src_part + chan_part) * scale
 
-    samples = np.concatenate(list(_map_batches(run, trials, workers)))
+    samples = _fill_batches(run, trials, workers)
     return _clt_result(samples, trials, standardizer_variance=sigma2,
                        d_prime_r=d_r, v_s=v_s, v_channel=v_chan,
                        rho_effective=rho_eff)
@@ -385,6 +429,8 @@ def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
     """
     if phi_n.alphabet_size != w.input_size:
         raise DomainError("phi_n must live on the channel input alphabet")
+    if trials < 1:
+        raise DomainError("trials must be positive")
     n = phi_n.n
     n_x, n_y = w.matrix.shape
     phi_min = float(phi_n.counts.min()) / n

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -330,6 +331,43 @@ class TestSimulateCommand:
         code, _, err = run(
             ["simulate", str(path), "--what", "xi", "--n-list", "50"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("what", ["excess", "clt-mi", "xi"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--trials", "0"), ("--trials", "-3"), ("--trials", "1.5"),
+        ("--workers", "0"), ("--workers", "-3"), ("--workers", "two"),
+    ])
+    def test_bad_trials_or_workers_exit_2(self, problem_file, what, flag,
+                                          value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", problem_file, "--what", what, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bad_sim_trials_exit_2(self, tmp_path, capsys):
+        prob = dict(BSC_PROBLEM, sim={"seed": 7, "trials": 0, "n_list": [50]})
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(prob))
+        code, _, err = run(["simulate", str(path), "--what", "xi"], capsys)
+        assert code == 2
+        assert "sim.trials" in err
+
+    def test_clt_block_lengths_do_not_overlap(self, problem_file, capsys):
+        # each block length's samples are freed before the next is drawn,
+        # so two block lengths peak where one does
+        def peak(n_list):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(["simulate", problem_file, "--what", "clt-mi",
+                                  "--trials", "524288", "--n-list", n_list],
+                                 capsys)
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("100")  # one-time allocations of the first call
+        assert peak("100,100") <= 1.1 * peak("100")
 
     def test_xi_report(self, problem_file, capsys):
         code, out, _ = run(

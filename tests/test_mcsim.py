@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import hypergeom
 
 from jsccdisp import (
     Channel,
     Distribution,
+    DomainError,
     EmpiricalType,
     EnumerationTooLarge,
     RateCapViolated,
@@ -41,6 +44,8 @@ from jsccdisp.mcsim import (
     uep_dispersion_rate,
     union_bound_gamma,
 )
+import jsccdisp.mcsim as mcsim
+import jsccdisp.probcore as probcore
 import jsccdisp.source as sa
 from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
@@ -197,13 +202,71 @@ class TestFirstOrderMi:
         b = first_order_mi_samples(phi, bsc011, 5000, 3, workers=4)
         assert (a.samples == b.samples).all()
 
+    def test_memory_per_trial(self, bsc011):
+        # the samples and the KS statistic's sorted copy: 16 bytes per
+        # trial; a list of batches and its concatenation add 16 more, and
+        # full-length KS temporaries 48
+        phi = EmpiricalType(np.array([500, 500]), 1000)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                first_order_mi_samples(phi, bsc011, trials, 5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations of the first call
+        small, large = peak(131_072), peak(4 * 131_072)
+        assert (large - small) / (3 * 131_072) <= 20
+
+    def test_rejects_no_trials(self, bsc011):
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError):
+            first_order_mi_samples(phi, bsc011, 0, 1)
+
+
+class TestBatchFill:
+    @pytest.mark.parametrize("trials", [5, 4096, 2 * 4096 + 17])
+    def test_samples_are_the_batches_in_order(self, bsc011, monkeypatch,
+                                              trials):
+        batches = []
+        real = mcsim._map_batches
+
+        def recording(*args):
+            for values in real(*args):
+                batches.append(values.copy())
+                yield values
+
+        monkeypatch.setattr(mcsim, "_map_batches", recording)
+        phi = EmpiricalType(np.array([60, 40]), 100)
+        src = hamming_source(0.3)
+        solve = _tilted_solve(src, 0.1)
+        simulations = (
+            lambda workers: first_order_mi_samples(
+                phi, bsc011, trials, 9, workers),
+            lambda workers: first_order_jscc_samples(
+                src, 0.1, bsc011, phi, 100, trials, 9, workers, solve=solve),
+        )
+        for simulate in simulations:
+            outs = []
+            for workers in (1, 3):
+                batches.clear()
+                samples = simulate(workers).samples
+                assert samples.shape == (trials,)
+                assert [b.size for b in batches] == [
+                    min(4096, trials - a) for a in range(0, trials, 4096)]
+                assert samples.tobytes() == np.concatenate(batches).tobytes()
+                outs.append(samples.tobytes())
+            assert outs[0] == outs[1]
+
 
 class TestKsDistance:
     @staticmethod
-    def reference(samples):
+    def reference(samples, phi=ndtr):
         # the plain form: exact Phi at every sorted sample
         x = np.sort(samples)
-        cdf = ndtr(x)
+        cdf = phi(x)
         k = x.size
         hi = np.arange(1, k + 1) / k
         lo = np.arange(0, k) / k
@@ -226,6 +289,30 @@ class TestKsDistance:
 
     def test_nan_propagates(self):
         assert math.isnan(ks_distance_to_normal(np.array([0.1, np.nan])))
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DomainError):
+            ks_distance_to_normal(np.array([]))
+
+    @given(st.integers(1, 17), st.lists(st.one_of(
+        st.floats(-12.0, 12.0),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, -9.5, 9.5]),
+    ), min_size=1, max_size=300))
+    def test_chunk_boundaries(self, chunk, values):
+        # chunking leaves the same candidates for the supremum: the result
+        # is the full exact evaluation with the same Phi, to the bit
+        samples = np.array(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_KS_CHUNK", chunk)
+            got = ks_distance_to_normal(samples)
+        want = self.reference(samples, probcore.ndtr)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("k", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    def test_around_one_chunk(self, k):
+        samples = np.random.default_rng(k).standard_normal(k)
+        assert ks_distance_to_normal(samples) == self.reference(
+            samples, probcore.ndtr)
 
 
 class TestFirstOrderJscc:
@@ -261,6 +348,12 @@ class TestFirstOrderJscc:
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.diagnostics == b.diagnostics
 
+    def test_rejects_no_trials(self, skew_problem):
+        src, w = skew_problem
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError):
+            first_order_jscc_samples(src, 0.1, w, phi, 100, 0, 1)
+
     def test_symmetric_source_reduces_to_channel_part(self, fair_hamming, bsc011):
         pb = JsccProblem(fair_hamming, bsc011, 1.0, 0.1)
         from jsccdisp import opta
@@ -273,6 +366,11 @@ class TestFirstOrderJscc:
 
 
 class TestXiN:
+    def test_rejects_no_trials(self, bsc011):
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError):
+            xi_n_violation_rate(phi, bsc011, 0, 1)
+
     def test_noiseless_no_violations(self):
         w = Channel(np.eye(2))
         phi = EmpiricalType(np.array([30, 30]), 60)
