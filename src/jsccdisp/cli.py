@@ -451,7 +451,7 @@ def _simulate_uep(args, problem, seed, trials, n_list):
     n = n_list[0]
     cap = ch.capacity(w)
     phi_n = nearest_type(cap.input_distribution, n)
-    classes = max(args.uep_classes, 1)
+    classes = args.uep_classes
     gamma = (args.uep_gamma if args.uep_gamma is not None
              else mcsim.union_bound_gamma(n, classes))
     rate = mcsim.uep_dispersion_rate(phi_n, w, eps_i, gamma)
@@ -460,7 +460,7 @@ def _simulate_uep(args, problem, seed, trials, n_list):
         input_types=tuple([phi_n] * classes),
         gamma=gamma,
     )
-    sim = mcsim.SimConfig(seed=seed, trials=trials, n=n, rho=1.0)
+    sim = mcsim.SimConfig(seed=seed, trials=trials, n=n)
     res = mcsim.uep_simulate(cfg, w, sim, args.workers)
     return {
         "n": n,
@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True, choices=list(_SIMULATIONS))
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--uep-classes", type=int, default=2)
+    p.add_argument("--uep-classes", type=_positive_int, default=2)
     p.add_argument("--uep-gamma", type=float, default=None,
                    help="decoder threshold in nats (default: union-bound terms)")
     p.set_defaults(fn=cmd_simulate)

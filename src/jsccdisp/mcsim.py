@@ -12,11 +12,19 @@ and order-fixed, so results are bit-identical for any worker count.
 Because sampling never depends on swept parameters (thresholds, distortion
 levels), a shared seed acts as common random numbers across a sweep.
 
-The excess-event simulator needs R(P_S, D) for every source type P_S a run
-draws. It makes two passes over the same streams: the first collects the
-distinct types, one batched ``source._rdf_rates`` call solves them all,
-and the second redraws each batch and compares. No per-trial array
-outlives its batch.
+The excess-event and UEP simulators need a per-type quantity for every
+type a run draws: R(P_S, D) of each source type, the competitors' tail
+probability of each channel output type. Both make two passes over the
+same streams: the first collects the distinct types (``_distinct_rows``),
+each type is then solved once, and the second redraws each batch and
+looks its rows up in the solved table (``_row_index``). No per-trial
+array outlives its batch, and no solve is kept between calls.
+
+Exact counts go through one enumerator of the joint tables with fixed
+margins (``_enumerate_tables``) and one arrangement count per table
+(``_arrangements``): the D-ball count sums the arrangements of the tables
+within the distortion budget, and the UEP tail those of the tables that
+score above the threshold.
 
 The CLT simulators keep one float64 per trial: each batch's values are
 written into their slice of one preallocated array, in trial order. The KS
@@ -30,7 +38,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -75,22 +83,15 @@ _KS_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Common simulation knobs; m = floor(rho * n) is derived."""
+    """Common simulation knobs: seed, trial count and block length."""
 
     seed: int
     trials: int
     n: int
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.trials < 1 or self.n < 1:
             raise DomainError("trials and n must be positive")
-        if math.floor(self.rho * self.n) < 1:
-            raise DomainError("rho * n must be at least 1")
-
-    @property
-    def m(self) -> int:
-        return int(math.floor(self.rho * self.n))
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,24 @@ def _unique_rows(a: np.ndarray):
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return rows[first], inverse
+
+
+def _distinct_rows(batches, width: int) -> np.ndarray:
+    """The distinct rows of every 2-D array in ``batches``, folded in one
+    array at a time, in ``_unique_rows`` order."""
+    rows = np.empty((0, width), dtype=np.int64)
+    for batch in batches:
+        rows = _unique_rows(np.concatenate([rows, batch]))[0]
+    return rows
+
+
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row of ``rows``, the index of the equal row of ``table``.
+
+    ``table`` is a ``_distinct_rows`` result holding every row of ``rows``,
+    so the distinct rows of the stack are ``table`` in its own order.
+    """
+    return _unique_rows(np.concatenate([table, rows]))[1][len(table):]
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +260,7 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
         src_counts = _stream(seed, batch_index).multinomial(n, p, size=size)
         return _unique_rows(src_counts)[0]
 
-    types = np.empty((0, p.size), dtype=np.int64)
-    for batch_types in _map_batches(types_of, trials, workers):
-        types = _unique_rows(np.concatenate([types, batch_types]))[0]
+    types = _distinct_rows(_map_batches(types_of, trials, workers), p.size)
     # NaN marks "RDF undefined" and is counted as excess below
     rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10)
 
@@ -252,10 +269,7 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
         src_counts = rng.multinomial(n, p, size=size)
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
         mi = _joint_mutual_information(joint)  # empirical MI per trial
-        # every row of the batch is in ``types``, so the distinct rows of the
-        # stack are ``types`` in its own order, and a row's index is its rate's
-        which = _unique_rows(np.concatenate([types, src_counts]))[1]
-        r_t = rates[which[len(types):]]
+        r_t = rates[_row_index(types, src_counts)]
         undefined = np.isnan(r_t)
         excess = undefined | (r_t > rho_eff * mi)
         return int(excess.sum()), int(undefined.sum())
@@ -337,8 +351,7 @@ def _clt_result(samples: np.ndarray, trials: int, **diagnostics) -> CltResult:
 
 
 def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
-                           seed: int, workers: int = 1,
-                           var_tol: float = 1e-15) -> CltResult:
+                           seed: int, workers: int = 1) -> CltResult:
     """First-order term of the empirical-MI Taylor expansion, standardized.
 
     The statistic sum_{x,y} (P_{Y|x}(y|x) - W(y|x)) * I'_W(y|x) has variance
@@ -351,7 +364,7 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     n = phi_n.n
     phi = phi_n.counts / n
     v_cond = conditional_information_variance(Distribution(phi), w)
-    if v_cond <= var_tol:
+    if v_cond <= 1e-15:
         raise ZeroVariance(f"V(phi_n, W) = {v_cond} is numerically zero")
     coeff = _log_ratio(w.matrix, phi @ w.matrix)
     expected = phi_n.counts[:, None] * w.matrix
@@ -519,7 +532,6 @@ class UepConfig:
     rates: tuple
     input_types: tuple
     gamma: float = 0.0
-    k_n: int | None = None
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
@@ -551,17 +563,37 @@ class UepConfig:
         return tuple(out)
 
 
-def _enumerate_tables(row_counts: tuple, col_counts: tuple):
-    """All nonnegative integer tables with the given margins."""
+def _multinomial(counts) -> int:
+    """multinomial(sum(counts); counts), exact."""
+    total, remaining = 1, 0
+    for c in counts:
+        remaining += int(c)
+        total *= math.comb(remaining, int(c))
+    return total
+
+
+def _arrangements(table: np.ndarray) -> int:
+    """The words of the row type that give this joint table against a fixed
+    word of the column type: prod_b multinomial(col_b; table[:, b])."""
+    return math.prod(_multinomial(col) for col in table.T.tolist())
+
+
+def _enumerate_tables(row_counts: tuple, col_counts: tuple, limit: int):
+    """All nonnegative integer tables with the given margins, yielded as one
+    array that is overwritten between yields.
+
+    Raises EnumerationTooLarge when a bound on their number exceeds
+    ``limit``: the product over the free cells of min(r, c) + 1, or
+    |T_rows| when smaller, since every table arranges at least one word of
+    the row type class and distinct tables arrange distinct words.
+    """
     n_x, n_y = len(row_counts), len(col_counts)
-    est = 1
-    for r in row_counts[:-1]:
-        for c in col_counts[:-1]:
-            est *= min(r, c) + 1
-            if est > _TABLE_CAP:
-                raise EnumerationTooLarge(
-                    "too many contingency tables for exact enumeration"
-                )
+    est = math.prod(min(r, c) + 1 for r in row_counts[:-1]
+                    for c in col_counts[:-1])
+    if min(est, _multinomial(row_counts)) > limit:
+        raise EnumerationTooLarge(
+            "too many contingency tables for exact enumeration"
+        )
     table = np.zeros((n_x, n_y), dtype=np.int64)
     rows_left = list(row_counts)
     cols_left = list(col_counts)
@@ -570,59 +602,40 @@ def _enumerate_tables(row_counts: tuple, col_counts: tuple):
         a, b = divmod(idx, n_y)
         if a == n_x - 1:
             # last row forced by the remaining column budgets
-            last = np.array(cols_left, dtype=np.int64)
-            if last.sum() == rows_left[a]:
-                table[a, :] = last
+            if sum(cols_left) == rows_left[a]:
+                table[a, :] = cols_left
                 yield table
             return
-        if b == n_y - 1:
-            v = rows_left[a]
-            if v <= cols_left[b]:
-                table[a, b] = v
-                rows_left[a] -= v
-                cols_left[b] -= v
-                yield from rec(idx + 1)
-                rows_left[a] += v
-                cols_left[b] += v
-                table[a, b] = 0
-            return
-        hi = min(rows_left[a], cols_left[b])
-        for v in range(hi + 1):
+        # every cell is set before a yield; a row's last cell takes its rest
+        lo = rows_left[a] if b == n_y - 1 else 0
+        for v in range(lo, min(rows_left[a], cols_left[b]) + 1):
             table[a, b] = v
             rows_left[a] -= v
             cols_left[b] -= v
             yield from rec(idx + 1)
             rows_left[a] += v
             cols_left[b] += v
-            table[a, b] = 0
 
     yield from rec(0)
 
 
-@lru_cache(maxsize=None)
 def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
                       threshold: float) -> float:
     """log P[ I(table) >= threshold ] for a uniformly random arrangement.
 
     The arrangement is a word drawn uniformly from the type class of
     row_counts, paired against a fixed word with counts col_counts; the
-    joint table is hypergeometric-like with both margins fixed.
+    joint table is hypergeometric-like with both margins fixed. The
+    arrangements of the scoring tables are summed exactly, so a sure event
+    gives 0 and no value exceeds it.
     """
-    m = int(sum(row_counts))
-    log_total = math.lgamma(m + 1) - sum(math.lgamma(r + 1) for r in row_counts)
-    hits = []
-    for table in _enumerate_tables(row_counts, col_counts):
-        if _joint_mutual_information(table) >= threshold - 1e-12:
-            lp = -log_total
-            for b in range(len(col_counts)):
-                lp += math.lgamma(col_counts[b] + 1) - sum(
-                    math.lgamma(c + 1) for c in table[:, b].tolist())
-            hits.append(lp)
-        # note: `table` is reused by the generator; no references kept
-    if not hits:
+    hits = sum(_arrangements(table)
+               for table in _enumerate_tables(row_counts, col_counts,
+                                              _TABLE_CAP)
+               if _joint_mutual_information(table) >= threshold - 1e-12)
+    if hits == 0:
         return -math.inf
-    top = max(hits)
-    return top + math.log(sum(math.exp(h - top) for h in hits))
+    return min(math.log(hits) - math.log(_multinomial(row_counts)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -656,14 +669,18 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
     uniform over its type class, scores above gamma is computed exactly by
     contingency-table enumeration, and the event is then drawn as one
     Bernoulli per trial. Estimates are therefore random-coding averages.
+
+    Two passes run over each class's streams: the first collects the
+    distinct output types, each tail is solved once per type and distinct
+    (class type, threshold), and the second redraws and looks P(E2) up.
     """
-    m = sim.m
+    m = sim.n
     if cfg.m != m:
-        raise DomainError(f"class types have n={cfg.m} but sim implies m={m}")
+        raise DomainError(f"class types have n={cfg.m}, the simulation n={m}")
     if any(t.alphabet_size != w.input_size for t in cfg.input_types):
         raise DomainError("class types must live on the channel input alphabet")
-    k_n_eff = cfg.k_n if cfg.k_n is not None else cfg.class_count
-    eta = eta_n(m, w.input_size, k_n_eff)
+    k = cfg.class_count
+    eta = eta_n(m, w.input_size, k)
     for i, (rate, etype) in enumerate(zip(cfg.rates, cfg.input_types)):
         cap = entropy(etype.distribution()) - eta
         if rate > cap:
@@ -671,57 +688,55 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
                 f"class {i}: rate {rate} exceeds H(type) - eta_n = {cap}"
             )
     n_codewords = cfg.codewords_per_class()
-    thresholds = tuple(r + cfg.gamma for r in cfg.rates)
-    type_counts = [tuple(int(c) for c in t.counts) for t in cfg.input_types]
 
-    def competitor_log_miss(col_key: tuple, true_class: int) -> float:
-        # log P[no competitor of any class scores >= gamma | y-type]
-        acc = 0.0
-        for j in range(cfg.class_count):
-            n_eff = n_codewords[j] - (1 if j == true_class else 0)
-            if n_eff <= 0:
-                continue
-            lp = _mi_tail_log_prob(type_counts[j], col_key, thresholds[j])
-            if lp == -math.inf:
-                continue
-            if lp >= 0.0:
-                return -math.inf
-            acc += n_eff * math.log1p(-math.exp(lp))
-        return acc
+    def joint_counts(i: int, batch_index: int, size: int):
+        rng = _stream(seed_for_class(sim.seed, i), batch_index)
+        counts = cfg.input_types[i].counts
+        return rng, _joint_counts_given_type(counts, w.matrix, rng, size)
+
+    def output_types(i: int, batch_index: int, size: int):
+        return _unique_rows(joint_counts(i, batch_index, size)[1].sum(axis=1))[0]
+
+    types = _distinct_rows(
+        (rows for i in range(k)
+         for rows in _map_batches(partial(output_types, i), sim.trials,
+                                  workers)),
+        w.output_size)
+    keys = [(tuple(int(c) for c in t.counts), r + cfg.gamma)
+            for t, r in zip(cfg.input_types, cfg.rates)]
+    tails = {key: [_mi_tail_log_prob(key[0], tuple(y), key[1])
+                   for y in types.tolist()] for key in dict.fromkeys(keys)}
+    # log P[a codeword of class j scores >= its threshold | output type]
+    log_hit = np.array([tails[key] for key in keys])
+    # log P[it does not]; -inf where it surely does
+    log_miss = np.log1p(-np.exp(log_hit), out=np.full_like(log_hit, -np.inf),
+                        where=log_hit < 0.0)
+    # competitors of true class i from class j; the product is masked where
+    # there are none, so a sure score never meets a zero count
+    n_eff = np.array([[float(n_j - (i == j)) for j, n_j in
+                       enumerate(n_codewords)] for i in range(k)])[:, :, None]
+    log_none = np.multiply(n_eff, log_miss[None],
+                           out=np.zeros((k, k, len(types))), where=n_eff > 0)
+    p_e2 = -np.expm1(log_none.sum(axis=1))      # [true class, output type]
+
+    def errors(i: int, batch_index: int, size: int):
+        rng, joint = joint_counts(i, batch_index, size)
+        u = rng.random(size)
+        e1 = _joint_mutual_information(joint) - cfg.rates[i] < cfg.gamma
+        e2 = u < p_e2[i, _row_index(types, joint.sum(axis=1))]
+        return np.array([e1.sum(), e2.sum(), (e1 | e2).sum()])
 
     classes = []
-    for i in range(cfg.class_count):
-        etype = cfg.input_types[i]
-        counts = etype.counts
-
-        def run(batch_index: int, size: int, i=i, counts=counts):
-            rng = _stream(seed_for_class(sim.seed, i), batch_index)
-            joint = _joint_counts_given_type(counts, w.matrix, rng, size)
-            u = rng.random(size)
-            mi_true = _joint_mutual_information(joint)
-            e1 = mi_true - cfg.rates[i] < cfg.gamma
-            cols = joint.sum(axis=1)
-            e2 = np.empty(size, dtype=bool)
-            for t in range(size):
-                log_miss = competitor_log_miss(
-                    tuple(int(c) for c in cols[t]), i
-                )
-                p_e2 = -math.expm1(log_miss) if log_miss > -math.inf else 1.0
-                e2[t] = u[t] < p_e2
-            both = e1 | e2
-            return int(e1.sum()), int(e2.sum()), int(both.sum())
-
-        parts = list(_map_batches(run, sim.trials, workers))
-        e1_total = sum(p[0] for p in parts)
-        e2_total = sum(p[1] for p in parts)
-        all_total = sum(p[2] for p in parts)
+    for i in range(k):
+        e1, e2, both = (int(t) for t in sum(
+            _map_batches(partial(errors, i), sim.trials, workers)))
         classes.append(UepClassResult(
             class_index=i,
             rate=cfg.rates[i],
             n_codewords=n_codewords[i],
-            e1=_binomial_result(e1_total, sim.trials),
-            e2=_binomial_result(e2_total, sim.trials),
-            overall=_binomial_result(all_total, sim.trials),
+            e1=_binomial_result(e1, sim.trials),
+            e2=_binomial_result(e2, sim.trials),
+            overall=_binomial_result(both, sim.trials),
         ))
     return UepResult(classes=tuple(classes), gamma=cfg.gamma, eta=eta, m=m)
 
@@ -737,20 +752,16 @@ def seed_for_class(seed: int, class_index: int) -> int:
 
 def type_class_size(etype: EmpiricalType) -> int:
     """|T_Q| = multinomial(n; counts)."""
-    total = 1
-    remaining = etype.n
-    for c in etype.counts:
-        total *= math.comb(remaining, int(c))
-        remaining -= int(c)
-    return total
+    return _multinomial(etype.counts)
 
 
 def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
                       d: float, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Exact |{s in T_Q : d(s, s_hat) <= D}| by enumerating the type class.
-
-    Average distortion uses the absolute slack 1e-9 on the summed cost to
-    absorb float dust. Raises EnumerationTooLarge if |T_Q| exceeds ``cap``.
+    """Exact |{s in T_Q : d(s, s_hat) <= D}|: the arrangements of the joint
+    tables with s_hat (margins Q and the type of s_hat) whose cost
+    sum N(a,b) d(a,b) is within n D + 1e-9, the slack for float dust.
+    Raises EnumerationTooLarge if |T_Q| exceeds ``cap``; no table count
+    can exceed it then, since distinct tables arrange distinct words.
     """
     dmat = np.asarray(distortion, dtype=float)
     n = q_type.n
@@ -765,24 +776,11 @@ def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
         raise EnumerationTooLarge(f"|T_Q| exceeds the cap of {cap}")
 
     budget = n * d + 1e-9
-    cost = dmat[:, s_hat]                # cost[a][position]
-    counts = [int(c) for c in q_type.counts]
-    k = len(counts)
-
-    def rec(pos: int, partial: float) -> int:
-        if partial > budget:
-            return 0
-        if pos == n:
-            return 1
-        total = 0
-        for a in range(k):
-            if counts[a] > 0:
-                counts[a] -= 1
-                total += rec(pos + 1, partial + cost[a, pos])
-                counts[a] += 1
-        return total
-
-    return rec(0, 0.0)
+    rows = tuple(int(c) for c in q_type.counts)
+    cols = tuple(np.bincount(s_hat, minlength=dmat.shape[1]).tolist())
+    return sum(_arrangements(table)
+               for table in _enumerate_tables(rows, cols, cap)
+               if float((table * dmat).sum()) <= budget)
 
 
 def dball_bound(q_type: EmpiricalType, src: SourceSpec, d: float) -> float:

@@ -336,6 +336,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--trials", "0"), ("--trials", "-3"), ("--trials", "1.5"),
         ("--workers", "0"), ("--workers", "-3"), ("--workers", "two"),
+        ("--uep-classes", "0"), ("--uep-classes", "-5"), ("--uep-classes", "x"),
     ])
     def test_bad_trials_or_workers_exit_2(self, problem_file, what, flag,
                                           value, capsys):

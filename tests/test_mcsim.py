@@ -41,6 +41,7 @@ from jsccdisp.mcsim import (
     UepConfig,
     _mi_tail_log_prob,
     ks_distance_to_normal,
+    type_class_size,
     uep_dispersion_rate,
     union_bound_gamma,
 )
@@ -479,6 +480,32 @@ class TestUepSimulate:
             assert a.e2.estimate == b.e2.estimate
             assert a.overall.estimate == b.overall.estimate
 
+    def test_every_competitor_scores(self, bsc011):
+        # threshold 0: every table scores, so P(E2) = 1 exactly
+        phi = EmpiricalType(np.array([64, 64]), 128)
+        assert _mi_tail_log_prob((64, 64), (70, 58), 0.0) == 0.0
+        cfg = UepConfig(rates=(0.0, 0.0), input_types=(phi, phi), gamma=0.0)
+        res = uep_simulate(cfg, bsc011, SimConfig(seed=3, trials=2000, n=128))
+        for cls in res.classes:
+            assert cls.n_codewords == 1
+            assert cls.e2.estimate == 1.0 and cls.overall.estimate == 1.0
+            assert not any(math.isnan(r.estimate) or math.isnan(r.std_error)
+                           for r in (cls.e1, cls.e2, cls.overall))
+
+    def test_pinned_criterion_09_values(self, bsc011):
+        # acceptance criterion 09's configuration; the values are those of
+        # the per-trial decoder this two-pass simulator replaced
+        n = 128
+        phi = EmpiricalType(np.array([64, 64]), n)
+        gamma = union_bound_gamma(n, 2)
+        rate = uep_dispersion_rate(phi, bsc011, 0.2, gamma)
+        cfg = UepConfig(rates=(rate, rate), input_types=(phi, phi), gamma=gamma)
+        res = uep_simulate(cfg, bsc011,
+                           SimConfig(seed=20240917, trials=10_000, n=n))
+        got = [(c.e1.estimate, c.e2.estimate, c.overall.estimate)
+               for c in res.classes]
+        assert got == [(0.1679, 0.0244, 0.1891), (0.1649, 0.0231, 0.1853)]
+
 
 def brute_force_dball(counts, s_hat, dmat, d):
     """Independent oracle: enumerate distinct words via position subsets."""
@@ -543,6 +570,39 @@ class TestDballCount:
         with pytest.raises(EnumerationTooLarge):
             dball_count_exact(q, np.zeros(40, dtype=int), HAMMING, 0.5,
                               cap=1000)
+
+    @given(st.data())
+    def test_matches_brute_force_random(self, data):
+        # 2-3 source letters, 1-4 reproduction letters (mostly |Shat| != |S|)
+        # and an s_hat that may leave reproduction letters unused
+        k = data.draw(st.integers(2, 3))
+        k_hat = data.draw(st.integers(1, 4))
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                           .filter(lambda c: 1 <= sum(c) <= 7))
+        n = sum(counts)
+        used = data.draw(st.lists(st.integers(0, k_hat - 1), min_size=1,
+                                  unique=True))
+        s_hat = np.array(data.draw(st.lists(st.sampled_from(used),
+                                            min_size=n, max_size=n)))
+        dmat = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 1.7]),
+            min_size=k * k_hat, max_size=k * k_hat))).reshape(k, k_hat)
+        d = data.draw(st.integers(0, 20)) / 10
+        q = EmpiricalType(np.array(counts), n)
+        got = dball_count_exact(q, s_hat, dmat, d)
+        assert got == brute_force_dball(counts, s_hat, dmat, d)
+
+    def test_cap_counts_words_not_tables(self):
+        # 5 letters at n = 12: |T_Q| is within the cap while the product
+        # bound on the tables is not
+        q = EmpiricalType(np.array([3, 3, 2, 2, 2]), 12)
+        s_hat = np.arange(12) % 5
+        dmat = np.ones((5, 5)) - np.eye(5)
+        assert type_class_size(q) <= 2_000_000
+        got = dball_count_exact(q, s_hat, dmat, 1.0, cap=2_000_000)
+        assert got == type_class_size(q)
+        with pytest.raises(EnumerationTooLarge):
+            dball_count_exact(q, s_hat, dmat, 1.0, cap=type_class_size(q) - 1)
 
 
 class TestMiContinuity:
