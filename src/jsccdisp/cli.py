@@ -47,6 +47,19 @@ def _get(mapping, key, path, required=True):
     return mapping[key]
 
 
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    """``value`` as an int when it is a JSON integer of at least ``minimum``,
+    as the schema's "integer" reads: a number with no fractional part, and
+    true and false are not numbers."""
+    whole = (isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not whole or (minimum is not None and value < minimum):
+        need = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ProblemFileError(
+            f"field '{field}': {json.dumps(value)} is not {need}")
+    return int(value)
+
+
 def load_problem_file(path: str) -> dict:
     """Parse a ProblemFile JSON into validated library objects.
 
@@ -92,16 +105,16 @@ def load_problem_file(path: str) -> dict:
     out["units"] = units
     if "sim" in raw:
         sim = raw["sim"]
-        try:
-            out["sim"] = {
-                "seed": int(_get(sim, "seed", "sim.")),
-                "trials": int(_get(sim, "trials", "sim.")),
-                "n_list": [int(v) for v in _get(sim, "n_list", "sim.")],
-            }
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(f"field 'sim': {exc}") from exc
-        if out["sim"]["trials"] < 1:
-            raise ProblemFileError("field 'sim.trials': must be a positive integer")
+        n_list = _get(sim, "n_list", "sim.")
+        if not isinstance(n_list, list) or not n_list:
+            raise ProblemFileError("field 'sim.n_list': must be a nonempty list")
+        out["sim"] = {
+            "seed": _integer(_get(sim, "seed", "sim."), "sim.seed"),
+            "trials": _integer(_get(sim, "trials", "sim."), "sim.trials", 1),
+            "n_list": [_integer(v, "sim.n_list", 1) for v in n_list],
+        }
+        if extra := set(sim) - set(out["sim"]):
+            raise ProblemFileError(f"field 'sim': unknown keys {sorted(extra)}")
     return out
 
 
@@ -179,8 +192,7 @@ def _n_list(args, problem) -> list[int]:
         return [int(v) for v in _parse_float_list(
             args.n_list, "--n-list", lambda v: v.is_integer() and v >= 1,
             "a positive integer")]
-    sim = problem.get("sim")
-    if sim and sim["n_list"]:
+    if sim := problem.get("sim"):
         return sim["n_list"]
     return [1000]
 

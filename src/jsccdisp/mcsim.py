@@ -20,11 +20,11 @@ each type is then solved once, and the second redraws each batch and
 looks its rows up in the solved table (``_row_index``). No per-trial
 array outlives its batch, and no solve is kept between calls.
 
-Exact counts go through one enumerator of the joint tables with fixed
-margins (``_enumerate_tables``) and one arrangement count per table
-(``_arrangements``): the D-ball count sums the arrangements of the tables
-within the distortion budget, and the UEP tail those of the tables that
-score above the threshold.
+Exact counts are one ``_arrangement_sum`` call each: it builds the joint
+tables with fixed margins from per-column ``_compositions``, in blocks of
+``_TABLE_BLOCK``, and sums the arrangements of those a vectorized predicate
+keeps (the D-ball count: within the distortion budget; the UEP tail: at or
+above the threshold).
 
 The CLT simulators keep one float64 per trial: each batch's values are
 written into their slice of one preallocated array, in trial order. The KS
@@ -58,6 +58,7 @@ from .probcore import (
     DEFAULT_ENUMERATION_CAP,
     Distribution,
     EmpiricalType,
+    _compositions,
     _joint_mutual_information,
     _log_ratio,
     entropy,
@@ -67,7 +68,6 @@ from .probcore import (
 from .source import SourceSpec
 
 DEFAULT_BATCH = 4096
-_TABLE_CAP = 5_000_000
 
 # Phi on a grid over [-9, 9] for the KS statistic: linear interpolation of
 # it is within h^2/8 * max|Phi''| + Phi(-9) of Phi, h the grid step and
@@ -79,6 +79,7 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
                   + float(_KS_GRID_CDF[0]))
 # sorted samples per step of the KS walk; bounds its temporaries
 _KS_CHUNK = 1 << 16
+_TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
 
 
 @dataclass(frozen=True)
@@ -572,51 +573,51 @@ def _multinomial(counts) -> int:
     return total
 
 
-def _arrangements(table: np.ndarray) -> int:
-    """The words of the row type that give this joint table against a fixed
-    word of the column type: prod_b multinomial(col_b; table[:, b])."""
-    return math.prod(_multinomial(col) for col in table.T.tolist())
+def _extend(blocks, comps: np.ndarray, rows: np.ndarray):
+    """Each partial table of ``blocks`` with each column of ``comps`` that
+    keeps every row within its margin ``rows``, ``_TABLE_BLOCK`` at a time."""
+    for tables in blocks:
+        used, pairs = tables.sum(axis=2), len(tables) * len(comps)
+        for start in range(0, pairs, _TABLE_BLOCK):
+            p, q = np.divmod(np.arange(start, min(start + _TABLE_BLOCK, pairs)),
+                             len(comps))
+            fits = np.all(used[p] + comps[q] <= rows, axis=1)
+            if fits.any():
+                yield np.concatenate((tables[p[fits]], comps[q[fits], :, None]),
+                                     axis=2)
 
 
-def _enumerate_tables(row_counts: tuple, col_counts: tuple, limit: int):
-    """All nonnegative integer tables with the given margins, yielded as one
-    array that is overwritten between yields.
-
-    Raises EnumerationTooLarge when a bound on their number exceeds
-    ``limit``: the product over the free cells of min(r, c) + 1, or
-    |T_rows| when smaller, since every table arranges at least one word of
-    the row type class and distinct tables arrange distinct words.
-    """
-    n_x, n_y = len(row_counts), len(col_counts)
+def _arrangement_sum(row_counts, col_counts, limit: int, keep) -> int:
+    """The exact sum, over the tables T with these margins where ``keep``
+    holds, of prod_b multinomial(col_b; T[:, b]): the words of the row type
+    giving T against a fixed word of the column type. ``keep`` maps tables
+    (B, rows, cols) to B booleans. Each column but the last comes from its
+    ``_compositions`` within the row margins, so every partial table
+    completes, and the last is what the rows have left. Raises
+    EnumerationTooLarge when a bound on the table count exceeds ``limit``:
+    the product over the free cells of min(r, c) + 1, or |T_rows| when
+    smaller, as distinct tables arrange distinct words."""
     est = math.prod(min(r, c) + 1 for r in row_counts[:-1]
                     for c in col_counts[:-1])
     if min(est, _multinomial(row_counts)) > limit:
         raise EnumerationTooLarge(
-            "too many contingency tables for exact enumeration"
-        )
-    table = np.zeros((n_x, n_y), dtype=np.int64)
-    rows_left = list(row_counts)
-    cols_left = list(col_counts)
-
-    def rec(idx: int):
-        a, b = divmod(idx, n_y)
-        if a == n_x - 1:
-            # last row forced by the remaining column budgets
-            if sum(cols_left) == rows_left[a]:
-                table[a, :] = cols_left
-                yield table
-            return
-        # every cell is set before a yield; a row's last cell takes its rest
-        lo = rows_left[a] if b == n_y - 1 else 0
-        for v in range(lo, min(rows_left[a], cols_left[b]) + 1):
-            table[a, b] = v
-            rows_left[a] -= v
-            cols_left[b] -= v
-            yield from rec(idx + 1)
-            rows_left[a] += v
-            cols_left[b] += v
-
-    yield from rec(0)
+            "too many contingency tables for exact enumeration")
+    rows = np.array(row_counts, dtype=np.int64)
+    blocks = [np.zeros((1, rows.size, 0), dtype=np.int64)]
+    for c in col_counts[:-1]:
+        blocks = _extend(blocks, _compositions(c, rows), rows)
+    total = 0
+    for tables in blocks:
+        tables = np.concatenate(
+            (tables, (rows - tables.sum(axis=2))[:, :, None]), axis=2)
+        tables = tables[keep(tables)]
+        weight = np.ones(len(tables), dtype=object)
+        for col in np.moveaxis(tables, 2, 0):   # once per distinct column
+            distinct, inverse = _unique_rows(col)
+            weight *= np.array([_multinomial(d) for d in distinct.tolist()],
+                               dtype=object)[inverse]
+        total += int(weight.sum())
+    return total
 
 
 def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
@@ -629,10 +630,9 @@ def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
     arrangements of the scoring tables are summed exactly, so a sure event
     gives 0 and no value exceeds it.
     """
-    hits = sum(_arrangements(table)
-               for table in _enumerate_tables(row_counts, col_counts,
-                                              _TABLE_CAP)
-               if _joint_mutual_information(table) >= threshold - 1e-12)
+    hits = _arrangement_sum(
+        row_counts, col_counts, DEFAULT_ENUMERATION_CAP,
+        lambda t: _joint_mutual_information(t) >= threshold - 1e-12)
     if hits == 0:
         return -math.inf
     return min(math.log(hits) - math.log(_multinomial(row_counts)), 0.0)
@@ -760,9 +760,8 @@ def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
     """Exact |{s in T_Q : d(s, s_hat) <= D}|: the arrangements of the joint
     tables with s_hat (margins Q and the type of s_hat) whose cost
     sum N(a,b) d(a,b) is within n D + 1e-9, the slack for float dust.
-    Raises EnumerationTooLarge if |T_Q| exceeds ``cap``; no table count
-    can exceed it then, since distinct tables arrange distinct words.
-    """
+    ``cap`` limits the tables, not the words: EnumerationTooLarge is raised
+    when ``_arrangement_sum``'s bound on the table count exceeds it."""
     dmat = np.asarray(distortion, dtype=float)
     n = q_type.n
     s_hat = np.asarray(s_hat, dtype=np.int64)
@@ -772,15 +771,11 @@ def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
         raise SymbolOutOfRange("s_hat symbols outside the reproduction alphabet")
     if q_type.alphabet_size != dmat.shape[0]:
         raise DomainError("type alphabet does not match the distortion matrix")
-    if type_class_size(q_type) > cap:
-        raise EnumerationTooLarge(f"|T_Q| exceeds the cap of {cap}")
 
     budget = n * d + 1e-9
-    rows = tuple(int(c) for c in q_type.counts)
-    cols = tuple(np.bincount(s_hat, minlength=dmat.shape[1]).tolist())
-    return sum(_arrangements(table)
-               for table in _enumerate_tables(rows, cols, cap)
-               if float((table * dmat).sum()) <= budget)
+    cols = np.bincount(s_hat, minlength=dmat.shape[1]).tolist()
+    return _arrangement_sum(q_type.counts.tolist(), cols, cap,
+                            lambda t: (t * dmat).sum(axis=(1, 2)) <= budget)
 
 
 def dball_bound(q_type: EmpiricalType, src: SourceSpec, d: float) -> float:

@@ -473,21 +473,26 @@ def enumerate_n_types(alphabet_size: int, n: int,
         raise EnumerationTooLarge(
             f"{total} types exceed the cap of {cap}"
         )
+    return [EmpiricalType(c, n)
+            for c in _compositions(n, [n] * alphabet_size)]
 
-    out: list[EmpiricalType] = []
-    counts = np.zeros(alphabet_size, dtype=np.int64)
 
-    def fill(pos: int, remaining: int):
-        # Later coordinates vary slowest: recurse from the last symbol down.
-        if pos == 0:
-            counts[0] = remaining
-            out.append(EmpiricalType(counts.copy(), n))
-            return
-        for c in range(remaining + 1):
-            counts[pos] = c
-            fill(pos - 1, remaining - c)
-
-    fill(alphabet_size - 1, n)
+def _compositions(n: int, upper) -> np.ndarray:
+    """Every nonnegative integer vector x with sum n and x <= ``upper``, as
+    the rows of one int64 array in colexicographic order. Coordinates are
+    fixed from the last down, each within what the ones below it can hold."""
+    upper = np.asarray(upper, dtype=np.int64)
+    below = np.cumsum(upper) - upper   # the most coordinates < a can hold
+    out = np.zeros((int(0 <= n <= upper.sum()), upper.size), dtype=np.int64)
+    out[:, 0] = n                      # what is left for the coordinates
+    for a in range(upper.size - 1, 0, -1):
+        lo = np.maximum(out[:, 0] - below[a], 0)
+        width = np.minimum(out[:, 0], upper[a]) - lo + 1
+        parent = np.repeat(np.arange(len(out)), width)
+        value = np.arange(parent.size) - (np.cumsum(width) - width - lo)[parent]
+        out = out[parent]
+        out[:, a] = value
+        out[:, 0] -= value
     return out
 
 

@@ -345,6 +345,32 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,sim", [
+        ("sim.n_list", {"n_list": [0]}),
+        ("sim.n_list", {"n_list": [-3]}),
+        ("sim.n_list", {"n_list": [2.5, 100]}),
+        ("sim.n_list", {"n_list": ["100"]}),
+        ("sim.n_list", {"n_list": [True]}),
+        ("sim.n_list", {"n_list": []}),
+        ("sim.n_list", {"n_list": 100}),
+        ("sim.trials", {"trials": 2.5}),
+        ("sim.trials", {"trials": "10"}),
+        ("sim.seed", {"seed": 2.5}),
+        ("sim.seed", {"seed": None}),
+        ("sim", {"n_lists": [50]}),
+    ])
+    def test_bad_sim_block_exit_2(self, tmp_path, capsys, field, sim):
+        # every block the schema rejects exits 2 and names its field
+        prob = dict(BSC_PROBLEM, sim={"seed": 7, "trials": 10, "n_list": [50],
+                                      **sim})
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(prob, SCHEMA)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(prob))
+        code, _, err = run(["simulate", str(path), "--what", "xi"], capsys)
+        assert code == 2
+        assert f"'{field}'" in err
+
     def test_bad_sim_trials_exit_2(self, tmp_path, capsys):
         prob = dict(BSC_PROBLEM, sim={"seed": 7, "trials": 0, "n_list": [50]})
         path = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -569,7 +570,14 @@ class TestDballCount:
         q = EmpiricalType(np.array([20, 20]), 40)
         with pytest.raises(EnumerationTooLarge):
             dball_count_exact(q, np.zeros(40, dtype=int), HAMMING, 0.5,
-                              cap=1000)
+                              cap=20)
+
+    def test_cap_counts_tables_not_words(self):
+        # |T_Q| = C(40, 20) is far past the default cap, but all-zero s_hat
+        # leaves one free cell, so at most 21 tables
+        q = EmpiricalType(np.array([20, 20]), 40)
+        got = dball_count_exact(q, np.zeros(40, dtype=int), HAMMING, 0.5)
+        assert got == math.comb(40, 20) == 137_846_528_820
 
     @given(st.data())
     def test_matches_brute_force_random(self, data):
@@ -603,6 +611,98 @@ class TestDballCount:
         assert got == type_class_size(q)
         with pytest.raises(EnumerationTooLarge):
             dball_count_exact(q, s_hat, dmat, 1.0, cap=type_class_size(q) - 1)
+
+
+def brute_force_tail(rows, cols, threshold):
+    """Independent oracle: the tail over every distinct word of the row
+    type, paired against the fixed word 0..0 1..1 2..2 of the column type."""
+    fixed = np.repeat(np.arange(len(cols)), cols)
+    word = np.repeat(np.arange(len(rows)), rows)
+    hits = total = 0
+    for perm in set(itertools.permutations(word.tolist())):
+        joint = np.zeros((len(rows), len(cols)))
+        np.add.at(joint, (np.array(perm), fixed), 1)
+        total += 1
+        hits += probcore._joint_mutual_information(joint) >= threshold - 1e-12
+    return math.log(hits / total) if hits else -math.inf
+
+
+class TestArrangementSum:
+    @given(st.data())
+    def test_all_tables_give_the_type_class(self, data):
+        # summed over every table, the arrangements are the whole class
+        k, l = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(0, 12))
+        rows = np.bincount(data.draw(st.lists(st.integers(0, k - 1),
+                                              min_size=n, max_size=n)),
+                           minlength=k).tolist()
+        cols = np.bincount(data.draw(st.lists(st.integers(0, l - 1),
+                                              min_size=n, max_size=n)),
+                           minlength=l).tolist()
+        got = mcsim._arrangement_sum(rows, cols, 10 ** 7,
+                                     lambda t: np.ones(len(t), dtype=bool))
+        assert got == mcsim._multinomial(rows)
+
+    @pytest.mark.parametrize("rows,cols,thr", [
+        ((2, 2, 3), (3, 2, 2), 0.3),
+        ((2, 2, 3), (3, 2, 2), 0.7),
+        ((3, 2, 2), (1, 3, 3), 0.6),
+        ((1, 2, 3), (2, 2, 2), 0.4),
+        ((2, 2, 2), (4, 1, 1), 0.5),
+        ((2, 2, 2), (4, 1, 1), 0.8),    # no table scores
+        ((3, 3, 1), (2, 2, 3), 0.2),
+    ])
+    def test_ternary_tail_matches_brute_force(self, rows, cols, thr):
+        got = _mi_tail_log_prob(rows, cols, thr)
+        want = brute_force_tail(rows, cols, thr)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_boundaries(self, block):
+        # the blocks only split the enumeration: same exact counts
+        q = EmpiricalType(np.array([4, 3, 2]), 9)
+        s_hat = np.array([0, 1, 2, 0, 1, 2, 0, 0, 1])
+        dmat = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.3], [0.5, 1.7, 0.0]])
+        want = [dball_count_exact(q, s_hat, dmat, d) for d in (0.2, 0.4)]
+        tail = _mi_tail_log_prob((4, 3, 2), (3, 3, 3), 0.3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_TABLE_BLOCK", block)
+            assert [dball_count_exact(q, s_hat, dmat, d)
+                    for d in (0.2, 0.4)] == want
+            assert _mi_tail_log_prob((4, 3, 2), (3, 3, 3), 0.3) == tail
+        assert 0 < want[0] < want[1] < type_class_size(q)
+        assert -math.inf < tail < 0.0
+
+    def test_long_binary_column_is_fast(self):
+        # one table: no factorial table over 0..n
+        q = EmpiricalType(np.array([19999, 1]), 20000)
+        start = time.perf_counter()
+        got = dball_count_exact(q, np.zeros(20000, dtype=int), HAMMING, 0.5)
+        assert got == 20000
+        assert time.perf_counter() - start < 1.0
+
+    def test_row_margins_bound_the_compositions(self):
+        # a column of 55 over six rows: 32 compositions within the rows,
+        # C(60, 5) without them
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = _mi_tail_log_prob((1, 1, 1, 1, 1, 55), (55, 5, 0), 0.05)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 8 * 2 ** 20
+        # oracle: j of the five singleton letters meet column 1, in
+        # C(5, j) perm(55, 5 - j) perm(5, j) words of perm(60, 5)
+        hits = 0
+        for j in range(6):
+            table = np.zeros((6, 3))
+            table[j:5, 0], table[:j, 1], table[5] = 1, 1, (50 + j, 5 - j, 0)
+            if probcore._joint_mutual_information(table) >= 0.05 - 1e-12:
+                hits += math.comb(5, j) * math.perm(55, 5 - j) * math.perm(5, j)
+        assert got == pytest.approx(math.log(hits / math.perm(60, 5)),
+                                    rel=1e-12)
 
 
 class TestMiContinuity:

@@ -25,6 +25,7 @@ from jsccdisp import (
     q_inverse,
 )
 from jsccdisp.probcore import (
+    _compositions,
     _joint_mutual_information,
     _simplex_newton,
     ndtr,
@@ -393,6 +394,28 @@ class TestEnumerateTypes:
         for t in enumerate_n_types(3, 5):
             assert int(t.counts.sum()) == 5
             t.distribution()  # must not raise
+
+
+class TestCompositions:
+    @staticmethod
+    def oracle(n, upper):
+        # product over the coordinates, last one outermost: colex order
+        return [x[::-1] for x in itertools.product(
+            *(range(u + 1) for u in reversed(upper))) if sum(x) == n]
+
+    @pytest.mark.parametrize("upper", [
+        [3], [8], [0, 4], [2, 2], [4, 0, 3], [1, 1, 1, 1], [3, 2, 5, 1],
+        [0, 0, 2], [8, 8, 8], [2, 0, 1, 3, 2],
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_matches_filtered_product(self, n, upper):
+        got = _compositions(n, upper)
+        assert got.dtype == np.int64 and got.shape[1] == len(upper)
+        assert [tuple(x) for x in got.tolist()] == self.oracle(n, upper)
+
+    def test_out_of_reach_is_empty(self):
+        assert _compositions(7, [2, 3, 1]).shape == (0, 3)
+        assert _compositions(4, [3]).shape == (0, 1)
 
 
 class TestNearestType:
