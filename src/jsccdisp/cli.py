@@ -60,6 +60,24 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _number(value, field: str, valid, need: str) -> float:
+    """``value`` as a float when it is a JSON number passing ``valid``;
+    true and false are not numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not valid(value)):
+        raise ProblemFileError(
+            f"field '{field}': {json.dumps(value)} is not {need}")
+    return float(value)
+
+
+def _known_keys(mapping: dict, allowed: tuple, field: str | None) -> None:
+    """Reject the keys of ``mapping`` (field ``field``, None for the top
+    level) that the schema does not list."""
+    if extra := set(mapping) - set(allowed):
+        where = "top level" if field is None else f"field '{field}'"
+        raise ProblemFileError(f"{where}: unknown keys {sorted(extra)}")
+
+
 def load_problem_file(path: str) -> dict:
     """Parse a ProblemFile JSON into validated library objects.
 
@@ -77,11 +95,15 @@ def load_problem_file(path: str) -> dict:
             f"{exc.msg}"
         ) from exc
 
+    if not isinstance(raw, dict):
+        raise ProblemFileError("top level: expected an object")
+    _known_keys(raw, ("source", "channel", "rho", "eps", "units", "sim"), None)
     out: dict = {}
     if "source" in raw:
         src = raw["source"]
         probs = _get(src, "probs", "source.")
         dist = _get(src, "distortion", "source.")
+        _known_keys(src, ("probs", "distortion"), "source")
         try:
             out["source"] = SourceSpec(Distribution(np.array(probs, dtype=float)),
                                        np.array(dist, dtype=float))
@@ -89,16 +111,17 @@ def load_problem_file(path: str) -> dict:
             raise ProblemFileError(f"field 'source': {exc}") from exc
     if "channel" in raw:
         mat = _get(raw["channel"], "matrix", "channel.")
+        _known_keys(raw["channel"], ("matrix",), "channel")
         try:
             out["channel"] = Channel(np.array(mat, dtype=float))
         except (JsccDispError, ValueError, TypeError) as exc:
             raise ProblemFileError(f"field 'channel.matrix': {exc}") from exc
-    for key in ("rho", "eps"):
-        if key in raw:
-            try:
-                out[key] = float(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ProblemFileError(f"field '{key}': not a number") from exc
+    if "rho" in raw:
+        out["rho"] = _number(raw["rho"], "rho", lambda v: 0 < v < math.inf,
+                             "a positive finite number")
+    if "eps" in raw:
+        out["eps"] = _number(raw["eps"], "eps", lambda v: 0 < v < 1,
+                             "a number in (0, 1)")
     units = raw.get("units", "bits")
     if units not in ("bits", "nats"):
         raise ProblemFileError("field 'units': must be 'bits' or 'nats'")
@@ -113,8 +136,7 @@ def load_problem_file(path: str) -> dict:
             "trials": _integer(_get(sim, "trials", "sim."), "sim.trials", 1),
             "n_list": [_integer(v, "sim.n_list", 1) for v in n_list],
         }
-        if extra := set(sim) - set(out["sim"]):
-            raise ProblemFileError(f"field 'sim': unknown keys {sorted(extra)}")
+        _known_keys(sim, ("seed", "trials", "n_list"), "sim")
     return out
 
 
@@ -161,7 +183,13 @@ def _emit(text: str, out_path: str | None):
 
 
 def _emit_json(obj, out_path: str | None):
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+    """Write ``obj`` as strict JSON: a NaN or infinite value raises instead
+    of writing a token that JSON does not have."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise JsccDispError(f"report has a non-finite value: {exc}") from exc
+    _emit(text + "\n", out_path)
 
 
 def _emit_csv(header: list[str], rows: list[tuple], out_path: str | None):
@@ -174,17 +202,14 @@ def _emit_csv(header: list[str], rows: list[tuple], out_path: str | None):
 
 def _parse_float_list(text: str, what: str, valid, need: str) -> list[float]:
     """The comma-separated values of flag ``what``, each passing ``valid``."""
-    items = [t for t in text.split(",") if t.strip()]
+    items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise ProblemFileError(f"{what}: empty grid")
+    parse = _float_type(valid, need)
     try:
-        values = [float(t) for t in items]
-    except ValueError as exc:
+        return [parse(t) for t in items]
+    except argparse.ArgumentTypeError as exc:
         raise ProblemFileError(f"{what}: {exc}") from exc
-    for text_v, v in zip(items, values):
-        if not valid(v):
-            raise ProblemFileError(f"{what}: {text_v.strip()} is not {need}")
-    return values
 
 
 def _n_list(args, problem) -> list[int]:
@@ -582,6 +607,18 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
 
 
+def _float_type(valid, need: str):
+    """An argparse type: a float passing ``valid``, else a usage error."""
+    def parse(text: str) -> float:
+        try:
+            if valid(value := float(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text} is not {need}")
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
@@ -590,9 +627,12 @@ _COMMON_FLAGS = {
     "--units": dict(choices=["bits", "nats"],
                     help="output units (default: file setting, else bits)"),
     "--out": dict(help="output path (default stdout)"),
-    "--tol": dict(type=float, default=1e-10, help="numerical tolerance in nats"),
+    "--tol": dict(type=_float_type(lambda v: 0 < v < math.inf,
+                                   "positive and finite"),
+                  default=1e-10, help="numerical tolerance in nats"),
     "--seed": dict(type=int, help="override the simulation seed"),
-    "--eps": dict(type=float, help="override the target probability"),
+    "--eps": dict(type=_float_type(lambda v: 0 < v < 1, "in (0, 1)"),
+                  help="override the target probability"),
     "--n-list": dict(help="comma-separated block lengths"),
 }
 
@@ -624,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "source", ("--units", "--out", "--tol", "--eps", "--n-list"),
                     help="rate-distortion, V_S, and rate approximations")
     p.add_argument("file")
-    p.add_argument("--distortion", "-D", type=float, default=None)
+    p.add_argument("--distortion", "-D", default=None,
+                   type=_float_type(lambda v: 0 <= v < math.inf,
+                                    "nonnegative and finite"))
     p.set_defaults(fn=cmd_source)
 
     p = _subcommand(sub, "jscc", ("--units", "--out", "--eps", "--n-list"),
@@ -652,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--uep-classes", type=_positive_int, default=2)
-    p.add_argument("--uep-gamma", type=float, default=None,
+    p.add_argument("--uep-gamma", type=_float_type(math.isfinite, "finite"),
+                   default=None,
                    help="decoder threshold in nats (default: union-bound terms)")
     p.set_defaults(fn=cmd_simulate)
     return parser

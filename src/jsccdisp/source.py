@@ -1,10 +1,14 @@
 """Discrete memoryless source analysis.
 
 Rate-distortion function R(P,D) and its inverse D(P,R) by one Lagrangian
-slope search, each slope solved by the simplex Newton kernel of
-``probcore`` with Blahut's bound as its certificate, the simplex gradient
-of R as the centered d-tilted information, and the source dispersion Var_P
-of that gradient. The slope search runs on a batch of source laws at once
+slope search in Blahut's parametrisation (IEEE-IT 1972), the simplex
+gradient of R as the centered d-tilted information, and the source
+dispersion Var_P of that gradient. The slope search is a single loop: it
+doubles the slope from -1 until the slope is bracketed, narrows the
+bracket by Illinois regula falsi (Dowell & Jarratt, BIT 1971), and fails
+with NonConvergence naming P after ``_MAX_SLOPE_ITER`` rounds. Each slope
+is solved by the simplex Newton kernel of ``probcore`` with Blahut's bound
+as its certificate. The search runs on a batch of source laws at once
 (``_rdf_rates``); ``rdf`` and ``distortion_rate`` are batches of one.
 
 Rates are nats per source sample; the gradient convention is centered
@@ -120,22 +124,14 @@ class _Solves:
     def store(self, rows: np.ndarray, slope: np.ndarray, sol: tuple,
               done=slice(None)) -> None:
         """Record the ``_fixed_slope`` solves of ``rows[done]`` at their
-        slopes, and every error of the batch."""
+        slopes, and the error of each failed row of the batch."""
         rate, dist, lam, q, gap, _, errors = sol
         at = rows[done]
         self.slope[at], self.rate[at] = slope[done], rate[done]
         self.dist[at], self.gap[at] = dist[done], gap[done]
         self.lam[at], self.q[at] = lam[done], q[done]
-        self.fail(rows, errors)
-
-    def fail(self, rows: np.ndarray, errors: dict) -> np.ndarray:
-        """Record the error of each failed row of a batch; returns the mask
-        of those rows."""
-        failed = np.zeros(len(rows), dtype=bool)
         for i, message in errors.items():
             self.error[rows[i]] = message
-            failed[i] = True
-        return failed
 
     def result(self, row: int) -> RdfResult:
         """The solve of one row, or its NonConvergence."""
@@ -202,62 +198,56 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
     s < 0 at which D(s), or R(s) with ``by_rate``, is within ``tol`` of
     ``target``, and record it in ``out``.
 
-    D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-. Each row's
-    slope is bracketed by doubling from -1 and by 0, then narrowed by
-    bisection with secant proposals from its own two latest slopes, until
-    its value is within ``tol`` or the slope is pinned; each round solves
-    every row still searching as one batch. ``out`` keeps each row at the
-    last slope it tried, or its error.
+    D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-, so the
+    signed residual g = +-(value - target) rises through 0 at the slope
+    sought. One loop: each row keeps a bracket [lo, hi] with g(lo) < 0 <=
+    g(hi), lo = -inf until a slope lands below and hi = 0 at first. While
+    lo = -inf the next slope doubles the last, from -1; then it is the
+    regula falsi point of the two ends, where an end kept twice in a row
+    has its residual halved (Illinois; Dowell & Jarratt, BIT 1971), or the
+    midpoint when that point is not strictly inside. A row stops when its
+    value is within ``tol`` or its bracket is pinned to 1e-15 relative,
+    which leaves it to the tangent correction. Each round solves every row
+    still searching as one batch. ``out`` keeps each row at the slope it
+    stopped at, or its error; a row still open after ``_MAX_SLOPE_ITER``
+    rounds gets an error naming P and the round count.
     """
     key, sign = (0, -1.0) if by_rate else (1, 1.0)
     slope = np.full(len(rows), -1.0)
-    found, lows, values = [], [], []
-    for _ in range(80):
+    lo, hi = np.full(len(rows), -np.inf), np.zeros(len(rows))
+    g_lo, g_hi = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    lo_moved = np.zeros(len(rows), dtype=bool)
+    for _ in range(_MAX_SLOPE_ITER):
         sol = _fixed_slope(p[rows], dmat, slope, tol)
         out.iterations[rows] += sol[5]
-        failed = out.fail(rows, sol[6])
-        far = sign * (sol[key] - target) > 0
-        done = ~far & ~failed
-        found.append(rows[done])
-        lows.append(slope[done])
-        values.append(sol[key][done])
-        rows, slope = rows[far & ~failed], 2.0 * slope[far & ~failed]
-        if not rows.size:
-            break
-    for r in rows:
-        out.error[r] = f"could not bracket the slope for P = {p[r].tolist()}"
-    # each row searching keeps its bracket and its two latest (slope, value)
-    # pairs; the older is NaN until the second slope, which makes the first
-    # proposal the midpoint
-    rows, lo, v2 = (np.concatenate(parts) for parts in (found, lows, values))
-    hi, s2 = np.zeros(len(rows)), lo.copy()
-    s1, v1 = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    for it in range(_MAX_SLOPE_ITER):
-        if not rows.size:
-            break
-        # the secant through the two latest pairs, clipped to the bracket
-        cand = np.divide((target - v2) * (s1 - s2), v1 - v2,
-                         out=np.full(len(rows), np.nan), where=v1 != v2)
-        cand += s2
-        slope = np.where((lo < cand) & (cand < hi), cand, 0.5 * (lo + hi))
-        sol = _fixed_slope(p[rows], dmat, slope, tol)
-        out.iterations[rows] += sol[5]
-        val = sol[key]
-        below = sign * (val - target) < 0
-        lo, hi = np.where(below, slope, lo), np.where(below, hi, slope)
+        g = sign * (sol[key] - target)
+        below = g < 0
+        # Illinois: the end that stays put a second time in a row counts half
+        half = np.where(below == lo_moved, 0.5, 1.0)
+        lo, g_lo = np.where(below, slope, lo), np.where(below, g, half * g_lo)
+        hi, g_hi = np.where(below, hi, slope), np.where(below, half * g_hi, g)
+        lo_moved = below
         # a pinned slope is left to the tangent correction
-        going = (np.abs(val - target) > tol) & (
-            hi - lo > 1e-15 * np.maximum(1.0, np.abs(lo)))
+        going = (np.abs(g) > tol) & ((lo == -np.inf) | (
+            hi - lo > 1e-15 * np.maximum(1.0, np.abs(lo))))
         if sol[6]:
             going[list(sol[6])] = False
-        if it == _MAX_SLOPE_ITER - 1:
-            going[:] = False
-        if np.count_nonzero(going) < len(rows):
+        if not going.all():
             out.store(rows, slope, sol, ~going)
-            rows, lo, hi, s1, v1, s2, v2 = (
-                part[going] for part in (rows, lo, hi, s2, v2, slope, val))
-        else:
-            s1, v1, s2, v2 = s2, v2, slope, val
+            rows, slope, lo, hi, g_lo, g_hi, lo_moved = (
+                part[going] for part in (rows, slope, lo, hi, g_lo, g_hi,
+                                         lo_moved))
+            if not rows.size:
+                return
+        # NaN while an end is unknown, which falls back to the midpoint
+        cand = lo + g_lo / (g_lo - g_hi) * (hi - lo)
+        slope = np.where(lo == -np.inf, 2.0 * slope,
+                         np.where((lo < cand) & (cand < hi), cand,
+                                  0.5 * (lo + hi)))
+    for r in rows:
+        out.error[r] = (f"rate-distortion slope search for P = "
+                        f"{p[r].tolist()}: still searching after "
+                        f"{_MAX_SLOPE_ITER} rounds")
 
 
 def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
@@ -304,11 +294,14 @@ def rdf(src: SourceSpec, d: float, tol: float = DEFAULT_RDF_TOL) -> RdfResult:
     ``tol`` of D, then applies the tangent-line correction
     R(D) ~= R(D(s)) + s*(D - D(s)), exact to O((D - D(s))^2) and exact on
     linear segments. Values of D within 1e-12 of 0 or d_max route to
-    closed-form endpoints. A batch of one of ``_rdf_solves``.
+    closed-form endpoints (D = +inf is the d_max one). A batch of one of
+    ``_rdf_solves``. Raises DomainError unless D >= 0, NaN included, and
+    NonConvergence naming P when a slope solve fails or the search is
+    still open after ``_MAX_SLOPE_ITER`` rounds.
     """
-    if d < 0:
-        raise DomainError("distortion level must be nonnegative")
-    if tol <= 0:
+    if not d >= 0:
+        raise DomainError(f"distortion level must be nonnegative; got {d}")
+    if not tol > 0:
         raise DomainError("tol must be positive")
     return _rdf_solves(src.distribution.probs[None], src.distortion, d,
                        tol).result(0)
@@ -321,10 +314,13 @@ def distortion_rate(src: SourceSpec, rate: float,
     Searches the Lagrangian slope until R(s) is within ``tol`` of the
     rate, then applies the tangent-line correction
     D(R) ~= D(s) + (R - R(s))/s. Returns d_max for rate <= 0 and 0 for
-    rate >= R(P,0), which is solved once per source.
+    rate >= R(P,0), which is solved once per source. Raises DomainError on
+    a NaN rate, and NonConvergence as ``rdf`` does.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
+    if math.isnan(rate):
+        raise DomainError("rate must not be NaN")
     dm = d_max(src)
     if rate <= 0.0:
         return dm

@@ -84,6 +84,77 @@ class TestProblemFile:
         assert code == 2
         assert "channel.matrix" in err
 
+    @pytest.mark.parametrize("field,change", [
+        ("'eps'", {"eps": "0.1"}),
+        ("'eps'", {"eps": True}),
+        ("'eps'", {"eps": None}),
+        ("'eps'", {"eps": 0}),
+        ("'eps'", {"eps": 1}),
+        ("'eps'", {"eps": 1.5}),
+        ("'rho'", {"rho": True}),
+        ("'rho'", {"rho": "1"}),
+        ("'rho'", {"rho": 0}),
+        ("'rho'", {"rho": -2.0}),
+        ("'rhoo'", {"rhoo": 2.0}),
+        ("'note'", {"source": dict(BSC_PROBLEM["source"], note="x")}),
+        ("'name'", {"channel": dict(BSC_PROBLEM["channel"], name="bsc")}),
+    ])
+    def test_schema_violations_exit_2(self, tmp_path, capsys, field, change):
+        # every file the schema rejects exits 2 and names its field
+        prob = dict(BSC_PROBLEM, **change)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(prob, SCHEMA)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(prob))
+        code, out, err = run(["jscc", str(path), "--n-list", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert field in err
+
+    def test_top_level_must_be_object(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(["channel", str(path)], capsys)
+        assert code == 2
+        assert "top level" in err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["channel", TERNARY, "--tol", "0"], "--tol"),
+        (["channel", TERNARY, "--tol=-1e-9"], "--tol"),
+        (["channel", TERNARY, "--tol", "nan"], "--tol"),
+        (["source", TERNARY, "-D", "0.1", "--tol", "inf"], "--tol"),
+        (["jscc", TERNARY, "--eps", "0"], "--eps"),
+        (["jscc", TERNARY, "--eps", "1.5"], "--eps"),
+        (["channel", TERNARY, "--eps", "nan"], "--eps"),
+        (["source", TERNARY, "-D", "nan"], "--distortion"),
+        (["source", TERNARY, "-D", "inf"], "--distortion"),
+        (["source", TERNARY, "--distortion", "-0.1"], "--distortion"),
+        (["source", TERNARY, "-D", "x"], "--distortion"),
+        (["simulate", TERNARY, "--what", "uep", "--uep-gamma", "nan"],
+         "--uep-gamma"),
+        (["simulate", TERNARY, "--what", "uep", "--uep-gamma=-inf"],
+         "--uep-gamma"),
+    ])
+    def test_out_of_domain_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_non_finite_report_exit_3(self, monkeypatch, tmp_path, capsys):
+        # a report with a NaN in it writes nothing, not a NaN token
+        real = sa._tilted_solve
+        monkeypatch.setattr(sa, "_tilted_solve",
+                            lambda *a: real(*a)[:2] + (math.nan,))
+        code, out, err = run(["source", TERNARY, "-D", "0.1"], capsys)
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+        path = tmp_path / "report.json"
+        code, _, _ = run(["source", TERNARY, "-D", "0.1", "--out", str(path)],
+                         capsys)
+        assert code == 3 and not path.exists()
+
 
 class TestChannelCommand:
     def test_bsc_report(self, problem_file, capsys):

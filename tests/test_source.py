@@ -180,6 +180,71 @@ class TestRdf:
         with pytest.raises(DomainError):
             rdf(fair_hamming, -0.1)
 
+    def test_nan_targets_rejected(self, fair_hamming):
+        # a NaN target would otherwise stop the slope search on its first
+        # round and come back as a NaN rate or distortion
+        with pytest.raises(DomainError):
+            rdf(fair_hamming, math.nan)
+        with pytest.raises(DomainError):
+            distortion_rate(fair_hamming, math.nan)
+
+    def test_infinite_distortion_is_d_max_endpoint(self, fair_hamming):
+        assert rdf(fair_hamming, math.inf).rate == 0.0
+
+
+# A 3x5 source on which a secant slope search stalls: it took 303 slope
+# rounds and stopped at its round cap with R off by 1.75e-6 at tol 1e-9.
+STALLED_P = (0.0630908797936194, 0.8731816930372814, 0.0637274271690992)
+STALLED_D = (
+    (0.39363510617676256, 1.3003655126356062, 1.9730087580298847,
+     0.5563586449401124, 0),
+    (0.20727684779412303, 1.4165971471897532, 1.8936498731925784,
+     2.737071359881961, 0),
+    (0.19312233015617686, 0, 2.637380658566126, 1.313583084483086,
+     2.402321166590463),
+)
+
+
+class TestSlopeSearch:
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        calls = []
+        real = sa._fixed_slope
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sa, "_fixed_slope", counting)
+        return calls
+
+    def test_stalled_source_converges(self, monkeypatch):
+        src = SourceSpec(Distribution(np.array(STALLED_P)),
+                         np.array(STALLED_D))
+        d = 0.01 * d_max(src)
+        calls = self.count_solves(monkeypatch)
+        res = rdf(src, d)
+        assert len(calls) <= 60
+        # independent value: scipy SLSQP minimising I(P, W) over the 3x5
+        # test channels W with E[d] <= D (ftol 1e-15, best of 30 starts)
+        assert res.rate == pytest.approx(0.2311030514525, abs=1e-9)
+        assert abs(res.achieved_distortion - d) <= sa.DEFAULT_RDF_TOL
+        calls.clear()
+        assert distortion_rate(src, res.rate) == pytest.approx(d, abs=1e-9)
+        assert len(calls) <= 60
+
+    def test_round_cap_raises(self, fair_hamming, monkeypatch):
+        monkeypatch.setattr(sa, "_MAX_SLOPE_ITER", 3)
+        with pytest.raises(NonConvergence,
+                           match=r"P = \[0\.5, 0\.5\].*after 3 rounds"):
+            rdf(fair_hamming, 0.1)
+        with pytest.raises(NonConvergence, match="after 3 rounds"):
+            distortion_rate(fair_hamming, 0.3)
+        # the second law sits at its d_max = 0 and needs no search
+        rates = sa._rdf_rates(np.array([[0.5, 0.5], [1.0, 0.0]]), HAMMING,
+                              0.1, sa.DEFAULT_RDF_TOL)
+        assert math.isnan(rates[0]) and rates[1] == 0.0
+
 
 class TestRdfCertificates:
     @pytest.mark.parametrize("name", ["bsc011_hamming", "ternary_asymmetric"])
