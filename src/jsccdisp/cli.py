@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
+import pathlib
 import sys
 
 import numpy as np
@@ -37,53 +39,65 @@ class ProblemFileError(Exception):
 # Problem file handling
 # ---------------------------------------------------------------------------
 
-def _get(mapping, key, path, required=True):
-    if not isinstance(mapping, dict):
-        raise ProblemFileError(f"{path or 'top level'}: expected an object")
-    if key not in mapping:
-        if required:
-            raise ProblemFileError(f"missing field '{path}{key}'")
-        return None
-    return mapping[key]
+SCHEMA_PATH = pathlib.Path(__file__).with_name("problem_file.schema.json")
 
 
-def _integer(value, field: str, minimum: int | None = None) -> int:
-    """``value`` as an int when it is a JSON integer of at least ``minimum``,
-    as the schema's "integer" reads: a number with no fractional part, and
-    true and false are not numbers."""
-    whole = (isinstance(value, int) and not isinstance(value, bool)
-             or isinstance(value, float) and value.is_integer())
-    if not whole or (minimum is not None and value < minimum):
-        need = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise ProblemFileError(
-            f"field '{field}': {json.dumps(value)} is not {need}")
-    return int(value)
+def _number(value) -> bool:
+    """A JSON number that is finite as a float; true and false are not."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _number(value, field: str, valid, need: str) -> float:
-    """``value`` as a float when it is a JSON number passing ``valid``;
-    true and false are not numbers."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not valid(value)):
-        raise ProblemFileError(
-            f"field '{field}': {json.dumps(value)} is not {need}")
-    return float(value)
+# schema type -> (test, wording in an error)
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "number": (_number, "a finite number"),
+    "integer": (lambda v: _number(v) and float(v).is_integer(), "an integer"),
+}
+# schema keyword -> (comparison of value and bound, wording in an error)
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "exclusiveMaximum": (operator.lt, "<")}
 
 
-def _known_keys(mapping: dict, allowed: tuple, field: str | None) -> None:
-    """Reject the keys of ``mapping`` (field ``field``, None for the top
-    level) that the schema does not list."""
-    if extra := set(mapping) - set(allowed):
-        where = "top level" if field is None else f"field '{field}'"
-        raise ProblemFileError(f"{where}: unknown keys {sorted(extra)}")
+def _check(value, schema: dict, field: str = "", item: str = "") -> None:
+    """Raise ProblemFileError naming the field (and the array item) unless
+    ``value`` meets ``schema``, read as JSON Schema with the keywords that
+    the problem-file schema uses (``additionalProperties`` false only)."""
+    where = ((f"field '{field}'" if field else "top level")
+             + (f", item {item}" if item else ""))
+    need = None
+    if "enum" in schema and value not in schema["enum"]:
+        need = "one of " + json.dumps(schema["enum"])
+    elif "type" in schema and not _TYPES[schema["type"]][0](value):
+        need = _TYPES[schema["type"]][1]
+    elif _number(value):
+        for key, (holds, op) in _BOUNDS.items():
+            if key in schema and not holds(value, schema[key]):
+                need = f"{op} {schema[key]}"
+    elif isinstance(value, list) and len(value) < schema.get("minItems", 0):
+        need = f"an array of {schema['minItems']} or more items"
+    if need:
+        raise ProblemFileError(f"{where}: {json.dumps(value)} is not {need}")
+    if isinstance(value, dict):
+        prefix = f"{field}{item}." if field else ""
+        if missing := [k for k in schema.get("required", ()) if k not in value]:
+            raise ProblemFileError(f"missing field '{prefix}{missing[0]}'")
+        props = schema.get("properties", {})
+        if schema.get("additionalProperties") is False and (
+                extra := set(value) - set(props)):
+            raise ProblemFileError(f"{where}: unknown keys {sorted(extra)}")
+        for key in props:
+            if key in value:
+                _check(value[key], props[key], prefix + key)
+    if isinstance(value, list) and "items" in schema:
+        for i, entry in enumerate(value):
+            _check(entry, schema["items"], field, f"{item}[{i}]")
 
 
 def load_problem_file(path: str) -> dict:
-    """Parse a ProblemFile JSON into validated library objects.
-
-    Returns a dict with any of: source, channel, rho, eps, units, sim.
-    Field errors name the offending field.
-    """
+    """Check a ProblemFile JSON against ``SCHEMA_PATH``, naming the field of
+    any error, and return a dict with ``units`` (default "bits") and any of:
+    source, channel, rho and eps (floats), sim (seed, trials, n_list: ints)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -94,49 +108,26 @@ def load_problem_file(path: str) -> dict:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    _check(raw, json.loads(SCHEMA_PATH.read_text(encoding="utf-8")))
 
-    if not isinstance(raw, dict):
-        raise ProblemFileError("top level: expected an object")
-    _known_keys(raw, ("source", "channel", "rho", "eps", "units", "sim"), None)
-    out: dict = {}
+    out: dict = {"units": raw.get("units", "bits")}
     if "source" in raw:
-        src = raw["source"]
-        probs = _get(src, "probs", "source.")
-        dist = _get(src, "distortion", "source.")
-        _known_keys(src, ("probs", "distortion"), "source")
         try:
-            out["source"] = SourceSpec(Distribution(np.array(probs, dtype=float)),
-                                       np.array(dist, dtype=float))
-        except (JsccDispError, ValueError, TypeError) as exc:
+            out["source"] = SourceSpec(
+                Distribution(np.array(raw["source"]["probs"], dtype=float)),
+                np.array(raw["source"]["distortion"], dtype=float))
+        except (JsccDispError, ValueError) as exc:
             raise ProblemFileError(f"field 'source': {exc}") from exc
     if "channel" in raw:
-        mat = _get(raw["channel"], "matrix", "channel.")
-        _known_keys(raw["channel"], ("matrix",), "channel")
         try:
-            out["channel"] = Channel(np.array(mat, dtype=float))
-        except (JsccDispError, ValueError, TypeError) as exc:
+            out["channel"] = Channel(np.array(raw["channel"]["matrix"],
+                                              dtype=float))
+        except (JsccDispError, ValueError) as exc:
             raise ProblemFileError(f"field 'channel.matrix': {exc}") from exc
-    if "rho" in raw:
-        out["rho"] = _number(raw["rho"], "rho", lambda v: 0 < v < math.inf,
-                             "a positive finite number")
-    if "eps" in raw:
-        out["eps"] = _number(raw["eps"], "eps", lambda v: 0 < v < 1,
-                             "a number in (0, 1)")
-    units = raw.get("units", "bits")
-    if units not in ("bits", "nats"):
-        raise ProblemFileError("field 'units': must be 'bits' or 'nats'")
-    out["units"] = units
-    if "sim" in raw:
-        sim = raw["sim"]
-        n_list = _get(sim, "n_list", "sim.")
-        if not isinstance(n_list, list) or not n_list:
-            raise ProblemFileError("field 'sim.n_list': must be a nonempty list")
-        out["sim"] = {
-            "seed": _integer(_get(sim, "seed", "sim."), "sim.seed"),
-            "trials": _integer(_get(sim, "trials", "sim."), "sim.trials", 1),
-            "n_list": [_integer(v, "sim.n_list", 1) for v in n_list],
-        }
-        _known_keys(sim, ("seed", "trials", "n_list"), "sim")
+    out.update((key, float(raw[key])) for key in ("rho", "eps") if key in raw)
+    if sim := raw.get("sim"):
+        out["sim"] = {"seed": int(sim["seed"]), "trials": int(sim["trials"]),
+                      "n_list": [int(n) for n in sim["n_list"]]}
     return out
 
 
@@ -154,20 +145,10 @@ def _require(problem: dict, key: str):
     return problem[key]
 
 
-class Units:
-    """Converts nats-valued quantities for reporting."""
-
-    def __init__(self, name: str):
-        if name not in ("bits", "nats"):
-            raise ProblemFileError("units must be 'bits' or 'nats'")
-        self.name = name
-        self._div = LN2 if name == "bits" else 1.0
-
-    def rate(self, x: float) -> float:
-        return x / self._div
-
-    def var(self, x: float) -> float:
-        return x / (self._div * self._div)
+def _units(args, problem) -> tuple[str, float]:
+    """The report's unit name and its size in nats, the divisor of rates."""
+    name = args.units or problem["units"]
+    return name, LN2 if name == "bits" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +210,17 @@ def _n_list(args, problem) -> list[int]:
 def cmd_channel(args) -> int:
     problem = _load(args)
     w = _require(problem, "channel")
-    units = Units(args.units or problem.get("units", "bits"))
+    units, div = _units(args, problem)
     disp = ch.vmin_vmax(w, args.tol)
     cap = disp.capacity
     report = {
-        "units": units.name,
-        "capacity": units.rate(cap.capacity),
-        "capacity_bracket": [units.rate(cap.lower_bound),
-                             units.rate(cap.upper_bound)],
+        "units": units,
+        "capacity": cap.capacity / div,
+        "capacity_bracket": [cap.lower_bound / div, cap.upper_bound / div],
         "iterations": cap.iterations,
         "input_distribution": cap.input_distribution.probs.tolist(),
-        "v_min": units.var(disp.v_min),
-        "v_max": units.var(disp.v_max),
+        "v_min": disp.v_min / (div * div),
+        "v_max": disp.v_max / (div * div),
         "capacity_set_is_singleton": disp.capacity_set_is_singleton,
         "v_min_positive": disp.v_min_positive,
         "correction_note": ch.CORRECTION_NOTE,
@@ -249,13 +229,13 @@ def cmd_channel(args) -> int:
     if eps is not None:
         rows = []
         for n in _n_list(args, problem):
-            pt = ch.channel_rate_at(w, n, eps, disp, args.tol)
+            pt = ch.channel_rate_at(w, n, eps, disp)
             rows.append({
                 "n": n,
                 "eps": eps,
-                "rate": units.rate(pt.rate),
-                "rate_with_vmin": units.rate(pt.rate_with_vmin),
-                "rate_with_vmax": units.rate(pt.rate_with_vmax),
+                "rate": pt.rate / div,
+                "rate_with_vmin": pt.rate_with_vmin / div,
+                "rate_with_vmax": pt.rate_with_vmax / div,
             })
         report["rates"] = rows
     _emit_json(report, args.out)
@@ -265,7 +245,7 @@ def cmd_channel(args) -> int:
 def cmd_source(args) -> int:
     problem = _load(args)
     src = _require(problem, "source")
-    units = Units(args.units or problem.get("units", "bits"))
+    units, div = _units(args, problem)
     d = args.distortion
     if d is None:
         raise ProblemFileError("the source command needs --distortion")
@@ -276,22 +256,22 @@ def cmd_source(args) -> int:
     else:
         res = sa.rdf(src, d, min(args.tol, 1e-9))
     report = {
-        "units": units.name,
+        "units": units,
         "distortion": d,
-        "rate": units.rate(res.rate),
+        "rate": res.rate / div,
         "achieved_distortion": res.achieved_distortion,
         "lagrange_slope": None if not math.isfinite(res.lagrange_slope)
-        else units.rate(res.lagrange_slope),
+        else res.lagrange_slope / div,
         "d_max": dm,
         "correction_note": jscc.CORRECTION_NOTE,
     }
     if interior:
-        report["v_s"] = units.var(v_s)
+        report["v_s"] = v_s / (div * div)
         eps = problem.get("eps")
         if eps is not None:
             report["rates"] = [
                 {"n": n, "eps": eps,
-                 "rate": units.rate(sa._normal_rate(res.rate, v_s, n, eps))}
+                 "rate": sa._normal_rate(res.rate, v_s, n, eps) / div}
                 for n in _n_list(args, problem)]
     _emit_json(report, args.out)
     return 0
@@ -308,64 +288,51 @@ def _jscc_problem(problem: dict) -> jscc.JsccProblem:
 
 def cmd_jscc(args) -> int:
     problem = _load(args)
-    units = Units(args.units or problem.get("units", "bits"))
+    units, div = _units(args, problem)
     pb = _jscc_problem(problem)
     n_list = _n_list(args, problem)
 
+    # one table per mode; its JSON keys are the CSV header less the table name
     if args.lossless:
         disp = ch.vmin_vmax(pb.channel)
         pts = [jscc.lossless_rho(pb.source, pb.channel, n, pb.eps, disp=disp)
                for n in n_list]
+        table, header = "rho_n", ["n", "rho_n_with_vlow", "rho_n_with_vhigh"]
         rows = [(pt.n, pt.rho_with_vlow, pt.rho_with_vhigh) for pt in pts]
-        if args.format == "csv":
-            _emit_csv(["n", "rho_n_with_vlow", "rho_n_with_vhigh"], rows, args.out)
-        else:
-            _emit_json({
-                "units": units.name,
-                "mode": "lossless",
-                "h_over_c": pts[0].h_over_c,
-                "v_source": units.var(pts[0].v_source),
-                "rho_n": [{"n": n, "with_vlow": lo, "with_vhigh": hi}
-                          for n, lo, hi in rows],
-                "correction_note": jscc.CORRECTION_NOTE,
-            }, args.out)
-        return 0
-
-    rep = jscc.dispersion_report(pb)
-    thresholds = []
-    for n in n_list:
-        pt = jscc.distortion_threshold(pb, n, report=rep)
-        thresholds.append({
-            "n": n,
-            "d_n_with_vlow": pt.d_with_vlow,
-            "d_n_with_vhigh": pt.d_with_vhigh,
-            "target_rate_with_vlow": units.rate(pt.target_rate_with_vlow),
-            "target_rate_with_vhigh": units.rate(pt.target_rate_with_vhigh),
-        })
-    if args.format == "csv":
-        rows = [(t["n"], t["d_n_with_vlow"], t["d_n_with_vhigh"],
-                 t["target_rate_with_vlow"], t["target_rate_with_vhigh"])
-                for t in thresholds]
-        _emit_csv(["n", "d_n_with_vlow", "d_n_with_vhigh",
-                   "target_rate_with_vlow", "target_rate_with_vhigh"],
-                  rows, args.out)
+        report = {"units": units, "mode": "lossless",
+                  "h_over_c": pts[0].h_over_c,
+                  "v_source": pts[0].v_source / (div * div),
+                  "correction_note": jscc.CORRECTION_NOTE}
     else:
-        _emit_json({
-            "units": units.name,
+        rep = jscc.dispersion_report(pb)
+        pts = [jscc.distortion_threshold(pb, n, report=rep) for n in n_list]
+        table, header = "thresholds", [
+            "n", "d_n_with_vlow", "d_n_with_vhigh", "target_rate_with_vlow",
+            "target_rate_with_vhigh"]
+        rows = [(pt.n, pt.d_with_vlow, pt.d_with_vhigh,
+                 pt.target_rate_with_vlow / div,
+                 pt.target_rate_with_vhigh / div) for pt in pts]
+        report = {
+            "units": units,
             "eps": pb.eps,
             "rho": pb.rho,
-            "capacity": units.rate(rep.capacity),
-            "v_min": units.var(rep.v_min),
-            "v_max": units.var(rep.v_max),
+            "capacity": rep.capacity / div,
+            "v_min": rep.v_min / (div * div),
+            "v_max": rep.v_max / (div * div),
             "capacity_set_is_singleton": rep.capacity_set_is_singleton,
             "d_star": rep.d_star,
-            "r_at_d_star": units.rate(rep.r_at_d_star),
-            "v_s_at_d_star": units.var(rep.v_s_at_d_star),
-            "v_j_low": units.var(rep.v_j_low),
-            "v_j_high": units.var(rep.v_j_high),
-            "thresholds": thresholds,
+            "r_at_d_star": rep.r_at_d_star / div,
+            "v_s_at_d_star": rep.v_s_at_d_star / (div * div),
+            "v_j_low": rep.v_j_low / (div * div),
+            "v_j_high": rep.v_j_high / (div * div),
             "correction_note": rep.correction_note,
-        }, args.out)
+        }
+    if args.format == "csv":
+        _emit_csv(header, rows, args.out)
+    else:
+        keys = [h.removeprefix(table + "_") for h in header]
+        report[table] = [dict(zip(keys, row)) for row in rows]
+        _emit_json(report, args.out)
     return 0
 
 
@@ -391,9 +358,8 @@ def _sim_context(args, problem):
     sim = problem.get("sim")
     if sim is None:
         raise JsccDispError("the simulate command needs a 'sim' block")
-    seed = args.seed if args.seed is not None else sim["seed"]
-    trials = args.trials if args.trials is not None else sim["trials"]
-    return int(seed), int(trials)
+    return (sim["seed"] if args.seed is None else args.seed,
+            sim["trials"] if args.trials is None else args.trials)
 
 
 # One function per ``simulate --what`` mode: (args, problem, seed, trials,
@@ -597,14 +563,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a positive integer, else a usage error."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+def _int_type(minimum: int):
+    """An argparse type: an integer >= ``minimum``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"{text} is not an integer >= {minimum}")
+    return parse
 
 
 def _float_type(valid, need: str):
@@ -630,7 +599,7 @@ _COMMON_FLAGS = {
     "--tol": dict(type=_float_type(lambda v: 0 < v < math.inf,
                                    "positive and finite"),
                   default=1e-10, help="numerical tolerance in nats"),
-    "--seed": dict(type=int, help="override the simulation seed"),
+    "--seed": dict(type=_int_type(0), help="override the simulation seed"),
     "--eps": dict(type=_float_type(lambda v: 0 < v < 1, "in (0, 1)"),
                   help="override the target probability"),
     "--n-list": dict(help="comma-separated block lengths"),
@@ -691,9 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Monte-Carlo and exact-enumeration validations")
     p.add_argument("file")
     p.add_argument("--what", required=True, choices=list(_SIMULATIONS))
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--uep-classes", type=_positive_int, default=2)
+    p.add_argument("--trials", type=_int_type(1), default=None)
+    p.add_argument("--workers", type=_int_type(1), default=1)
+    p.add_argument("--uep-classes", type=_int_type(1), default=2)
     p.add_argument("--uep-gamma", type=_float_type(math.isfinite, "finite"),
                    default=None,
                    help="decoder threshold in nats (default: union-bound terms)")

@@ -40,7 +40,7 @@ from .probcore import (
 )
 from .source import SourceSpec
 
-CORRECTION_NOTE = "O(log n / n) correction term omitted"
+CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 
 _BOUNDARY_TOL = 1e-9

@@ -118,6 +118,8 @@ def _binomial_result(successes: int, trials: int, **diag) -> SimResult:
 # ---------------------------------------------------------------------------
 
 def _stream(seed: int, batch_index: int) -> np.random.Generator:
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer; got {seed}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed, batch_index)))
     )

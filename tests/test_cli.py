@@ -10,13 +10,14 @@ import jsonschema
 import pytest
 
 import jsccdisp.channel as ch
+import jsccdisp.cli as cli
 import jsccdisp.source as sa
 from conftest import two_orbit_cyclic
 from jsccdisp.cli import main
 
 LN2 = math.log(2.0)
 REPO = pathlib.Path(__file__).resolve().parents[1]
-SCHEMA = json.loads((REPO / "docs" / "problem_file.schema.json").read_text())
+SCHEMA = json.loads((REPO / "src" / "jsccdisp" / "problem_file.schema.json").read_text())
 TERNARY = str(REPO / "docs" / "examples" / "ternary_asymmetric.json")
 
 BSC_PROBLEM = {
@@ -27,6 +28,25 @@ BSC_PROBLEM = {
     "units": "bits",
     "sim": {"seed": 7, "trials": 2000, "n_list": [200]},
 }
+
+
+# the fields of BSC_PROBLEM that a mutation replaces or deletes, and keys
+# the schema does not list
+MUTABLE_PATHS = [
+    ("source",), ("source", "probs"), ("source", "probs", 0),
+    ("source", "distortion"), ("source", "distortion", 1),
+    ("source", "distortion", 1, 0), ("source", "note"),
+    ("channel",), ("channel", "matrix"), ("channel", "matrix", 0),
+    ("channel", "matrix", 0, 1), ("rho",), ("eps",), ("units",), ("rhoo",),
+    ("sim",), ("sim", "seed"), ("sim", "trials"), ("sim", "n_list"),
+    ("sim", "n_list", 0), ("sim", "extra"),
+]
+# what a mutation puts there: finite JSON values on both sides of the
+# schema's bounds, nested up to the depth of a matrix
+MUTATIONS = [None, True, False, -1, 0, 1, 2, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0,
+             "bits", "nats", "bit", "1", [], [0.5], [1, 2], [0.5, "x"],
+             [[0.5, 0.5]], [[-1.0]], [[]], {}, {"x": 1}, {"probs": [1.0]},
+             {"matrix": [[1.0]]}]
 
 
 @pytest.fixture
@@ -98,6 +118,9 @@ class TestProblemFile:
         ("'rhoo'", {"rhoo": 2.0}),
         ("'note'", {"source": dict(BSC_PROBLEM["source"], note="x")}),
         ("'name'", {"channel": dict(BSC_PROBLEM["channel"], name="bsc")}),
+        ("field 'source'", {"source": [1]}),
+        ("field 'sim'", {"sim": 5}),
+        ("field 'units'", {"units": "bit"}),
     ])
     def test_schema_violations_exit_2(self, tmp_path, capsys, field, change):
         # every file the schema rejects exits 2 and names its field
@@ -109,6 +132,79 @@ class TestProblemFile:
         code, out, err = run(["jscc", str(path), "--n-list", "100"], capsys)
         assert (code, out) == (2, "")
         assert field in err
+
+    def test_infinite_rho_exit_2(self, tmp_path, capsys):
+        # json parses the Infinity token, and jsonschema accepts the float
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(BSC_PROBLEM, rho=2.0))
+                        .replace("2.0", "Infinity"))
+        code, out, err = run(["jscc", str(path), "--n-list", "100"], capsys)
+        assert (code, out) == (2, "")
+        assert "field 'rho'" in err
+
+    def test_loader_and_tests_read_one_schema(self):
+        assert cli.SCHEMA_PATH == REPO / "src" / "jsccdisp" / "problem_file.schema.json"
+        assert json.loads(cli.SCHEMA_PATH.read_text()) == SCHEMA
+        assert not list((REPO / "docs").rglob("*schema*"))
+
+    def test_schema_uses_only_the_loader_keywords(self):
+        # the loader reads these keywords and no other; the two annotations
+        # constrain nothing
+        read = {"type", "enum", "minimum", "exclusiveMinimum",
+                "exclusiveMaximum", "properties", "required",
+                "additionalProperties", "items", "minItems", "$schema", "title"}
+
+        def walk(schema):
+            assert set(schema) <= read
+            assert schema.get("additionalProperties", False) is False
+            for sub in schema.get("properties", {}).values():
+                walk(sub)
+            if "items" in schema:
+                walk(schema["items"])
+
+        walk(SCHEMA)
+
+    @pytest.mark.parametrize("path", MUTABLE_PATHS,
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_loader_agrees_with_jsonschema(self, path):
+        # replace or delete one field of the fixture: the loader's check
+        # accepts the file exactly when jsonschema does, and a rejection
+        # names the field
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+        for value in MUTATIONS + ["delete"]:
+            prob = json.loads(json.dumps(BSC_PROBLEM))
+            node = prob
+            for key in path[:-1]:
+                node = node[key]
+            if value != "delete":
+                node[path[-1]] = value
+            elif isinstance(node, list) or path[-1] in node:
+                del node[path[-1]]
+            try:
+                cli._check(prob, SCHEMA)
+            except cli.ProblemFileError as exc:
+                assert not validator.is_valid(prob), (value, str(exc))
+                assert path[0] in str(exc), (value, str(exc))
+            else:
+                assert validator.is_valid(prob), value
+
+    def test_loading_imports_no_validator(self):
+        # the loader walks the schema itself; jsonschema is a test extra and
+        # scipy is not a runtime dependency
+        script = (
+            "import sys\n"
+            "from jsccdisp.cli import load_problem_file\n"
+            f"load_problem_file({TERNARY!r})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('jsonschema', 'scipy')))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
 
     def test_top_level_must_be_object(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -429,6 +525,7 @@ class TestSimulateCommand:
         ("sim.seed", {"seed": 2.5}),
         ("sim.seed", {"seed": None}),
         ("sim", {"n_lists": [50]}),
+        ("sim.seed", {"seed": -3}),
     ])
     def test_bad_sim_block_exit_2(self, tmp_path, capsys, field, sim):
         # every block the schema rejects exits 2 and names its field
@@ -441,6 +538,14 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", str(path), "--what", "xi"], capsys)
         assert code == 2
         assert f"'{field}'" in err
+
+    @pytest.mark.parametrize("what", ["xi", "mi-cont"])
+    def test_negative_seed_exit_2(self, problem_file, what, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", problem_file, "--what", what, "--seed", "-1",
+                  "--trials", "100", "--n-list", "50"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_bad_sim_trials_exit_2(self, tmp_path, capsys):
         prob = dict(BSC_PROBLEM, sim={"seed": 7, "trials": 0, "n_list": [50]})

@@ -373,6 +373,11 @@ class TestXiN:
         with pytest.raises(DomainError):
             xi_n_violation_rate(phi, bsc011, 0, 1)
 
+    def test_rejects_negative_seed(self, bsc011):
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError, match="seed"):
+            xi_n_violation_rate(phi, bsc011, 100, -1)
+
     def test_noiseless_no_violations(self):
         w = Channel(np.eye(2))
         phi = EmpiricalType(np.array([30, 30]), 60)

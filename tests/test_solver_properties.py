@@ -191,3 +191,31 @@ def test_tilted_information_averages_to_the_rate(src, fraction):
     p = src.distribution.probs
     assert math.isclose(float(p @ j), res.rate, rel_tol=0.0, abs_tol=1e-10)
     assert np.allclose(g, j - p @ j, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def hamming_points(draw):
+    """A law on 2-5 letters, each of mass at least 1e-3, with Hamming
+    distortion, and a D in (0, d_max); half the D lie where the Shannon
+    lower bound is tight, D <= (k - 1) min P."""
+    k = draw(st.integers(2, 5))
+    w = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+    p = 1e-3 + (1.0 - k * 1e-3) * w / w.sum()
+    src = SourceSpec(Distribution(p / p.sum()), 1.0 - np.eye(k))
+    top = (k - 1) * p.min() if draw(st.booleans()) else d_max(src)
+    return src, draw(st.floats(0.02, 0.98)) * top
+
+
+@settings(max_examples=30)
+@given(hamming_points())
+def test_rdf_meets_the_shannon_lower_bound(point):
+    # R(D) >= H(P) - h(D) - D log(k - 1), with equality for D <= (k - 1) min P
+    src, d = point
+    p = src.distribution.probs
+    k = len(p)
+    slb = (-float(p @ np.log(p)) + d * math.log(d) + (1 - d) * math.log1p(-d)
+           - d * math.log(k - 1))
+    rate = rdf(src, d).rate
+    assert rate >= slb - 1e-9
+    if d <= (k - 1) * p.min():
+        assert abs(rate - slb) <= 1e-9
