@@ -59,12 +59,18 @@ _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"
            "exclusiveMaximum": (operator.lt, "<")}
 
 
-def _check(value, schema: dict, field: str = "", item: str = "") -> None:
+def _where(field: str, item: tuple) -> str:
+    """The place of a value in an error: its field, and the indices of the
+    array items on the way to it."""
+    return ((f"field '{field}'" if field else "top level")
+            + (", item " + "".join(f"[{i}]" for i in item) if item else ""))
+
+
+def _check(value, schema: dict, field: str = "", item: tuple = ()) -> None:
     """Raise ProblemFileError naming the field (and the array item) unless
     ``value`` meets ``schema``, read as JSON Schema with the keywords that
-    the problem-file schema uses (``additionalProperties`` false only)."""
-    where = ((f"field '{field}'" if field else "top level")
-             + (f", item {item}" if item else ""))
+    the problem-file schema uses (``additionalProperties`` false only).
+    ``item`` holds the array indices, which only an error formats."""
     need = None
     if "enum" in schema and value not in schema["enum"]:
         need = "one of " + json.dumps(schema["enum"])
@@ -77,21 +83,23 @@ def _check(value, schema: dict, field: str = "", item: str = "") -> None:
     elif isinstance(value, list) and len(value) < schema.get("minItems", 0):
         need = f"an array of {schema['minItems']} or more items"
     if need:
-        raise ProblemFileError(f"{where}: {json.dumps(value)} is not {need}")
+        raise ProblemFileError(
+            f"{_where(field, item)}: {json.dumps(value)} is not {need}")
     if isinstance(value, dict):
-        prefix = f"{field}{item}." if field else ""
+        prefix = (field + "".join(f"[{i}]" for i in item) + ".") if field else ""
         if missing := [k for k in schema.get("required", ()) if k not in value]:
             raise ProblemFileError(f"missing field '{prefix}{missing[0]}'")
         props = schema.get("properties", {})
         if schema.get("additionalProperties") is False and (
                 extra := set(value) - set(props)):
-            raise ProblemFileError(f"{where}: unknown keys {sorted(extra)}")
+            raise ProblemFileError(
+                f"{_where(field, item)}: unknown keys {sorted(extra)}")
         for key in props:
             if key in value:
                 _check(value[key], props[key], prefix + key)
     if isinstance(value, list) and "items" in schema:
         for i, entry in enumerate(value):
-            _check(entry, schema["items"], field, f"{item}[{i}]")
+            _check(entry, schema["items"], field, item + (i,))
 
 
 def load_problem_file(path: str) -> dict:

@@ -135,9 +135,10 @@ def dispersion_report(problem: JsccProblem) -> DispersionReport:
     capacity solve inside ``vmin_vmax``."""
     disp = ch.vmin_vmax(problem.channel)
     cap = disp.capacity.capacity
-    d_star = sa.distortion_rate(problem.source, problem.rho * cap)
+    d_star, slope = sa._distortion_rate(problem.source, problem.rho * cap,
+                                        sa.DEFAULT_RDF_TOL)
     _check_interior(problem, d_star)
-    v_s = sa.source_dispersion(problem.source, d_star)
+    v_s = sa._tilted_solve(problem.source, d_star, start=slope)[2]
     return DispersionReport(
         capacity=cap,
         v_min=disp.v_min,

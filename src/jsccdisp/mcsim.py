@@ -91,6 +91,9 @@ class SimConfig:
     n: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(
+                f"seed must be a nonnegative integer; got {self.seed}")
         if self.trials < 1 or self.n < 1:
             raise DomainError("trials and n must be positive")
 
@@ -242,7 +245,8 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     as m/n with m = phi_m.n. Two passes run over the same batch streams,
     each batch held only while it is drawn. The first draws only the
     source counts, which each stream draws first, and collects the
-    distinct source types; one batched solve then gives R(P_S, d) for all
+    distinct source types; one batched solve, its slope search started at
+    the slope of the solve of P itself at d, then gives R(P_S, d) for all
     of them. The second redraws every batch with its channel counts and
     compares. Types whose RDF cannot be evaluated count as excess
     (conservative boundary convention); their trials are reported as
@@ -264,8 +268,9 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
         return _unique_rows(src_counts)[0]
 
     types = _distinct_rows(_map_batches(types_of, trials, workers), p.size)
+    start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
     # NaN marks "RDF undefined" and is counted as excess below
-    rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10)
+    rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10, start)
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)

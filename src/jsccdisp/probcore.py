@@ -241,7 +241,8 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     way to the boundary and is halved until the barrier rises by at most
     1e-15 * (1 + |F|). A row stops once gap <= tol, when no step down to
     1e-12 passes that test, or after 200 steps; the caller judges the gap
-    of the returned x. Iterates never reach the boundary.
+    of the returned x, floored at 0 (a bound that rounds below 0 certifies
+    an optimum). Iterates never reach the boundary.
     """
     t, k = shape
     x = np.full(shape, 1.0 / k)
@@ -298,7 +299,7 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
             steps[rows] += moved
             live[rows] = moved & (values[3] > tol) & (
                 steps[rows] < _MAX_NEWTON_ITER)
-    return x, gap, steps
+    return x, np.maximum(gap, 0.0), steps
 
 
 # ---------------------------------------------------------------------------

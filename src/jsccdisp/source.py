@@ -3,13 +3,18 @@
 Rate-distortion function R(P,D) and its inverse D(P,R) by one Lagrangian
 slope search in Blahut's parametrisation (IEEE-IT 1972), the simplex
 gradient of R as the centered d-tilted information, and the source
-dispersion Var_P of that gradient. The slope search is a single loop: it
-doubles the slope from -1 until the slope is bracketed, narrows the
-bracket by Illinois regula falsi (Dowell & Jarratt, BIT 1971), and fails
-with NonConvergence naming P after ``_MAX_SLOPE_ITER`` rounds. Each slope
-is solved by the simplex Newton kernel of ``probcore`` with Blahut's bound
-as its certificate. The search runs on a batch of source laws at once
-(``_rdf_rates``); ``rdf`` and ``distortion_rate`` are batches of one.
+dispersion Var_P of that gradient. The slope search is a single loop of
+Newton steps on the slope s, with dD/ds from implicit differentiation of
+each solved problem (D(s) is the smooth map of Rose, IEEE-IT 1994). A
+Newton point that leaves the bracket, or moves more than a quarter of its
+width, gives way to the midpoint, or to a doubling of the slope until the
+slope is bracketed; a row still open after ``_MAX_SLOPE_ITER`` rounds fails
+with NonConvergence naming P. Each slope is solved by the simplex Newton
+kernel of ``probcore`` with Blahut's bound as its certificate. The search
+runs on a batch of source laws at once (``_rdf_rates``), from a start
+slope that a caller may give: the D* search seeds the tilted solve at D*,
+and the excess simulator seeds its batch of source types with the slope of
+P itself. ``rdf`` and ``distortion_rate`` are batches of one from s = -1.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -125,7 +130,7 @@ class _Solves:
               done=slice(None)) -> None:
         """Record the ``_fixed_slope`` solves of ``rows[done]`` at their
         slopes, and the error of each failed row of the batch."""
-        rate, dist, lam, q, gap, _, errors = sol
+        rate, dist, lam, q, gap, _, _, errors = sol
         at = rows[done]
         self.slope[at], self.rate[at] = slope[done], rate[done]
         self.dist[at], self.gap[at] = dist[done], gap[done]
@@ -163,14 +168,23 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     """The rate-distortion problems of the rows of ``p`` (T, |S|), each at
     its own fixed Lagrangian slope s <= 0.
 
-    Returns per-row arrays (rate, distortion, test_channel, q, gap, steps)
-    and a dict of error messages by row. Each reproduction marginal q
-    minimises -sum_x P(x) log (A q)_x over the simplex, A = exp(s*d)
+    Returns per-row arrays (rate, distortion, test_channel, q, gap, steps,
+    dD/ds) and a dict of error messages by row. Each reproduction marginal
+    q minimises -sum_x P(x) log (A q)_x over the simplex, A = exp(s*d)
     (Csiszar's dual form), in one ``probcore._simplex_newton`` call on
     ``_rd_oracle``. A solve aims for 1e-13 and passes with a finite rate
     and any gap within ``tol``, or within 1e-13 for a smaller ``tol``. With
     ``zero`` the weights A become the indicator of d == 0 (the s -> -inf
     limit), which solves the D = 0 endpoint.
+
+    dD/ds comes from implicit differentiation of the optimality condition
+    c(q, s) = A^T (P / A q) = 1 on the support of q: it is
+    sum_x P(x) Var_lambda[d | x] + b^T dq/ds, where H dq/ds = b, H is the
+    Hessian of ``_rd_oracle`` and b_z = sum_x P(x) A_xz / (Aq)_x
+    (d_xz - D_x), D_x = E_lambda[d | x]. H is singular when |Shat| > |S|,
+    so the system is solved in the sqrt(q)-scaled variable by a
+    pseudo-inverse whose cutoff drops the letters held off the support.
+    dR/ds is s * dD/ds.
     """
     if zero:
         a = np.broadcast_to(dmat == 0, (len(p),) + dmat.shape).astype(float)
@@ -178,71 +192,83 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
         a = np.exp(slope[:, None, None] * dmat)
     q, gap, steps = _simplex_newton(_rd_oracle(p, a), (len(p), dmat.shape[1]),
                                     _INNER_TOL)
-    lam = np.where(p[:, :, None] > 0, q[:, None, :] * a / (a @ q[:, :, None]),
+    aq = (a @ q[:, :, None])[:, :, 0]
+    lam = np.where(p[:, :, None] > 0, q[:, None, :] * a / aq[:, :, None],
                    q[:, None, :])  # rows off the source support never matter
     joint = p[:, :, None] * lam
     dist = (joint * dmat).sum(axis=(1, 2))
     rate = np.full(len(p), _joint_mutual_information(joint))
+    # dD/ds as derived above, b and H taken in the sqrt(q)-scaled variable
+    dist_x = (lam * dmat).sum(axis=2)
+    w = p / aq
+    root = np.sqrt(q)
+    u = root * np.einsum("ts,tsz->tz", w, a * (dmat - dist_x[:, :, None]))
+    scaled = (a.transpose(0, 2, 1) * (w / aq)[:, None, :]) @ a
+    scaled *= root[:, :, None] * root[:, None, :]
+    ddist = ((joint * dmat * dmat).sum(axis=(1, 2)) - (p * dist_x ** 2).sum(1)
+             + (u * (np.linalg.pinv(scaled, 1e-10, hermitian=True)
+                     @ u[:, :, None])[:, :, 0]).sum(axis=1))
     passed = (gap <= max(tol, _INNER_TOL)) & np.isfinite(rate)
     errors = {} if passed.all() else {
         int(i): f"rate-distortion solve at slope {slope[i]} for "
                 f"P = {p[i].tolist()}: gap {gap[i]:.3e} (tol {tol}), "
                 f"test channel rate {rate[i]}" for i in np.flatnonzero(~passed)}
-    return rate, dist, lam, q, gap, steps, errors
+    return rate, dist, lam, q, gap, steps, ddist, errors
 
 
 def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
                   by_rate: bool, tol: float, out: _Solves,
-                  rows: np.ndarray) -> None:
+                  rows: np.ndarray, start: float = -1.0) -> None:
     """For each of the ``rows`` of ``p`` (T, |S|), find the Lagrangian slope
     s < 0 at which D(s), or R(s) with ``by_rate``, is within ``tol`` of
     ``target``, and record it in ``out``.
 
     D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-, so the
     signed residual g = +-(value - target) rises through 0 at the slope
-    sought. One loop: each row keeps a bracket [lo, hi] with g(lo) < 0 <=
-    g(hi), lo = -inf until a slope lands below and hi = 0 at first. While
-    lo = -inf the next slope doubles the last, from -1; then it is the
-    regula falsi point of the two ends, where an end kept twice in a row
-    has its residual halved (Illinois; Dowell & Jarratt, BIT 1971), or the
-    midpoint when that point is not strictly inside. A row stops when its
-    value is within ``tol`` or its bracket is pinned to 1e-15 relative,
-    which leaves it to the tangent correction. Each round solves every row
-    still searching as one batch. ``out`` keeps each row at the slope it
-    stopped at, or its error; a row still open after ``_MAX_SLOPE_ITER``
-    rounds gets an error naming P and the round count.
+    sought, with slope g' = dD/ds or -s dD/ds from ``_fixed_slope``. One
+    loop: each row starts at ``start`` (at -1 where that is not a finite
+    negative slope) and keeps a bracket [lo, hi] with g(lo) < 0 <= g(hi),
+    lo = -inf until a slope lands below and hi = 0 at first. The next slope is the Newton point s - g/g' when it lies
+    strictly inside the bracket and no farther from s than a quarter of the
+    bracket width, or no farther than 4 s while lo = -inf; otherwise it is
+    the midpoint of the bracket, or 2 s while lo = -inf. A row stops when
+    its value is within ``tol`` or its bracket is pinned to 1e-15
+    relative, which leaves it to the tangent correction. Each round solves
+    every row still searching as one batch. ``out`` keeps each row at the
+    slope it stopped at, or its error; a row still open after
+    ``_MAX_SLOPE_ITER`` rounds gets an error naming P and the round count.
     """
     key, sign = (0, -1.0) if by_rate else (1, 1.0)
-    slope = np.full(len(rows), -1.0)
+    slope = np.full(len(rows), start if -math.inf < start < 0 else -1.0)
     lo, hi = np.full(len(rows), -np.inf), np.zeros(len(rows))
-    g_lo, g_hi = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-    lo_moved = np.zeros(len(rows), dtype=bool)
     for _ in range(_MAX_SLOPE_ITER):
         sol = _fixed_slope(p[rows], dmat, slope, tol)
         out.iterations[rows] += sol[5]
         g = sign * (sol[key] - target)
+        dg = -slope * sol[6] if by_rate else sol[6]
         below = g < 0
-        # Illinois: the end that stays put a second time in a row counts half
-        half = np.where(below == lo_moved, 0.5, 1.0)
-        lo, g_lo = np.where(below, slope, lo), np.where(below, g, half * g_lo)
-        hi, g_hi = np.where(below, hi, slope), np.where(below, half * g_hi, g)
-        lo_moved = below
+        lo, hi = np.where(below, slope, lo), np.where(below, hi, slope)
         # a pinned slope is left to the tangent correction
         going = (np.abs(g) > tol) & ((lo == -np.inf) | (
             hi - lo > 1e-15 * np.maximum(1.0, np.abs(lo))))
-        if sol[6]:
-            going[list(sol[6])] = False
+        if sol[7]:
+            going[list(sol[7])] = False
         if not going.all():
             out.store(rows, slope, sol, ~going)
-            rows, slope, lo, hi, g_lo, g_hi, lo_moved = (
-                part[going] for part in (rows, slope, lo, hi, g_lo, g_hi,
-                                         lo_moved))
+            rows, slope, lo, hi, g, dg = (part[going] for part in (
+                rows, slope, lo, hi, g, dg))
             if not rows.size:
                 return
-        # NaN while an end is unknown, which falls back to the midpoint
-        cand = lo + g_lo / (g_lo - g_hi) * (hi - lo)
-        slope = np.where(lo == -np.inf, 2.0 * slope,
-                         np.where((lo < cand) & (cand < hi), cand,
+        with np.errstate(over="ignore"):  # an infinite step is never taken
+            step = np.divide(g, dg, out=np.full(len(rows), np.inf),
+                             where=dg > 0)
+        newton = slope - step
+        # a Newton point past 4 s comes from the flat part of D(s), as s
+        # nears the slope where R reaches 0
+        reach = np.where(lo == -np.inf, -3.0 * slope, 0.25 * (hi - lo))
+        slope = np.where((lo < newton) & (newton < hi)
+                         & (np.abs(step) <= reach), newton,
+                         np.where(lo == -np.inf, 2.0 * slope,
                                   0.5 * (lo + hi)))
     for r in rows:
         out.error[r] = (f"rate-distortion slope search for P = "
@@ -251,12 +277,13 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
 
 
 def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
-                tol: float) -> _Solves:
+                tol: float, start: float = -1.0) -> _Solves:
     """R(P_t, D) for every row P_t of ``p`` (T, |S|) at one D, as in
     ``rdf``: the rows at or above their d_max, within 1e-12, take the
     constant reproduction and rate 0; for D within 1e-12 of 0 the rest
     solve the zero-distortion endpoint; otherwise one batched slope search
-    solves them, and their rates get the tangent-line correction."""
+    from ``start`` solves them, and their rates get the tangent-line
+    correction."""
     out = _Solves(len(p), *dmat.shape)
     expected = p @ dmat
     best = np.argmin(expected, axis=1)
@@ -273,17 +300,18 @@ def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
         out.store(rows, slope, sol)
         out.iterations[rows] += sol[5]
         return out
-    _slope_search(p, dmat, d, False, tol, out, rows)
+    _slope_search(p, dmat, d, False, tol, out, rows, start)
     out.rate[rows] = np.maximum(
         out.rate[rows] + out.slope[rows] * (d - out.dist[rows]), 0.0)
     return out
 
 
 def _rdf_rates(p: np.ndarray, dmat: np.ndarray, d: float,
-               tol: float) -> np.ndarray:
-    """R(P_t, D) for every row of ``p`` (T, |S|) from one batched solve, as
-    ``rdf`` gives it, with NaN for each row whose ``rdf`` would raise."""
-    out = _rdf_solves(p, dmat, d, tol)
+               tol: float, start: float = -1.0) -> np.ndarray:
+    """R(P_t, D) for every row of ``p`` (T, |S|) from one batched solve
+    whose slope search starts at ``start``, as ``rdf`` gives it, with NaN
+    for each row whose ``rdf`` would raise."""
+    out = _rdf_solves(p, dmat, d, tol, start)
     return np.where([e is None for e in out.error], out.rate, np.nan)
 
 
@@ -317,34 +345,46 @@ def distortion_rate(src: SourceSpec, rate: float,
     rate >= R(P,0), which is solved once per source. Raises DomainError on
     a NaN rate, and NonConvergence as ``rdf`` does.
     """
+    return _distortion_rate(src, rate, tol)[0]
+
+
+def _distortion_rate(src: SourceSpec, rate: float,
+                     tol: float) -> tuple[float, float]:
+    """``distortion_rate`` and the slope its search stopped at, or -1, where
+    a search starts, when none ran."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     if math.isnan(rate):
         raise DomainError("rate must not be NaN")
     dm = d_max(src)
     if rate <= 0.0:
-        return dm
+        return dm, -1.0
     if rate >= src._zero_rate:
-        return 0.0
+        return 0.0, -1.0
     out = _Solves(1, *src.distortion.shape)
     _slope_search(src.distribution.probs[None], src.distortion, rate, True,
                   tol, out, np.arange(1))
     res = out.result(0)
     return min(max(res.achieved_distortion
-                   + (rate - res.rate) / res.lagrange_slope, 0.0), dm)
+                   + (rate - res.rate) / res.lagrange_slope, 0.0),
+               dm), res.lagrange_slope
 
 
-def _tilted_solve(src: SourceSpec, d: float, tol: float = 1e-11
-                  ) -> tuple[RdfResult, np.ndarray, float]:
-    """(res, g, V_S) from one rdf solve at D: the solve, the centered
-    d-tilted information g = j - E_P[j] built from its slope s < 0 and q*,
-    and V_S = Var_P[j]."""
+def _tilted_solve(src: SourceSpec, d: float, tol: float = 1e-11,
+                  start: float = -1.0) -> tuple[RdfResult, np.ndarray, float]:
+    """(res, g, V_S) from one rdf solve at D, its slope search started at
+    ``start``: the solve, the centered d-tilted information g = j - E_P[j]
+    built from its slope s < 0 and q*, and V_S = Var_P[j]. From the
+    default start the solve is one public ``rdf`` call, so callers such as
+    the ``source`` command still solve through ``rdf`` once per report
+    (``tests/test_cli.py`` counts those calls)."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
             f"gradient needs D strictly inside (0, {dm}); got {d}"
         )
-    res = rdf(src, d, tol)
+    res = rdf(src, d, tol) if start == -1.0 else _rdf_solves(
+        src.distribution.probs[None], src.distortion, d, tol, start).result(0)
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
     p = src.distribution.probs

@@ -188,6 +188,23 @@ class TestProblemFile:
             else:
                 assert validator.is_valid(prob), value
 
+    @pytest.mark.parametrize("bad,need", [
+        (math.nan, "a finite number"), (True, "a finite number"),
+        (-0.5, ">= 0")])
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_number_array_names_its_first_bad_item(self, bad, need, at):
+        # the error names the first entry of the array that fails, with
+        # the indices of the rows on the way to it
+        row = [1, 0.0, 0.5, 0.5]
+        row[at] = bad
+        if at < 3:
+            row[3] = -1.0
+        prob = dict(BSC_PROBLEM, channel={"matrix": [[1, 0, 0, 0], row]})
+        with pytest.raises(cli.ProblemFileError) as exc:
+            cli._check(prob, SCHEMA)
+        assert str(exc.value) == (f"field 'channel.matrix', item [1][{at}]: "
+                                  f"{json.dumps(bad)} is not {need}")
+
     def test_loading_imports_no_validator(self):
         # the loader walks the schema itself; jsonschema is a test extra and
         # scipy is not a runtime dependency

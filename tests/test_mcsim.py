@@ -437,6 +437,14 @@ class TestUepMachinery:
             uep_simulate(cfg, bsc011, sim)
 
 
+class TestSimConfig:
+    def test_negative_seed_names_the_seed(self):
+        # the error names the seed given, not the class lane uep_simulate
+        # derives from it (-1000003 for class 0)
+        with pytest.raises(DomainError, match=r"got -1$"):
+            SimConfig(seed=-1, trials=10, n=128)
+
+
 class TestUepSimulate:
     def test_single_codeword_generous_threshold(self, bsc011):
         n = 128

@@ -219,3 +219,68 @@ def test_rdf_meets_the_shannon_lower_bound(point):
     assert rate >= slb - 1e-9
     if d <= (k - 1) * p.min():
         assert abs(rate - slb) <= 1e-9
+
+
+def slsqp_rate(p: np.ndarray, d: np.ndarray, level: float,
+               start: np.ndarray) -> tuple[float, float]:
+    """(I(P, W), E d - D) at the test channel W that scipy's SLSQP reaches
+    from ``start`` when it minimises I(P, W) over row-stochastic W with
+    E d <= D, with the gradient P(x) log(W(z|x) / q(z)); a second run
+    from the first one's W, as SLSQP's line search can stall near a zero
+    entry of W."""
+    from scipy.optimize import minimize
+
+    k, m = d.shape
+
+    def info(w):
+        w = np.maximum(w.reshape(k, m), 1e-300)
+        ratio = np.log(w / (p @ w))
+        return float((p[:, None] * w * ratio).sum()), (p[:, None] * ratio).ravel()
+
+    rows = np.kron(np.eye(k), np.ones(m))
+    cost = (p[:, None] * d).ravel()
+    w = start.ravel()
+    for _ in range(2):
+        w = minimize(info, w, jac=True, method="SLSQP",
+                     bounds=[(0.0, 1.0)] * (k * m),
+                     constraints=[
+                         {"type": "eq", "fun": lambda w: rows @ w - 1.0,
+                          "jac": lambda w: rows},
+                         {"type": "ineq", "fun": lambda w: level - cost @ w,
+                          "jac": lambda w: -cost[None, :]}],
+                     options={"ftol": 1e-14, "maxiter": 500}).x
+    w = np.clip(w.reshape(k, m), 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    return mutual_information(Distribution(p), Channel(w)), float(cost @ w.ravel()) - level
+
+
+@st.composite
+def small_points(draw):
+    """A 2-3-letter source with 2-5 reproduction letters, as in ``sources``,
+    and a D strictly inside (0, d_max)."""
+    k, m = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    src = SourceSpec(Distribution(laws(draw, k)), distortions(draw, k, m))
+    return src, draw(st.floats(0.05, 0.95)) * d_max(src)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_points(), st.integers(0, 2 ** 32 - 1))
+def test_rdf_agrees_with_slsqp(point, seed):
+    # an independent convex solve over the test channels themselves:
+    # SLSQP from a random row-stochastic W, from the uniform one, and from
+    # the test channel of the rdf solve
+    src, d = point
+    assume(d > 1e-3)
+    p, dmat = src.distribution.probs, src.distortion
+    res = rdf(src, d, 1e-11)
+    k, m = dmat.shape
+    w = np.random.default_rng(seed).dirichlet(np.ones(m), size=k)
+    rate, excess = min(slsqp_rate(p, dmat, d, start) for start in (
+        w, np.full((k, m), 1.0 / m), res.test_channel))
+    # no feasible point beats R(D), and a violation of the constraint by
+    # excess buys at most |s| * excess of rate
+    assert res.rate <= rate + abs(res.lagrange_slope) * max(excess, 0.0) + 1e-9
+    # and SLSQP comes close to R(D): its line search stalls near a zero
+    # entry of W, seen up to 1.1e-5 above R(D) from all three starts in
+    # 3,200 random examples (each with a duplicate column)
+    assert rate <= res.rate + 1e-4

@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 
@@ -23,10 +24,13 @@ from jsccdisp import (
     source_rate_at,
 )
 import jsccdisp.source as sa
-from jsccdisp.cli import load_problem_file
+from jsccdisp.cli import load_problem_file, main
 from conftest import HAMMING, hamming_source
 
-EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs" / "examples"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLES = REPO / "docs" / "examples"
+TERNARY = str(EXAMPLES / "ternary_asymmetric.json")
+CHANNEL_6X3 = str(REPO / "perfbench" / "inputs" / "channel_6x3.json")
 
 LN2 = math.log(2.0)
 TERNARY_PROBS = np.array([0.5, 0.3, 0.2])
@@ -245,6 +249,35 @@ class TestSlopeSearch:
                               0.1, sa.DEFAULT_RDF_TOL)
         assert math.isnan(rates[0]) and rates[1] == 0.0
 
+    def test_solve_counts(self, monkeypatch, capsys):
+        # solve counts repeat exactly where times do not. Illinois regula
+        # falsi from s = -1 took 57 solves over the four analytic benchmark
+        # invocations (only jscc and source solve) and 10 for one rdf. The
+        # bound 30 is what the Newton search reaches with the D_n searches
+        # of distortion_threshold still started at s = -1; seeding them at
+        # the D* slope too made 26 in a trial
+        calls = self.count_solves(monkeypatch)
+        for argv in (["jscc", TERNARY, "--n-list", "100,1000,10000"],
+                     ["source", TERNARY, "-D", "0.1"],
+                     ["channel", CHANNEL_6X3, "--n-list", "100,1000,10000"],
+                     ["separation", "--paper-fig3"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) <= 30
+        calls.clear()
+        rdf(load_problem_file(TERNARY)["source"], 0.1)
+        assert len(calls) <= 5
+
+    def test_excess_types_solved_in_few_rounds(self, monkeypatch, capsys):
+        # the batch of source types starts at the slope of P itself; from
+        # s = -1 the run (20,000 trials, n = 500, seed 7) solved 22,739 rows
+        rows = self.count_solves(monkeypatch)
+        assert main(["simulate", TERNARY, "--what", "excess"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["estimate"] == 0.08485
+        assert result["diagnostics"]["boundary_trials"] == 0
+        assert sum(rows) <= 2290
+
 
 class TestRdfCertificates:
     @pytest.mark.parametrize("name", ["bsc011_hamming", "ternary_asymmetric"])
@@ -253,6 +286,14 @@ class TestRdfCertificates:
         for tol in (1e-9, 1e-12, 1e-15):
             res = rdf(src, 0.5 * d_max(src), tol)
             assert 0.0 <= res.gap <= max(tol, 1e-13)
+
+    def test_gap_is_never_negative(self):
+        # uniform q is already optimal at this slope, and Blahut's bound
+        # rounds to -1.1e-16 after 0 steps; the Newton slope search lands
+        # on it for the fair Hamming source at D = 0.25
+        sol = sa._fixed_slope(np.array([[0.5, 0.5]]), HAMMING,
+                              np.array([-1.0986122886681096]), 1e-9)
+        assert (sol[4][0], sol[5][0]) == (0.0, 0)
 
     def test_no_iterations_at_d_max(self, fair_hamming):
         res = rdf(fair_hamming, d_max(fair_hamming))
