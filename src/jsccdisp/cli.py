@@ -259,10 +259,7 @@ def cmd_source(args) -> int:
         raise ProblemFileError("the source command needs --distortion")
     dm = sa.d_max(src)
     interior = sa.BOUNDARY_TOL < d < dm - sa.BOUNDARY_TOL
-    if interior:
-        res, _, v_s = sa._tilted_solve(src, d, min(args.tol, 1e-11))
-    else:
-        res = sa.rdf(src, d, min(args.tol, 1e-9))
+    res = sa.rdf(src, d, min(args.tol, 1e-11 if interior else 1e-9))
     report = {
         "units": units,
         "distortion": d,
@@ -274,6 +271,7 @@ def cmd_source(args) -> int:
         "correction_note": jscc.CORRECTION_NOTE,
     }
     if interior:
+        v_s = sa._tilted(src, res, d)[2]
         report["v_s"] = v_s / (div * div)
         eps = problem.get("eps")
         if eps is not None:
@@ -423,8 +421,9 @@ def _simulate_clt_mi(args, problem, seed, trials, n_list):
 def _simulate_clt_jscc(args, problem, seed, trials, n_list):
     pb = _jscc_problem(problem)
     cap = ch.capacity(pb.channel)
-    d_star = sa.distortion_rate(pb.source, pb.rho * cap.capacity)
-    solve = sa._tilted_solve(pb.source, d_star)
+    d_star, res = sa._distortion_rate(pb.source, pb.rho * cap.capacity,
+                                      sa._TILTED_RATE_TOL)
+    solve = sa._tilted(pb.source, res, d_star)
 
     def row(n):
         m = int(math.floor(pb.rho * n))

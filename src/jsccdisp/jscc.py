@@ -115,15 +115,6 @@ def opta(problem: JsccProblem, tol: float = 1e-9) -> float:
     return sa.distortion_rate(problem.source, problem.rho * cap.capacity, tol)
 
 
-def _check_interior(problem: JsccProblem, d_star: float) -> None:
-    dm = sa.d_max(problem.source)
-    if d_star <= _BOUNDARY_TOL or d_star >= dm - _BOUNDARY_TOL:
-        raise BoundaryDistortion(
-            f"D* = {d_star} sits on the boundary of (0, {dm}); the lossy "
-            "dispersion is undefined there (use lossless_rho for D = 0)"
-        )
-
-
 def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
     """(v_j_low, v_j_high) = V_S(P,D*) + rho * (V_min, V_max), nats^2."""
     rep = dispersion_report(problem)
@@ -132,13 +123,19 @@ def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
 
 def dispersion_report(problem: JsccProblem) -> DispersionReport:
     """All dispersion quantities for a problem, in nats; C comes from the
-    capacity solve inside ``vmin_vmax``."""
+    capacity solve inside ``vmin_vmax``, and D* and V_S(P, D*) from the
+    final solve of one slope search to R(s) = rho*C within 1e-12."""
     disp = ch.vmin_vmax(problem.channel)
     cap = disp.capacity.capacity
-    d_star, slope = sa._distortion_rate(problem.source, problem.rho * cap,
-                                        sa.DEFAULT_RDF_TOL)
-    _check_interior(problem, d_star)
-    v_s = sa._tilted_solve(problem.source, d_star, start=slope)[2]
+    d_star, res = sa._distortion_rate(problem.source, problem.rho * cap,
+                                      sa._TILTED_RATE_TOL)
+    dm = sa.d_max(problem.source)
+    if d_star <= _BOUNDARY_TOL or d_star >= dm - _BOUNDARY_TOL:
+        raise BoundaryDistortion(
+            f"D* = {d_star} sits on the boundary of (0, {dm}); the lossy "
+            "dispersion is undefined there (use lossless_rho for D = 0)"
+        )
+    v_s = sa._tilted(problem.source, res, d_star)[2]
     return DispersionReport(
         capacity=cap,
         v_min=disp.v_min,

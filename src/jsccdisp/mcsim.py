@@ -398,9 +398,9 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
            + rho * D'_R * sum_{x,y} (P_{Y|x}(y|x)-W(y|x)) I'_W(y|x),
     a sum of n + m independent variables; the standardizer is its exact
     variance (D'_R)^2 V_S / n + (rho D'_R)^2 V(phi_m, W) / m with rho = m/n.
-    ``solve``, the value of ``source._tilted_solve(src, d_star)``, lets one
-    rdf solve at D* serve every block length; it is computed here when not
-    given.
+    ``solve``, the (res, g, V_S) of ``source._tilted`` at D*, lets one
+    solve at D* serve every block length; it is computed here by
+    ``source._tilted_solve`` when not given.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")

@@ -12,9 +12,10 @@ slope is bracketed; a row still open after ``_MAX_SLOPE_ITER`` rounds fails
 with NonConvergence naming P. Each slope is solved by the simplex Newton
 kernel of ``probcore`` with Blahut's bound as its certificate. The search
 runs on a batch of source laws at once (``_rdf_rates``), from a start
-slope that a caller may give: the D* search seeds the tilted solve at D*,
-and the excess simulator seeds its batch of source types with the slope of
-P itself. ``rdf`` and ``distortion_rate`` are batches of one from s = -1.
+slope that a caller may give: the excess simulator seeds its batch of
+source types with the slope of P itself. ``rdf`` and ``distortion_rate``
+are batches of one from s = -1. V_S at a point is read off the solve that
+found the point (``_tilted``), so D* and V_S(P, D*) take one search.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -45,6 +46,9 @@ BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
 _INNER_TOL = 1e-13
 _MAX_SLOPE_ITER = 300
+# a rate search to 1e-12 whose solve gives V_S puts D(s) within 1e-12 / |s|,
+# inside the 1e-11 of ``_tilted_solve`` wherever s < -0.1
+_TILTED_RATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,10 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     c(q, s) = A^T (P / A q) = 1 on the support of q: it is
     sum_x P(x) Var_lambda[d | x] + b^T dq/ds, where H dq/ds = b, H is the
     Hessian of ``_rd_oracle`` and b_z = sum_x P(x) A_xz / (Aq)_x
-    (d_xz - D_x), D_x = E_lambda[d | x]. H is singular when |Shat| > |S|,
-    so the system is solved in the sqrt(q)-scaled variable by a
-    pseudo-inverse whose cutoff drops the letters held off the support.
-    dR/ds is s * dD/ds.
+    (d_xz - D_x), D_x = E_lambda[d | x]; a letter whose mass q_z is below
+    its slack 1 - c_z is off the support, where dq_z/ds = 0. The system is
+    solved in the sqrt(q)-scaled variable by a pseudo-inverse, as H is
+    singular when |Shat| > |S|. dR/ds is s * dD/ds.
     """
     if zero:
         a = np.broadcast_to(dmat == 0, (len(p),) + dmat.shape).astype(float)
@@ -201,12 +205,12 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     # dD/ds as derived above, b and H taken in the sqrt(q)-scaled variable
     dist_x = (lam * dmat).sum(axis=2)
     w = p / aq
-    root = np.sqrt(q)
+    root = np.where(q > 1.0 - (w[:, None, :] @ a)[:, 0, :], np.sqrt(q), 0.0)
     u = root * np.einsum("ts,tsz->tz", w, a * (dmat - dist_x[:, :, None]))
     scaled = (a.transpose(0, 2, 1) * (w / aq)[:, None, :]) @ a
     scaled *= root[:, :, None] * root[:, None, :]
     ddist = ((joint * dmat * dmat).sum(axis=(1, 2)) - (p * dist_x ** 2).sum(1)
-             + (u * (np.linalg.pinv(scaled, 1e-10, hermitian=True)
+             + (u * (np.linalg.pinv(scaled, 1e-10)
                      @ u[:, :, None])[:, :, 0]).sum(axis=1))
     passed = (gap <= max(tol, _INNER_TOL)) & np.isfinite(rate)
     errors = {} if passed.all() else {
@@ -349,47 +353,47 @@ def distortion_rate(src: SourceSpec, rate: float,
 
 
 def _distortion_rate(src: SourceSpec, rate: float,
-                     tol: float) -> tuple[float, float]:
-    """``distortion_rate`` and the slope its search stopped at, or -1, where
-    a search starts, when none ran."""
+                     tol: float) -> tuple[float, RdfResult | None]:
+    """``distortion_rate`` and its final solve (None at the endpoints)."""
     if not tol > 0:
         raise DomainError("tol must be positive")
     if math.isnan(rate):
         raise DomainError("rate must not be NaN")
     dm = d_max(src)
     if rate <= 0.0:
-        return dm, -1.0
+        return dm, None
     if rate >= src._zero_rate:
-        return 0.0, -1.0
+        return 0.0, None
     out = _Solves(1, *src.distortion.shape)
     _slope_search(src.distribution.probs[None], src.distortion, rate, True,
                   tol, out, np.arange(1))
     res = out.result(0)
     return min(max(res.achieved_distortion
-                   + (rate - res.rate) / res.lagrange_slope, 0.0),
-               dm), res.lagrange_slope
+                   + (rate - res.rate) / res.lagrange_slope, 0.0), dm), res
 
 
-def _tilted_solve(src: SourceSpec, d: float, tol: float = 1e-11,
-                  start: float = -1.0) -> tuple[RdfResult, np.ndarray, float]:
-    """(res, g, V_S) from one rdf solve at D, its slope search started at
-    ``start``: the solve, the centered d-tilted information g = j - E_P[j]
-    built from its slope s < 0 and q*, and V_S = Var_P[j]. From the
-    default start the solve is one public ``rdf`` call, so callers such as
-    the ``source`` command still solve through ``rdf`` once per report
-    (``tests/test_cli.py`` counts those calls)."""
+def _tilted(src: SourceSpec, res: RdfResult | None,
+            d: float) -> tuple[RdfResult, np.ndarray, float]:
+    """(res, g, V_S) from the solve ``res`` that found D: g = j - E_P[j], the
+    centered d-tilted information of its slope and q*, and V_S = Var_P[j];
+    BoundaryDistortion, with ``res`` unread, unless 0 < D < d_max."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
             f"gradient needs D strictly inside (0, {dm}); got {d}"
         )
-    res = rdf(src, d, tol) if start == -1.0 else _rdf_solves(
-        src.distribution.probs[None], src.distortion, d, tol, start).result(0)
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
     p = src.distribution.probs
     g = j - float(np.dot(p, j))
     return res, g, float(np.dot(p, g ** 2))
+
+
+def _tilted_solve(src: SourceSpec, d: float,
+                  tol: float = 1e-11) -> tuple[RdfResult, np.ndarray, float]:
+    """``_tilted`` of one ``rdf`` solve at D, made only for an interior D."""
+    inside = BOUNDARY_TOL < d < d_max(src) - BOUNDARY_TOL
+    return _tilted(src, rdf(src, d, tol) if inside else None, d)
 
 
 def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:

@@ -257,8 +257,8 @@ class TestNumericFlags:
 
     def test_non_finite_report_exit_3(self, monkeypatch, tmp_path, capsys):
         # a report with a NaN in it writes nothing, not a NaN token
-        real = sa._tilted_solve
-        monkeypatch.setattr(sa, "_tilted_solve",
+        real = sa._tilted
+        monkeypatch.setattr(sa, "_tilted",
                             lambda *a: real(*a)[:2] + (math.nan,))
         code, out, err = run(["source", TERNARY, "-D", "0.1"], capsys)
         assert (code, out) == (3, "")
@@ -644,14 +644,15 @@ class TestSimulateCommand:
         assert [r["eps_target"] for r in json.loads(out)["results"]] == [0.001] * 2
 
     def test_clt_jscc_solves_once(self, monkeypatch, capsys):
-        # one capacity solve; one rdf for D*, then one for the gradient at D*
+        # one capacity solve; one rdf for R(P, 0), and none at D*: the
+        # gradient at D* is read off the search that found D*
         capacities = count_calls(monkeypatch, ch, "capacity")
         rdfs = count_calls(monkeypatch, sa, "rdf")
         code, _, _ = run(
             ["simulate", TERNARY, "--what", "clt-jscc",
              "--n-list", "100,1000,10000", "--trials", "200"], capsys)
         assert code == 0
-        assert (len(capacities), len(rdfs)) == (1, 2)
+        assert (len(capacities), len(rdfs)) == (1, 1)
 
     def test_excess_estimate_near_target(self, problem_file, capsys):
         code, out, _ = run(

@@ -14,8 +14,10 @@ from jsccdisp import (
     SourceSpec,
     UndefinedAtHalf,
     UselessChannel,
+    capacity,
     combine_error_probs,
     dispersion_report,
+    distortion_rate,
     distortion_threshold,
     jscc_dispersion,
     log_prob_variance,
@@ -29,6 +31,7 @@ from jsccdisp import (
     separation_split,
     separation_vsep,
 )
+from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 
 LN2 = math.log(2.0)
@@ -113,6 +116,25 @@ class TestJsccDispersion:
         pb = JsccProblem(fair_hamming, bsc011, 4.0, 0.1)  # lossless regime
         with pytest.raises(BoundaryDistortion):
             jscc_dispersion(pb)
+
+    def test_v_s_at_d_star_is_read_off_the_d_star_search(self):
+        # a 2 x 4 source over BSC(0.0388) at rho = 1.0027, D* = 0.0014: a
+        # distortion-targeted search at D* to 1e-11 may stop at a slope
+        # that moves V_S by 1.1e-10 relative here; the reference solves at
+        # tol 1e-15
+        src = SourceSpec(
+            Distribution(np.array([0.23407759075354564, 0.7659224092464544])),
+            np.array([[1.8479615242277836, 0.0, 2.045498720952119,
+                       0.8005973153383519],
+                      [2.863055678694003, 0.5679323940839713, 0.0,
+                       1.981803234093671]]))
+        pb = JsccProblem(src, bsc(0.03882227019921258), 1.002737171152922,
+                         0.1)
+        rate = pb.rho * capacity(pb.channel).capacity
+        v_s = _tilted_solve(src, distortion_rate(src, rate, 1e-15), 1e-15)[2]
+        assert v_s == pytest.approx(0.24748962749159162, rel=1e-13)
+        assert dispersion_report(pb).v_s_at_d_star == pytest.approx(
+            v_s, rel=1e-12)
 
     def test_report_solves_capacity_once(self, monkeypatch):
         # C comes from the capacity solve inside vmin_vmax

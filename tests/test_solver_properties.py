@@ -11,7 +11,7 @@ A batch of solves must give each row what a batch of one gives it.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jsccdisp import (
@@ -20,14 +20,18 @@ from jsccdisp import (
     NonConvergence,
     SourceSpec,
     capacity,
+    conditional_information_variance,
     d_max,
     distortion_rate,
+    excess_event_probability,
     mutual_information,
+    nearest_type,
     rdf,
+    vmin_vmax,
 )
 from jsccdisp.channel import _capacity_oracle
 from jsccdisp.probcore import _simplex_newton
-from jsccdisp.source import _rd_oracle, _rdf_rates, _tilted_solve
+from jsccdisp.source import _fixed_slope, _rd_oracle, _rdf_rates, _tilted_solve
 
 TOL = 1e-10
 
@@ -108,6 +112,32 @@ def test_capacity_bracket_holds_the_mutual_information(w):
     mi = mutual_information(res.input_distribution, w)
     # the two routes to I(phi, W) round differently by a few ulp
     assert res.lower_bound - 1e-14 <= mi <= res.upper_bound + 1e-14
+
+
+@given(channels())
+def test_capacity_input_dispersion_lies_in_the_vertex_range(w):
+    # V(phi) at the capacity solve's phi is a point of [V_min, V_max] up to
+    # the solve's tolerance: phi is within tau = sqrt(2 tol) of Pi(W), the
+    # scale at which vmin_vmax admits rows to X*, and its mass off X* is at
+    # most tol / tau
+    disp = vmin_vmax(w, TOL)
+    v = conditional_information_variance(disp.capacity.input_distribution, w)
+    slack = math.sqrt(2.0 * TOL) * max(1.0, disp.v_max)
+    assert disp.v_min - slack <= v <= disp.v_max + slack
+
+
+@settings(max_examples=40)
+@given(st.floats(0.02, 0.5), st.floats(0.02, 0.98), st.floats(0.01, 0.3),
+       st.integers(20, 200), st.integers(0, 2 ** 32 - 1))
+def test_excess_run_has_no_boundary_trials(p, fraction, crossover, n, seed):
+    # a binary Hamming source at D below min P, where every source type of
+    # the run has a well-posed rate, over a BSC at rho = 1
+    src = SourceSpec(Distribution(np.array([1.0 - p, p])), 1.0 - np.eye(2))
+    w = Channel(np.array([[1.0 - crossover, crossover],
+                          [crossover, 1.0 - crossover]]))
+    phi = nearest_type(Distribution(np.array([0.5, 0.5])), n)
+    res = excess_event_probability(src, w, phi, fraction * p, n, 500, seed)
+    assert res.diagnostics["boundary_trials"] == 0
 
 
 @settings(max_examples=40)
@@ -191,6 +221,47 @@ def test_tilted_information_averages_to_the_rate(src, fraction):
     p = src.distribution.probs
     assert math.isclose(float(p @ j), res.rate, rel_tol=0.0, abs_tol=1e-10)
     assert np.allclose(g, j - p @ j, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def slope_points(draw):
+    """A 2-3-letter law as in ``laws``, a distortion matrix of 2-5 columns
+    as in ``distortions``, and a slope s in [-20, -0.05]."""
+    k, m = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    return laws(draw, k), distortions(draw, k, m), -draw(st.floats(0.05, 20.0))
+
+
+@settings(max_examples=150)
+@given(slope_points())
+# reproduction letter 0, the only zero-distortion letter of the 0.002-mass
+# source letter, is held off the support, so D(s) is flat here; its
+# barrier-floor mass once left dD/ds at 0.0117
+@example((np.array([0.002003690409358, 0.0, 0.9979963095906419]),
+          np.array([[0.0, 2.4217758721240905, 2.4217758721240905],
+                    [2.5288306015563133, 0.0, 0.0],
+                    [2.451960005096619, 0.0, 0.0]]), -2.553125644147972))
+def test_slope_derivative_matches_central_differences(point):
+    # Q(h) = (D(s + h) - D(s - h)) / 2h misses dD/ds by h^2 D'''/6 + O(h^4),
+    # so Richardson's (Q(2h) - Q(h)) / 3 estimates that truncation error
+    # and twice it bounds it. Each D is accurate to delta = 1e-10 (solves at
+    # the kernel's 1e-13 came within 3.5e-11 of solves at 1e-15 over 800
+    # random problems), which puts at most delta / h into Q(h) and
+    # delta / 2h into the estimate.
+    p, d, s = point
+    h = 1e-3 * abs(s)
+    slopes = s + h * np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+    _, dist, _, q, _, _, ddist, errors = _fixed_slope(
+        np.repeat(p[None], 5, axis=0), d, slopes, TOL)
+    assert not errors
+    # D(s) is smooth while the support stays put: a letter is on it while
+    # its mass q_z exceeds its slack 1 - c_z, c = A^T (P / A q)
+    a = np.exp(slopes[:, None, None] * d)
+    c = ((p / (a @ q[:, :, None])[:, :, 0])[:, None, :] @ a)[:, 0, :]
+    support = q > 1.0 - c
+    assume((support == support[0]).all())
+    q1 = (dist[1] - dist[2]) / (2 * h)
+    q2 = (dist[3] - dist[4]) / (4 * h)
+    assert abs(ddist[0] - q1) <= 2 * abs(q2 - q1) / 3 + 2e-10 / h
 
 
 @st.composite
