@@ -44,6 +44,7 @@ from .jscc import (
     combine_error_probs,
     dispersion_report,
     distortion_threshold,
+    distortion_thresholds,
     jscc_dispersion,
     log_prob_variance,
     lossless_rho,

@@ -157,22 +157,25 @@ def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
     Minimises -I(phi, W) over the input simplex with
     ``probcore._simplex_newton`` on ``_capacity_oracle``, a batch of one;
     I(phi, W) <= C <= max_x D(W_x || phiW) brackets C at every iterate.
-    Raises NonConvergence naming W when the bracket width of the final
-    iterate exceeds ``tol``; ``iterations`` counts the Newton steps.
+    Raises NonConvergence naming W when the width of the returned bracket,
+    evaluated again at the final iterate, exceeds ``tol`` (at a tol near
+    1e-15 it can round above the kernel's own gap); ``iterations`` counts
+    the Newton steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     mat = w.matrix
-    phi, gap, steps = _simplex_newton(_capacity_oracle(mat[None]),
-                                      (1, w.input_size), tol)
-    phi, gap, steps = phi[0], float(gap[0]), int(steps[0])
-    if not gap <= tol:
-        raise NonConvergence(f"capacity: bracket {gap:.3e} > tol {tol} after "
-                             f"{steps} Newton steps for W = {mat.tolist()}")
+    phi, _, steps = _simplex_newton(_capacity_oracle(mat[None]),
+                                    (1, w.input_size), tol)
+    phi, steps = phi[0], int(steps[0])
     t = _row_divergences(phi, mat)
-    lower = max(float(np.dot(phi, t)), 0.0)
-    return CapacityResult(lower, Distribution(phi / phi.sum()), lower,
-                          float(np.max(t)), steps)
+    lower, upper = max(float(np.dot(phi, t)), 0.0), float(np.max(t))
+    if not upper - lower <= tol:
+        raise NonConvergence(f"capacity: bracket {upper - lower:.3e} > tol "
+                             f"{tol} after {steps} Newton steps for W = "
+                             f"{mat.tolist()}")
+    return CapacityResult(lower, Distribution(phi / phi.sum()), lower, upper,
+                          steps)
 
 
 def unconditional_information_variance(phi: Distribution, w: Channel) -> float:

@@ -311,7 +311,7 @@ def cmd_jscc(args) -> int:
                   "correction_note": jscc.CORRECTION_NOTE}
     else:
         rep = jscc.dispersion_report(pb)
-        pts = [jscc.distortion_threshold(pb, n, report=rep) for n in n_list]
+        pts = jscc.distortion_thresholds(pb, n_list, report=rep)
         table, header = "thresholds", [
             "n", "d_n_with_vlow", "d_n_with_vhigh", "target_rate_with_vlow",
             "target_rate_with_vhigh"]
@@ -378,8 +378,8 @@ def _simulate_excess(args, problem, seed, trials, n_list):
     rep = jscc.dispersion_report(pb)
     cap = rep.channel_dispersion.capacity
 
-    def row(n):
-        pt = jscc.distortion_threshold(pb, n, report=rep)
+    def row(pt):
+        n = pt.n
         m = int(math.floor(pb.rho * n))
         phi_m = nearest_type(cap.input_distribution, m)
         res = mcsim.excess_event_probability(
@@ -396,7 +396,8 @@ def _simulate_excess(args, problem, seed, trials, n_list):
             "diagnostics": res.diagnostics,
         }
 
-    return [row(n) for n in n_list]
+    return [row(pt)
+            for pt in jscc.distortion_thresholds(pb, n_list, report=rep)]
 
 
 def _clt_row(res: mcsim.CltResult, n: int, **extra) -> dict:

@@ -1,11 +1,12 @@
 """Joint source-channel coding dispersion analysis.
 
 OPTA distortion, the dispersion sum V_J = V_S(P, D*) + rho * V_C(W),
-normal-approximation distortion thresholds D_n (D* and each D_n by one
-slope search of the distortion-rate function), the lossless
-bandwidth-expansion sequence rho_n, and the separation-loss quantities
-eps_tilde(eps, lambda) and V_sep, both from the exact optimality condition
-of the best split of eps between source and channel code.
+normal-approximation distortion thresholds D_n (D* by one slope search of
+the distortion-rate function, and a whole table of D_n by one batched
+search), the lossless bandwidth-expansion sequence rho_n, and the
+separation-loss quantities eps_tilde(eps, lambda) and V_sep, both from the
+exact optimality condition of the best split of eps between source and
+channel code.
 
 Whenever V_min != V_max the normal-approximation outputs become intervals
 (one value per extreme). Every output in this family omits the
@@ -24,6 +25,7 @@ from . import source as sa
 from .errors import (
     BoundaryDistortion,
     DomainError,
+    NonConvergence,
     RateOutOfRange,
     UndefinedAtHalf,
     UselessChannel,
@@ -153,40 +155,51 @@ def dispersion_report(problem: JsccProblem) -> DispersionReport:
 def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
                          report: DispersionReport | None = None
                          ) -> ThresholdPoint:
-    """D_n solving R(P, D_n) = rho*C - sqrt(V_J/n) * Qinv(eps), both V_J ends.
+    """D_n solving R(P, D_n) = rho*C - sqrt(V_J/n) * Qinv(eps), both V_J ends:
+    the table of ``distortion_thresholds`` at the one block length n."""
+    return distortion_thresholds(problem, [n], tol, report)[0]
 
-    Each D_n comes from one slope search, made once when V_J is a single
-    value (a singleton capacity set). ``report`` reuses the dispersion
-    quantities of the problem across block lengths; without it they are
-    computed here. Raises RateOutOfRange when a target rate leaves
-    (0, R(P,0)); the value is reported in the message rather than clamped.
+
+def distortion_thresholds(problem: JsccProblem, ns, tol: float = 1e-9,
+                          report: DispersionReport | None = None
+                          ) -> list[ThresholdPoint]:
+    """The thresholds of ``distortion_threshold`` for every n of ``ns``.
+
+    Every distinct target rate of the table, over all n and both V_J ends,
+    is solved in one batched slope search of the distortion-rate function
+    (``source._distortion_rates``), each row from s = -1, so each D_n is
+    bit for bit what ``distortion_rate`` gives at its target. ``report``
+    reuses the dispersion quantities of the problem; without it they are
+    computed here. Before any search, raises DomainError for an n below 1
+    and RateOutOfRange when a target rate leaves (0, R(P,0)), for the first
+    such n in order (the value is reported in the message rather than
+    clamped); NonConvergence names the first failed search in that order.
     """
-    if n < 1:
+    ns = list(ns)
+    if any(n < 1 for n in ns):
         raise DomainError("n must be at least 1")
     rep = report if report is not None else dispersion_report(problem)
     qi = q_inverse(problem.eps)
     r_zero = problem.source._zero_rate
-    targets = {}
-    for tag, v in (("vlow", rep.v_j_low), ("vhigh", rep.v_j_high)):
-        t = rep.r_at_d_star - math.sqrt(v / n) * qi
-        if not (0.0 < t < r_zero):
-            raise RateOutOfRange(
-                f"target rate {t} nats (using v_j_{tag.replace('v', '')}) "
-                f"is outside (0, {r_zero})"
-            )
-        targets[tag] = t
-    d_low = sa.distortion_rate(problem.source, targets["vlow"], tol)
-    if targets["vhigh"] == targets["vlow"]:
-        d_high = d_low
-    else:
-        d_high = sa.distortion_rate(problem.source, targets["vhigh"], tol)
-    return ThresholdPoint(
-        n=n,
-        d_with_vlow=d_low,
-        d_with_vhigh=d_high,
-        target_rate_with_vlow=targets["vlow"],
-        target_rate_with_vhigh=targets["vhigh"],
-    )
+    targets = []
+    for n in ns:
+        for tag, v in (("low", rep.v_j_low), ("high", rep.v_j_high)):
+            t = rep.r_at_d_star - math.sqrt(v / n) * qi
+            if not (0.0 < t < r_zero):
+                raise RateOutOfRange(
+                    f"target rate {t} nats (using v_j_{tag}) "
+                    f"is outside (0, {r_zero})"
+                )
+            targets.append(t)
+    rates = list(dict.fromkeys(targets))
+    d, out = sa._distortion_rates(problem.source, np.array(rates), tol)
+    for error in out.error:
+        if error is not None:
+            raise NonConvergence(error)
+    d = dict(zip(rates, d.tolist()))
+    return [ThresholdPoint(n=n, d_with_vlow=d[lo], d_with_vhigh=d[hi],
+                           target_rate_with_vlow=lo, target_rate_with_vhigh=hi)
+            for n, lo, hi in zip(ns, targets[::2], targets[1::2])]
 
 
 def log_prob_variance(p: Distribution) -> float:

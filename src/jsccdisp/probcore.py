@@ -222,6 +222,18 @@ _MAX_NEWTON_ITER = 200
 _ALL = slice(None)
 
 
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a stack of systems, one at a time, with
+    NaN for each system that is singular in floating point."""
+    out = np.full(b.shape, np.nan)
+    for i in range(len(a)):
+        try:
+            out[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
 def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     """Minimise T convex functions F_t over the probability simplex in R^k
     by a log-barrier Newton method, all at once; ``shape`` is (T, k).
@@ -237,12 +249,16 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     dy = dx / x, with matrix X H X + mu I; a symmetric diagonal (Jacobi)
     scaling keeps that system well conditioned as a letter nears 0, and its
     leading block is positive definite for mu > 0, so the bordered system
-    is nonsingular even where H is singular. The step stops at 0.99 of the
-    way to the boundary and is halved until the barrier rises by at most
-    1e-15 * (1 + |F|). A row stops once gap <= tol, when no step down to
-    1e-12 passes that test, or after 200 steps; the caller judges the gap
-    of the returned x, floored at 0 (a bound that rounds below 0 certifies
-    an optimum). Iterates never reach the boundary.
+    is nonsingular even where H is singular, until mu falls below the
+    rounding of that block's unit diagonal: with two equal rows of H (a
+    channel with a repeated row) the two rows of the system then agree bit
+    for bit, which happens at a gap near 1e-16. The step stops at 0.99 of
+    the way to the boundary and is halved until the barrier rises by at
+    most 1e-15 * (1 + |F|). A row stops once gap <= tol, when its Newton
+    system is singular, when no step down to 1e-12 passes that test, or
+    after 200 steps; the caller judges the gap of the returned x, floored
+    at 0 (a bound that rounds below 0 certifies an optimum). Iterates never
+    reach the boundary.
     """
     t, k = shape
     x = np.full(shape, 1.0 / k)
@@ -271,7 +287,11 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
         column[:n] = sx
         border[:n] = sx
         rhs[:n, :k] = scale * (mur[:, None] - xr * grad[rows])
-        dy = scale * np.linalg.solve(kkt[:n], rhs[:n, :, None])[:, :k, 0]
+        try:
+            dy = np.linalg.solve(kkt[:n], rhs[:n, :, None])
+        except np.linalg.LinAlgError:  # a NaN step stops its row below
+            dy = _solve_each(kkt[:n], rhs[:n, :, None])
+        dy = scale * dy[:, :k, 0]
         # the barrier may rise by its rounding error at F
         ceiling = fr - mur * log_x[rows] + 1e-15 * (1.0 + np.abs(fr))
         step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)

@@ -12,10 +12,13 @@ slope is bracketed; a row still open after ``_MAX_SLOPE_ITER`` rounds fails
 with NonConvergence naming P. Each slope is solved by the simplex Newton
 kernel of ``probcore`` with Blahut's bound as its certificate. The search
 runs on a batch of source laws at once (``_rdf_rates``), from a start
-slope that a caller may give: the excess simulator seeds its batch of
-source types with the slope of P itself. ``rdf`` and ``distortion_rate``
-are batches of one from s = -1. V_S at a point is read off the solve that
-found the point (``_tilted``), so D* and V_S(P, D*) take one search.
+slope that a caller may give, and to a target that may differ per row:
+the excess simulator seeds its batch of source types with the slope of P
+itself, and ``_distortion_rates`` searches a whole table of rates (every
+D_n of a ``jscc`` report) as one batch, each row from s = -1. ``rdf`` and
+``distortion_rate`` are batches of one from s = -1. V_S at a point is read
+off the solve that found the point (``_tilted``), so D* and V_S(P, D*)
+take one search.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -220,12 +223,13 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     return rate, dist, lam, q, gap, steps, ddist, errors
 
 
-def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
+def _slope_search(p: np.ndarray, dmat: np.ndarray, target,
                   by_rate: bool, tol: float, out: _Solves,
                   rows: np.ndarray, start: float = -1.0) -> None:
     """For each of the ``rows`` of ``p`` (T, |S|), find the Lagrangian slope
     s < 0 at which D(s), or R(s) with ``by_rate``, is within ``tol`` of
-    ``target``, and record it in ``out``.
+    its ``target`` (one value for every row, or one per row of ``rows``),
+    and record it in ``out``.
 
     D(s) grows toward d_max and R(s) falls toward 0 as s -> 0-, so the
     signed residual g = +-(value - target) rises through 0 at the slope
@@ -243,6 +247,7 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
     ``_MAX_SLOPE_ITER`` rounds gets an error naming P and the round count.
     """
     key, sign = (0, -1.0) if by_rate else (1, 1.0)
+    target = np.full(len(rows), target)
     slope = np.full(len(rows), start if -math.inf < start < 0 else -1.0)
     lo, hi = np.full(len(rows), -np.inf), np.zeros(len(rows))
     for _ in range(_MAX_SLOPE_ITER):
@@ -259,8 +264,8 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target: float,
             going[list(sol[7])] = False
         if not going.all():
             out.store(rows, slope, sol, ~going)
-            rows, slope, lo, hi, g, dg = (part[going] for part in (
-                rows, slope, lo, hi, g, dg))
+            rows, target, slope, lo, hi, g, dg = (part[going] for part in (
+                rows, target, slope, lo, hi, g, dg))
             if not rows.size:
                 return
         with np.errstate(over="ignore"):  # an infinite step is never taken
@@ -354,22 +359,46 @@ def distortion_rate(src: SourceSpec, rate: float,
 
 def _distortion_rate(src: SourceSpec, rate: float,
                      tol: float) -> tuple[float, RdfResult | None]:
-    """``distortion_rate`` and its final solve (None at the endpoints)."""
+    """``distortion_rate`` and its final solve (None at the endpoints): a
+    batch of one of ``_distortion_rates``."""
+    d, out = _distortion_rates(src, np.array([rate], dtype=float), tol)
+    return float(d[0]), (out.result(0) if 0.0 < rate < src._zero_rate
+                         else None)
+
+
+def _distortion_rates(src: SourceSpec, rates: np.ndarray,
+                      tol: float) -> tuple[np.ndarray, _Solves]:
+    """D(P, R) for each of ``rates`` (T,), as ``distortion_rate`` gives it,
+    and the solves behind them.
+
+    A rate <= 0 gives d_max and a rate >= R(P,0) gives 0 (R(P,0) is solved
+    only when some rate is positive); the rates between take one batched
+    slope search, every row from s = -1, and the tangent correction. A row
+    whose search failed has D NaN and its message in the solves' ``error``;
+    a row at an endpoint has no solve.
+    """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    if math.isnan(rate):
+    if np.isnan(rates).any():
         raise DomainError("rate must not be NaN")
     dm = d_max(src)
-    if rate <= 0.0:
-        return dm, None
-    if rate >= src._zero_rate:
-        return 0.0, None
-    out = _Solves(1, *src.distortion.shape)
-    _slope_search(src.distribution.probs[None], src.distortion, rate, True,
-                  tol, out, np.arange(1))
-    res = out.result(0)
-    return min(max(res.achieved_distortion
-                   + (rate - res.rate) / res.lagrange_slope, 0.0), dm), res
+    d = np.where(rates <= 0.0, dm, 0.0)
+    out = _Solves(len(rates), *src.distortion.shape)
+    inside = rates > 0.0
+    if inside.any():
+        inside &= rates < src._zero_rate
+    rows = np.flatnonzero(inside)
+    if rows.size:
+        probs = src.distribution.probs
+        _slope_search(np.broadcast_to(probs, (len(rates), probs.size)),
+                      src.distortion, rates[rows], True, tol, out, rows)
+        solved = np.array([out.error[r] is None for r in rows])
+        d[rows[~solved]] = np.nan
+        rows = rows[solved]
+        d[rows] = np.minimum(np.maximum(
+            out.dist[rows] + (rates[rows] - out.rate[rows]) / out.slope[rows],
+            0.0), dm)
+    return d, out
 
 
 def _tilted(src: SourceSpec, res: RdfResult | None,

@@ -19,6 +19,7 @@ from jsccdisp import (
     dispersion_report,
     distortion_rate,
     distortion_threshold,
+    distortion_thresholds,
     jscc_dispersion,
     log_prob_variance,
     lossless_rho,
@@ -185,25 +186,36 @@ class TestDistortionThreshold:
         assert rate == pytest.approx(pt.target_rate_with_vlow, abs=1e-10)
 
     def test_single_v_j_solves_once(self, monkeypatch):
-        # a singleton capacity set gives V_J one value, so D_n is one solve
+        # the whole table is one batched slope search, and a singleton
+        # capacity set gives V_J one value, so each D_n is one row of it
         import jsccdisp.source as sa
 
         rep = dispersion_report(TERNARY_PROBLEM)
         assert rep.v_j_low == rep.v_j_high
-        real = sa.distortion_rate
+        real = sa._slope_search
         calls = []
 
-        def counting(src, rate, tol):
-            calls.append(rate)
-            return real(src, rate, tol)
+        def counting(p, dmat, target, *args, **kwargs):
+            calls.append(np.array(target))
+            return real(p, dmat, target, *args, **kwargs)
 
-        monkeypatch.setattr(sa, "distortion_rate", counting)
-        for n in (100, 1000, 10000):
-            calls.clear()
-            pt = distortion_threshold(TERNARY_PROBLEM, n, report=rep)
-            assert calls == [pt.target_rate_with_vlow]
-            expected = real(TERNARY_PROBLEM.source, pt.target_rate_with_vhigh, 1e-9)
+        monkeypatch.setattr(sa, "_slope_search", counting)
+        pts = distortion_thresholds(TERNARY_PROBLEM, [100, 1000, 10000],
+                                    report=rep)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [pt.target_rate_with_vlow for pt in pts]
+        for pt in pts:
+            expected = distortion_rate(TERNARY_PROBLEM.source,
+                                       pt.target_rate_with_vhigh, 1e-9)
             assert pt.d_with_vlow == pt.d_with_vhigh == expected
+
+    def test_table_reads_an_iterator_once(self, fair_problem):
+        ns = [1000, 30, 1000]
+        assert (distortion_thresholds(fair_problem, iter(ns))
+                == distortion_thresholds(fair_problem, ns)
+                == [distortion_threshold(fair_problem, n) for n in ns])
+        with pytest.raises(DomainError):
+            distortion_thresholds(fair_problem, (n for n in (100, 0)))
 
     def test_exceeds_opta_at_small_eps(self, fair_problem):
         pt = distortion_threshold(fair_problem, 500)

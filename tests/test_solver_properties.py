@@ -5,33 +5,43 @@ Both run on the same batched Newton kernel. The properties draw the inputs
 on which first-order updates converge sublinearly: zero-mass source
 letters, more reproduction letters than source letters, duplicate
 reproduction columns, and channels with duplicate or near-duplicate rows.
-A batch of solves must give each row what a batch of one gives it.
+A batch of solves must give each row what a batch of one gives it: the
+excess simulator's batch of source laws, and the D_n table's batch of
+rates. At every tolerance a solve converges or fails with a named error.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jsccdisp import (
+    BoundaryDistortion,
     Channel,
     Distribution,
+    JsccProblem,
     NonConvergence,
+    RateOutOfRange,
     SourceSpec,
     capacity,
     conditional_information_variance,
     d_max,
+    dispersion_report,
     distortion_rate,
+    distortion_thresholds,
     excess_event_probability,
     mutual_information,
     nearest_type,
+    q_inverse,
     rdf,
     vmin_vmax,
 )
 from jsccdisp.channel import _capacity_oracle
 from jsccdisp.probcore import _simplex_newton
 from jsccdisp.source import _fixed_slope, _rd_oracle, _rdf_rates, _tilted_solve
+from conftest import two_orbit_cyclic
 
 TOL = 1e-10
 
@@ -355,3 +365,126 @@ def test_rdf_agrees_with_slsqp(point, seed):
     # entry of W, seen up to 1.1e-5 above R(D) from all three starts in
     # 3,200 random examples (each with a duplicate column)
     assert rate <= res.rate + 1e-4
+
+
+# a channel whose capacity set is not a point, so that V_min < V_max
+CYCLIC_6X3 = two_orbit_cyclic(3)
+
+
+@st.composite
+def table_problems(draw):
+    """A 2-3-letter source with full support whose letter i has distortion 0
+    at reproduction i only, maybe with a duplicate column; a BSC, a random
+    3x3 channel or the cyclic 6x3 channel; a rho that puts rho*C inside
+    (0, R(P,0)); eps; and a list of block lengths with a repeated n."""
+    k = draw(st.integers(2, 3))
+    p = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+    d = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=k * k,
+                               max_size=k * k))).reshape(k, k)
+    np.fill_diagonal(d, 0.0)
+    if draw(st.booleans()):
+        d = np.hstack([d, d[:, [draw(st.integers(0, k - 1))]]])
+    src = SourceSpec(Distribution(p / p.sum()), d)
+    crossover = draw(st.floats(0.01, 0.3))
+    rows = np.array(draw(st.lists(st.lists(weights, min_size=3, max_size=3),
+                                  min_size=3, max_size=3)))
+    mat = (CYCLIC_6X3 if draw(st.booleans()) else draw(st.sampled_from([
+        np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]]),
+        rows / rows.sum(axis=1, keepdims=True)])))
+    r_zero, c = rdf(src, 0.0).rate, capacity(Channel(mat)).capacity
+    assume(r_zero > 1e-3 and c > 1e-3)
+    problem = JsccProblem(src, Channel(mat),
+                          draw(st.floats(0.05, 0.95)) * r_zero / c,
+                          draw(st.floats(0.01, 0.99)))
+    ns = draw(st.lists(st.integers(1, 20000), min_size=1, max_size=4))
+    ns.insert(draw(st.integers(0, len(ns))), draw(st.sampled_from(ns)))
+    return problem, ns
+
+
+@settings(max_examples=30)
+@given(table_problems())
+@example((JsccProblem(SourceSpec(Distribution(np.array([0.5, 0.3, 0.2])),
+                                 1.0 - np.eye(3)),
+                      Channel(CYCLIC_6X3), 1.0, 0.1), [1000, 30, 1000, 100]))
+def test_threshold_table_equals_one_search_per_target(point):
+    # the batched table against one distortion_rate call per target, in n
+    # order, with the target-range check of one threshold at a time
+    problem, ns = point
+    try:
+        rep = dispersion_report(problem)
+    except BoundaryDistortion:
+        return
+    r_zero = rdf(problem.source, 0.0).rate
+    want = []
+    try:
+        for n in ns:
+            for tag, v in (("low", rep.v_j_low), ("high", rep.v_j_high)):
+                t = rep.r_at_d_star - math.sqrt(v / n) * q_inverse(problem.eps)
+                if not 0.0 < t < r_zero:
+                    raise RateOutOfRange(f"target rate {t} nats (using v_j_"
+                                         f"{tag}) is outside (0, {r_zero})")
+                want.append((t, distortion_rate(problem.source, t, 1e-9)))
+    except RateOutOfRange as exc:
+        with pytest.raises(RateOutOfRange) as got:
+            distortion_thresholds(problem, ns, report=rep)
+        assert str(got.value) == str(exc)
+        return
+    pts = distortion_thresholds(problem, ns, report=rep)
+    got = [(v, d) for pt in pts for v, d in (
+        (pt.target_rate_with_vlow, pt.d_with_vlow),
+        (pt.target_rate_with_vhigh, pt.d_with_vhigh))]
+    assert [pt.n for pt in pts] == ns
+    assert got == want
+
+
+@st.composite
+def duplicated_problems(draw):
+    """A channel as in ``channel_matrix``; a source as in ``sources`` with
+    one more letter that repeats the first letter's probability and
+    distortion row, and a duplicate reproduction column; and a D of 5-95%
+    of its d_max."""
+    k, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    p = laws(draw, k)
+    p = np.append(p, p[0]) / (1.0 + p[0])
+    d = distortions(draw, k, m)
+    d = np.vstack([d, d[:1]])
+    d = np.hstack([d, d[:, [draw(st.integers(0, m - 1))]]])
+    src = SourceSpec(Distribution(p), d)
+    w = Channel(channel_matrix(draw, draw(st.integers(2, 6)),
+                               draw(st.integers(2, 6))))
+    return w, src, draw(st.floats(0.05, 0.95)) * d_max(src)
+
+
+# the 5x3 channel whose first two rows are equal, on which capacity at tol
+# 1e-16 once ended in a bare LinAlgError from the kernel's Newton system
+DUPLICATED_5X3 = np.array([[0.11988, 0.087912, 0.792208],
+                           [0.11988, 0.087912, 0.792208],
+                           [0.581, 0.276, 0.143], [0.373, 0.339, 0.288],
+                           [0.261, 0.258, 0.481]])
+
+
+@settings(max_examples=20)
+@given(duplicated_problems())
+@example((Channel(DUPLICATED_5X3),
+          SourceSpec(Distribution(np.array([0.3, 0.4, 0.3])),
+                     np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                               [0.0, 1.0, 1.0]])), 0.2))
+def test_every_tolerance_converges_or_names_its_failure(point):
+    # duplicated rows and columns make the kernel's Hessian singular; at a
+    # tol the solves cannot certify, they fail with a named error. The
+    # tolerances are dense where rounding sets in
+    w, src, d = point
+    for tol in (1e-16, 1e-15, 1e-14, 1e-13, 1e-10, 1e-6):
+        try:
+            res = capacity(w, tol)
+        except NonConvergence as exc:
+            assert str(exc).startswith("capacity: ") and "W = " in str(exc)
+        else:
+            assert res.upper_bound - res.lower_bound <= tol
+        try:
+            out = rdf(src, d, tol)
+        except NonConvergence as exc:
+            assert "P = " in str(exc)
+        else:
+            # the fixed-slope solves aim for 1e-13 at the finest
+            assert math.isfinite(out.rate) and out.gap <= max(tol, 1e-13)

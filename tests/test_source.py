@@ -253,10 +253,9 @@ class TestSlopeSearch:
         # solve counts repeat exactly where times do not. Illinois regula
         # falsi from s = -1 took 57 solves over the four analytic benchmark
         # invocations (only jscc and source solve) and 10 for one rdf. The
-        # bound 29 is what the Newton search reaches with V_S at D* read
-        # off the D* search and the D_n searches of distortion_threshold
-        # still started at s = -1; seeding them at the D* slope too made 26
-        # in a trial
+        # Newton search with V_S at D* read off the D* search took 29 with
+        # one search per D_n; the table of D_n as one batched search makes
+        # 13 for jscc and 5 for source
         calls = self.count_solves(monkeypatch)
         for argv in (["jscc", TERNARY, "--n-list", "100,1000,10000"],
                      ["source", TERNARY, "-D", "0.1"],
@@ -264,7 +263,7 @@ class TestSlopeSearch:
                      ["separation", "--paper-fig3"]):
             assert main(argv) == 0
         capsys.readouterr()
-        assert len(calls) <= 29
+        assert len(calls) <= 18
         calls.clear()
         rdf(load_problem_file(TERNARY)["source"], 0.1)
         assert len(calls) <= 5
