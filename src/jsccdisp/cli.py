@@ -6,7 +6,8 @@ separator, and '\\n' newlines. Rates are reported in bits by default
 (--units nats switches); internal computation is always in nats.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 numerical failure,
-4 boundary condition (OPTA on the boundary, target rate out of range).
+4 boundary condition (D* on the boundary of (0, d_max) by the rule of
+source._tilted, target rate out of range).
 """
 
 from __future__ import annotations
@@ -424,14 +425,13 @@ def _simulate_clt_jscc(args, problem, seed, trials, n_list):
     cap = ch.capacity(pb.channel)
     d_star, res = sa._distortion_rate(pb.source, pb.rho * cap.capacity,
                                       sa._TILTED_RATE_TOL)
-    solve = sa._tilted(pb.source, res, d_star)
 
     def row(n):
         m = int(math.floor(pb.rho * n))
         phi_m = nearest_type(cap.input_distribution, m)
         return _clt_row(mcsim.first_order_jscc_samples(
             pb.source, d_star, pb.channel, phi_m, n, trials, seed,
-            args.workers, solve=solve), n, d_star=d_star)
+            args.workers, solve=res), n, d_star=d_star)
 
     return [row(n) for n in n_list]
 
@@ -525,17 +525,15 @@ def _simulate_mi_cont(args, problem, seed, trials, n_list):
         v = rng.uniform(-1.0, 1.0, n_x)
         v -= v.mean()
         vmax = np.max(np.abs(v))
-        if vmax == 0:
-            continue
-        v /= vmax
+        if vmax > 0:  # one input letter: q = p, a check at delta = 0
+            v /= vmax
         t = rng.uniform(0.0, delta_cap)
         neg = v < 0
         if np.any(neg):
             t = min(t, float(np.min(p[neg] / -v[neg])))
         q = np.maximum(p + t * v, 0.0)
         q /= q.sum()
-        delta = max(float(np.max(np.abs(p - q))), 1e-300)
-        delta = min(delta, delta_cap)
+        delta = min(float(np.max(np.abs(p - q))), delta_cap)
         lhs, rhs, ok = mcsim.mi_continuity_check(
             Distribution(p), Distribution(q), w, delta)
         held += int(ok)

@@ -23,7 +23,6 @@ import numpy as np
 from . import channel as ch
 from . import source as sa
 from .errors import (
-    BoundaryDistortion,
     DomainError,
     NonConvergence,
     RateOutOfRange,
@@ -44,8 +43,6 @@ from .source import SourceSpec
 
 CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
-
-_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,17 +123,13 @@ def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
 def dispersion_report(problem: JsccProblem) -> DispersionReport:
     """All dispersion quantities for a problem, in nats; C comes from the
     capacity solve inside ``vmin_vmax``, and D* and V_S(P, D*) from the
-    final solve of one slope search to R(s) = rho*C within 1e-12."""
+    final solve of one slope search to R(s) = rho*C within 1e-12. A D* on
+    the boundary of (0, d_max) raises BoundaryDistortion by the rule of
+    ``source._tilted``."""
     disp = ch.vmin_vmax(problem.channel)
     cap = disp.capacity.capacity
     d_star, res = sa._distortion_rate(problem.source, problem.rho * cap,
                                       sa._TILTED_RATE_TOL)
-    dm = sa.d_max(problem.source)
-    if d_star <= _BOUNDARY_TOL or d_star >= dm - _BOUNDARY_TOL:
-        raise BoundaryDistortion(
-            f"D* = {d_star} sits on the boundary of (0, {dm}); the lossy "
-            "dispersion is undefined there (use lossless_rho for D = 0)"
-        )
     v_s = sa._tilted(problem.source, res, d_star)[2]
     return DispersionReport(
         capacity=cap,

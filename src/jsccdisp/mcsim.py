@@ -128,15 +128,12 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
-def _batches(trials: int, batch: int = DEFAULT_BATCH):
-    return [(b, min(batch, trials - b * batch))
-            for b in range((trials + batch - 1) // batch)]
-
-
 def _map_batches(fn, trials: int, workers: int):
-    """fn(batch_index, size) over every batch, yielded in batch order as
-    each is consumed, so a caller that folds them holds none for long."""
-    batches = _batches(trials)
+    """fn(batch_index, size) over every batch of ``DEFAULT_BATCH`` trials
+    (the last may be shorter), yielded in batch order as each is consumed,
+    so a caller that folds them holds none for long."""
+    batches = [(b, min(DEFAULT_BATCH, trials - b * DEFAULT_BATCH))
+               for b in range((trials + DEFAULT_BATCH - 1) // DEFAULT_BATCH)]
     if workers <= 1:
         yield from (fn(b, size) for b, size in batches)
         return
@@ -248,9 +245,10 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     distinct source types; one batched solve, its slope search started at
     the slope of the solve of P itself at d, then gives R(P_S, d) for all
     of them. The second redraws every batch with its channel counts and
-    compares. Types whose RDF cannot be evaluated count as excess
-    (conservative boundary convention); their trials are reported as
-    ``boundary_trials`` in the diagnostics.
+    compares. Every type at or above its d_max has rate 0 and every type at
+    D within 1e-12 of 0 takes the zero-distortion solve, so a type has no
+    rate only when its solve failed; such a type counts as excess, and its
+    trials are reported as ``boundary_trials`` in the diagnostics.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
@@ -269,7 +267,7 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     types = _distinct_rows(_map_batches(types_of, trials, workers), p.size)
     start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
-    # NaN marks "RDF undefined" and is counted as excess below
+    # NaN marks a failed solve and is counted as excess below
     rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10, start)
 
     def run(batch_index: int, size: int):
@@ -391,16 +389,18 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
 def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
                              phi_m: EmpiricalType, n: int, trials: int,
                              seed: int, workers: int = 1,
-                             solve=None) -> CltResult:
+                             solve: sa.RdfResult | None = None) -> CltResult:
     """First-order term of the distortion-rate expansion, standardized.
 
     A(S,Y) = sum_s (P_S(s)-P(s)) D'_P(s)
            + rho * D'_R * sum_{x,y} (P_{Y|x}(y|x)-W(y|x)) I'_W(y|x),
     a sum of n + m independent variables; the standardizer is its exact
     variance (D'_R)^2 V_S / n + (rho D'_R)^2 V(phi_m, W) / m with rho = m/n.
-    ``solve``, the (res, g, V_S) of ``source._tilted`` at D*, lets one
-    solve at D* serve every block length; it is computed here by
-    ``source._tilted_solve`` when not given.
+    g and V_S come from ``source._tilted`` of ``solve``, the ``RdfResult``
+    of the solve that found D* (what ``rdf`` returns), so that one solve at
+    D* serves every block length; without it D* is solved here by
+    ``source._tilted_solve``. A D* on the boundary of (0, d_max) raises
+    BoundaryDistortion.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
@@ -410,7 +410,8 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     rho_eff = m / n
     p = src.distribution.probs
 
-    res, grad, v_s = solve if solve is not None else sa._tilted_solve(src, d_star)
+    res, grad, v_s = (sa._tilted_solve(src, d_star) if solve is None
+                      else sa._tilted(src, solve, d_star))
     d_r = 1.0 / res.lagrange_slope
     dp = -grad * d_r                      # centered; constants cancel in A
 

@@ -16,9 +16,11 @@ slope that a caller may give, and to a target that may differ per row:
 the excess simulator seeds its batch of source types with the slope of P
 itself, and ``_distortion_rates`` searches a whole table of rates (every
 D_n of a ``jscc`` report) as one batch, each row from s = -1. ``rdf`` and
-``distortion_rate`` are batches of one from s = -1. V_S at a point is read
-off the solve that found the point (``_tilted``), so D* and V_S(P, D*)
-take one search.
+``distortion_rate`` are batches of one from s = -1. Each fixed-slope solve
+writes its rows into one record (``_Solves``), and a solved point leaves
+this module only as an ``RdfResult``. V_S at a point is read off the
+solve that found the point (``_tilted``, the one boundary rule), so D*
+and V_S(P, D*) take one search.
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -118,10 +120,11 @@ def d_max(src: SourceSpec) -> float:
 
 
 class _Solves:
-    """Per-row results of a batch of rate-distortion solves: the slope,
-    rate, distortion, test channel, reproduction and gap of the last slope
-    tried, the Newton steps summed over the search, and an error message
-    for each row that failed (None elsewhere)."""
+    """The record of a batch of rate-distortion solves, one row per problem,
+    written by ``_fixed_slope``: the slope, rate, distortion, test channel,
+    reproduction and gap of the last slope solved, the Newton steps summed
+    over every slope tried, and an error message for each row that failed
+    (None elsewhere)."""
 
     def __init__(self, t: int, ns: int, nr: int):
         self.slope = np.zeros(t)
@@ -132,18 +135,6 @@ class _Solves:
         self.gap = np.zeros(t)
         self.iterations = np.zeros(t, dtype=np.int64)
         self.error: list[str | None] = [None] * t
-
-    def store(self, rows: np.ndarray, slope: np.ndarray, sol: tuple,
-              done=slice(None)) -> None:
-        """Record the ``_fixed_slope`` solves of ``rows[done]`` at their
-        slopes, and the error of each failed row of the batch."""
-        rate, dist, lam, q, gap, _, _, errors = sol
-        at = rows[done]
-        self.slope[at], self.rate[at] = slope[done], rate[done]
-        self.dist[at], self.gap[at] = dist[done], gap[done]
-        self.lam[at], self.q[at] = lam[done], q[done]
-        for i, message in errors.items():
-            self.error[rows[i]] = message
 
     def result(self, row: int) -> RdfResult:
         """The solve of one row, or its NonConvergence."""
@@ -171,18 +162,22 @@ def _rd_oracle(p: np.ndarray, a: np.ndarray):
 
 
 def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
-                 tol: float, zero: bool = False):
+                 tol: float, out: _Solves, rows: np.ndarray,
+                 zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rate-distortion problems of the rows of ``p`` (T, |S|), each at
-    its own fixed Lagrangian slope s <= 0.
+    its own fixed Lagrangian slope s <= 0, written into ``out`` at ``rows``.
 
-    Returns per-row arrays (rate, distortion, test_channel, q, gap, steps,
-    dD/ds) and a dict of error messages by row. Each reproduction marginal
-    q minimises -sum_x P(x) log (A q)_x over the simplex, A = exp(s*d)
-    (Csiszar's dual form), in one ``probcore._simplex_newton`` call on
-    ``_rd_oracle``. A solve aims for 1e-13 and passes with a finite rate
-    and any gap within ``tol``, or within 1e-13 for a smaller ``tol``. With
-    ``zero`` the weights A become the indicator of d == 0 (the s -> -inf
-    limit), which solves the D = 0 endpoint.
+    Each row's slope, rate, distortion, test channel, reproduction and gap
+    replace what ``out`` held at its row, its Newton steps are added to
+    ``out.iterations``, and a failed row gets its error message. Returns
+    what a slope search reads: dD/ds per row and the mask of the rows that
+    failed. Each reproduction marginal q minimises -sum_x P(x) log (A q)_x
+    over the simplex, A = exp(s*d) (Csiszar's dual form), in one
+    ``probcore._simplex_newton`` call on ``_rd_oracle``. A solve aims for
+    1e-13 and passes with a finite rate and any gap within ``tol``, or
+    within 1e-13 for a smaller ``tol``. With ``zero`` the weights A become
+    the indicator of d == 0 (the s -> -inf limit), which solves the D = 0
+    endpoint.
 
     dD/ds comes from implicit differentiation of the optimality condition
     c(q, s) = A^T (P / A q) = 1 on the support of q: it is
@@ -215,12 +210,16 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     ddist = ((joint * dmat * dmat).sum(axis=(1, 2)) - (p * dist_x ** 2).sum(1)
              + (u * (np.linalg.pinv(scaled, 1e-10)
                      @ u[:, :, None])[:, :, 0]).sum(axis=1))
-    passed = (gap <= max(tol, _INNER_TOL)) & np.isfinite(rate)
-    errors = {} if passed.all() else {
-        int(i): f"rate-distortion solve at slope {slope[i]} for "
-                f"P = {p[i].tolist()}: gap {gap[i]:.3e} (tol {tol}), "
-                f"test channel rate {rate[i]}" for i in np.flatnonzero(~passed)}
-    return rate, dist, lam, q, gap, steps, ddist, errors
+    out.slope[rows], out.rate[rows], out.dist[rows] = slope, rate, dist
+    out.lam[rows], out.q[rows], out.gap[rows] = lam, q, gap
+    out.iterations[rows] += steps
+    failed = ~((gap <= max(tol, _INNER_TOL)) & np.isfinite(rate))
+    for i in np.flatnonzero(failed):
+        out.error[rows[i]] = (
+            f"rate-distortion solve at slope {slope[i]} for "
+            f"P = {p[i].tolist()}: gap {gap[i]:.3e} (tol {tol}), "
+            f"test channel rate {rate[i]}")
+    return ddist, failed
 
 
 def _slope_search(p: np.ndarray, dmat: np.ndarray, target,
@@ -236,34 +235,32 @@ def _slope_search(p: np.ndarray, dmat: np.ndarray, target,
     sought, with slope g' = dD/ds or -s dD/ds from ``_fixed_slope``. One
     loop: each row starts at ``start`` (at -1 where that is not a finite
     negative slope) and keeps a bracket [lo, hi] with g(lo) < 0 <= g(hi),
-    lo = -inf until a slope lands below and hi = 0 at first. The next slope is the Newton point s - g/g' when it lies
-    strictly inside the bracket and no farther from s than a quarter of the
-    bracket width, or no farther than 4 s while lo = -inf; otherwise it is
-    the midpoint of the bracket, or 2 s while lo = -inf. A row stops when
-    its value is within ``tol`` or its bracket is pinned to 1e-15
+    lo = -inf until a slope lands below and hi = 0 at first. The next slope
+    is the Newton point s - g/g' when it lies strictly inside the bracket
+    and no farther from s than a quarter of the bracket width, or no
+    farther than 4 s while lo = -inf; otherwise it is the midpoint of the
+    bracket, or 2 s while lo = -inf. A row stops when its value is within
+    ``tol``, when its solve failed, or when its bracket is pinned to 1e-15
     relative, which leaves it to the tangent correction. Each round solves
-    every row still searching as one batch. ``out`` keeps each row at the
-    slope it stopped at, or its error; a row still open after
-    ``_MAX_SLOPE_ITER`` rounds gets an error naming P and the round count.
+    every row still searching as one batch and overwrites its record, so
+    ``out`` ends with each row at the slope it stopped at, or with its
+    error; a row still open after ``_MAX_SLOPE_ITER`` rounds gets an error
+    naming P and the round count.
     """
-    key, sign = (0, -1.0) if by_rate else (1, 1.0)
+    value, sign = (out.rate, -1.0) if by_rate else (out.dist, 1.0)
     target = np.full(len(rows), target)
     slope = np.full(len(rows), start if -math.inf < start < 0 else -1.0)
     lo, hi = np.full(len(rows), -np.inf), np.zeros(len(rows))
     for _ in range(_MAX_SLOPE_ITER):
-        sol = _fixed_slope(p[rows], dmat, slope, tol)
-        out.iterations[rows] += sol[5]
-        g = sign * (sol[key] - target)
-        dg = -slope * sol[6] if by_rate else sol[6]
+        ddist, failed = _fixed_slope(p[rows], dmat, slope, tol, out, rows)
+        g = sign * (value[rows] - target)
+        dg = -slope * ddist if by_rate else ddist
         below = g < 0
         lo, hi = np.where(below, slope, lo), np.where(below, hi, slope)
         # a pinned slope is left to the tangent correction
-        going = (np.abs(g) > tol) & ((lo == -np.inf) | (
+        going = (np.abs(g) > tol) & ~failed & ((lo == -np.inf) | (
             hi - lo > 1e-15 * np.maximum(1.0, np.abs(lo))))
-        if sol[7]:
-            going[list(sol[7])] = False
         if not going.all():
-            out.store(rows, slope, sol, ~going)
             rows, target, slope, lo, hi, g, dg = (part[going] for part in (
                 rows, target, slope, lo, hi, g, dg))
             if not rows.size:
@@ -290,9 +287,9 @@ def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
     """R(P_t, D) for every row P_t of ``p`` (T, |S|) at one D, as in
     ``rdf``: the rows at or above their d_max, within 1e-12, take the
     constant reproduction and rate 0; for D within 1e-12 of 0 the rest
-    solve the zero-distortion endpoint; otherwise one batched slope search
-    from ``start`` solves them, and their rates get the tangent-line
-    correction."""
+    solve the zero-distortion endpoint in one ``_fixed_slope`` call;
+    otherwise one batched slope search from ``start`` solves them, and
+    their rates get the tangent-line correction."""
     out = _Solves(len(p), *dmat.shape)
     expected = p @ dmat
     best = np.argmin(expected, axis=1)
@@ -304,10 +301,8 @@ def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
     if not rows.size:
         return out
     if d <= BOUNDARY_TOL:
-        slope = np.full(rows.size, -math.inf)
-        sol = _fixed_slope(p[rows], dmat, slope, tol, zero=True)
-        out.store(rows, slope, sol)
-        out.iterations[rows] += sol[5]
+        _fixed_slope(p[rows], dmat, np.full(rows.size, -math.inf), tol, out,
+                     rows, zero=True)
         return out
     _slope_search(p, dmat, d, False, tol, out, rows, start)
     out.rate[rows] = np.maximum(
@@ -404,12 +399,16 @@ def _distortion_rates(src: SourceSpec, rates: np.ndarray,
 def _tilted(src: SourceSpec, res: RdfResult | None,
             d: float) -> tuple[RdfResult, np.ndarray, float]:
     """(res, g, V_S) from the solve ``res`` that found D: g = j - E_P[j], the
-    centered d-tilted information of its slope and q*, and V_S = Var_P[j];
-    BoundaryDistortion, with ``res`` unread, unless 0 < D < d_max."""
+    centered d-tilted information of its slope and q*, and V_S = Var_P[j].
+
+    The one boundary rule for V_S: BoundaryDistortion, with ``res``
+    unread, unless D lies more than ``BOUNDARY_TOL`` inside (0, d_max)."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
-            f"gradient needs D strictly inside (0, {dm}); got {d}"
+            "V_S and the d-tilted information need D strictly inside "
+            f"(0, {dm}); got D = {d} (D = 0 is the lossless regime: "
+            "jscc --lossless)"
         )
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)

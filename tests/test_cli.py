@@ -416,6 +416,29 @@ class TestJsccCommand:
         assert code == 4
         assert "boundary" in err
 
+    def test_one_boundary_rule(self, tmp_path, capsys):
+        # rho*C = 0.99999999653 nats puts D* = 1.0e-10 inside (0, d_max) by
+        # the 1e-12 rule of source._tilted, and both commands judge D* by
+        # that rule alone; a 1e-9 rule would refuse this D*
+        near = tmp_path / "near.json"
+        near.write_text(json.dumps(dict(BSC_PROBLEM, rho=1.9996638822216264)))
+        lossless = tmp_path / "lossless.json"
+        lossless.write_text(json.dumps(dict(BSC_PROBLEM, rho=4.0)))
+        clt = ["--what", "clt-jscc", "--n-list", "1000", "--trials", "500"]
+        code, out, _ = run(["jscc", str(near), "--n-list", "1000"], capsys)
+        assert code == 0
+        d_star = json.loads(out)["d_star"]
+        assert d_star == 1.0000000484278952e-10
+        code, out, _ = run(["simulate", str(near), *clt], capsys)
+        assert code == 0
+        assert [r["d_star"] for r in json.loads(out)["results"]] == [d_star]
+        # D* = 0: both commands raise BoundaryDistortion
+        for argv in (["jscc", str(lossless)],
+                     ["simulate", str(lossless), *clt]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (4, "")
+            assert err.startswith("boundary error: V_S")
+
     def test_eps_flag_overrides_file(self, problem_file, capsys):
         _, out, _ = run(["jscc", problem_file, "--n-list", "1000"], capsys)
         code, over, _ = run(["jscc", problem_file, "--n-list", "1000",
@@ -679,6 +702,24 @@ class TestSimulateCommand:
         assert code == 0
         rep = json.loads(out)
         assert all(r["bound_respected"] for r in rep["results"])
+
+    def test_mi_cont_one_input_channel(self, tmp_path, monkeypatch, capsys):
+        # one input letter leaves no direction to move p in: every trial is
+        # the check at q = p, delta = 0 up to the rounding of renormalising
+        # q, and it holds
+        path = tmp_path / "one_input.json"
+        path.write_text(json.dumps({
+            "channel": {"matrix": [[0.3, 0.7]]},
+            "sim": {"seed": 1, "trials": 50, "n_list": [100]}}))
+        calls = count_calls(monkeypatch, cli.mcsim, "mi_continuity_check")
+        code, out, _ = run(["simulate", str(path), "--what", "mi-cont"],
+                           capsys)
+        assert code == 0
+        rep = json.loads(out)["results"]
+        assert rep["held"] == rep["trials"] == 50
+        assert rep["all_held"] is True
+        deltas = [args[3] for args in calls]
+        assert len(deltas) == 50 and 0.0 in deltas and max(deltas) <= 1e-15
 
     def test_mi_cont_all_hold(self, problem_file, capsys):
         code, out, _ = run(

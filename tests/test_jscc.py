@@ -10,6 +10,7 @@ from jsccdisp import (
     DomainError,
     JsccProblem,
     DEFAULT_LAMBDA_CURVES,
+    NonConvergence,
     RateOutOfRange,
     SourceSpec,
     UndefinedAtHalf,
@@ -216,6 +217,17 @@ class TestDistortionThreshold:
                 == [distortion_threshold(fair_problem, n) for n in ns])
         with pytest.raises(DomainError):
             distortion_thresholds(fair_problem, (n for n in (100, 0)))
+
+    def test_failed_search_names_its_law(self, fair_problem, monkeypatch):
+        # the report is built with the full round budget; the table's
+        # search then stops after one round
+        import jsccdisp.source as sa
+
+        rep = dispersion_report(fair_problem)
+        monkeypatch.setattr(sa, "_MAX_SLOPE_ITER", 1)
+        with pytest.raises(NonConvergence,
+                           match=r"P = \[0\.5, 0\.5\].*after 1 rounds"):
+            distortion_thresholds(fair_problem, [100, 1000], report=rep)
 
     def test_exceeds_opta_at_small_eps(self, fair_problem):
         pt = distortion_threshold(fair_problem, 500)

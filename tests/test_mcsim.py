@@ -243,7 +243,7 @@ class TestBatchFill:
         monkeypatch.setattr(mcsim, "_map_batches", recording)
         phi = EmpiricalType(np.array([60, 40]), 100)
         src = hamming_source(0.3)
-        solve = _tilted_solve(src, 0.1)
+        solve = _tilted_solve(src, 0.1)[0]
         simulations = (
             lambda workers: first_order_mi_samples(
                 phi, bsc011, trials, 9, workers),
@@ -346,7 +346,7 @@ class TestFirstOrderJscc:
         phi = EmpiricalType(np.array([250, 250]), 500)
         a = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7)
         b = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7,
-                                     solve=_tilted_solve(src, d_star))
+                                     solve=_tilted_solve(src, d_star)[0])
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.diagnostics == b.diagnostics
 

@@ -40,7 +40,13 @@ from jsccdisp import (
 )
 from jsccdisp.channel import _capacity_oracle
 from jsccdisp.probcore import _simplex_newton
-from jsccdisp.source import _fixed_slope, _rd_oracle, _rdf_rates, _tilted_solve
+from jsccdisp.source import (
+    _fixed_slope,
+    _rd_oracle,
+    _rdf_rates,
+    _Solves,
+    _tilted_solve,
+)
 from conftest import two_orbit_cyclic
 
 TOL = 1e-10
@@ -260,9 +266,11 @@ def test_slope_derivative_matches_central_differences(point):
     p, d, s = point
     h = 1e-3 * abs(s)
     slopes = s + h * np.array([0.0, 1.0, -1.0, 2.0, -2.0])
-    _, dist, _, q, _, _, ddist, errors = _fixed_slope(
-        np.repeat(p[None], 5, axis=0), d, slopes, TOL)
-    assert not errors
+    out = _Solves(5, *d.shape)
+    ddist, failed = _fixed_slope(np.repeat(p[None], 5, axis=0), d, slopes,
+                                 TOL, out, np.arange(5))
+    assert not failed.any()
+    dist, q = out.dist, out.q
     # D(s) is smooth while the support stays put: a letter is on it while
     # its mass q_z exceeds its slack 1 - c_z, c = A^T (P / A q)
     a = np.exp(slopes[:, None, None] * d)

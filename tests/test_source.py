@@ -291,9 +291,11 @@ class TestRdfCertificates:
         # uniform q is already optimal at this slope, and Blahut's bound
         # rounds to -1.1e-16 after 0 steps; the Newton slope search lands
         # on it for the fair Hamming source at D = 0.25
-        sol = sa._fixed_slope(np.array([[0.5, 0.5]]), HAMMING,
-                              np.array([-1.0986122886681096]), 1e-9)
-        assert (sol[4][0], sol[5][0]) == (0.0, 0)
+        out = sa._Solves(1, 2, 2)
+        sa._fixed_slope(np.array([[0.5, 0.5]]), HAMMING,
+                        np.array([-1.0986122886681096]), 1e-9, out,
+                        np.array([0]))
+        assert (out.gap[0], out.iterations[0]) == (0.0, 0)
 
     def test_no_iterations_at_d_max(self, fair_hamming):
         res = rdf(fair_hamming, d_max(fair_hamming))
