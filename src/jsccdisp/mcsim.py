@@ -14,17 +14,22 @@ levels), a shared seed acts as common random numbers across a sweep.
 
 The excess-event and UEP simulators need a per-type quantity for every
 type a run draws: R(P_S, D) of each source type, the competitors' tail
-probability of each channel output type. Both make two passes over the
-same streams: the first collects the distinct types (``_distinct_rows``),
-each type is then solved once, and the second redraws each batch and
-looks its rows up in the solved table (``_row_index``). No per-trial
-array outlives its batch, and no solve is kept between calls.
+probability of each channel output type. A type is one integer key
+(``_type_keys``: its counts as digits in base n + 1, int64 while they fit
+and Python ints otherwise). Both simulators make two passes over the same
+streams: the first folds the distinct keys of each batch into one sorted
+table with ``np.union1d``, the table is decoded (``_key_rows``) and each
+type solved once, and the second redraws each batch and looks its keys up
+in the table with ``np.searchsorted``. No per-trial array outlives its
+batch, and no solve is kept between calls. The empirical MI of a sampled
+joint, whose row margins are the fixed input type, comes from a table of
+k log k over 0..m built once per call (``_fixed_margin_mi``).
 
 Exact counts are one ``_arrangement_sum`` call each: it builds the joint
 tables with fixed margins from per-column ``_compositions``, in blocks of
 ``_TABLE_BLOCK``, and sums the arrangements of those a vectorized predicate
 keeps (the D-ball count: within the distortion budget; the UEP tail: at or
-above the threshold).
+above the threshold), with one multinomial per distinct column key.
 
 The CLT simulators keep one float64 per trial: each batch's values are
 written into their slice of one preallocated array, in trial order. The KS
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -152,37 +157,58 @@ def _fill_batches(fn, trials: int, workers: int) -> np.ndarray:
     return out
 
 
-def _unique_rows(a: np.ndarray):
-    """The distinct rows of a 2-D array and, for each row of ``a``, the
-    index of its distinct row. The distinct rows come in ``np.lexsort``
-    order of the columns (the last column the primary key), which one
-    stable sort per column gives without ``np.unique(axis=0)``'s sort of a
-    void view."""
-    order = np.lexsort(a.T)
-    rows = a[order]
-    first = np.ones(len(a), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[first], inverse
+# ---------------------------------------------------------------------------
+# Type keys and fixed-margin mutual information
+# ---------------------------------------------------------------------------
+
+def _type_keys(counts: np.ndarray, total: int) -> np.ndarray:
+    """One integer key per count row of ``counts`` (last axis), every row
+    summing to ``total``: the first |A| - 1 counts as digits in base
+    total + 1, the row sum fixing the last count. The keys are int64 when
+    (total + 1)^(|A| - 1) < 2^63 and Python ints in an object array
+    otherwise; ``np.unique``, ``np.union1d`` and ``np.searchsorted`` take
+    either."""
+    base = int(total) + 1   # a Python int: base ** (|A| - 1) must not wrap
+    wide = base ** (counts.shape[-1] - 1) >= 2 ** 63
+    digits = counts[..., :-1].astype(object if wide else np.int64)
+    keys = np.zeros(counts.shape[:-1], dtype=digits.dtype)
+    for digit in np.moveaxis(digits, -1, 0):
+        keys = keys * base + digit
+    return keys
 
 
-def _distinct_rows(batches, width: int) -> np.ndarray:
-    """The distinct rows of every 2-D array in ``batches``, folded in one
-    array at a time, in ``_unique_rows`` order."""
-    rows = np.empty((0, width), dtype=np.int64)
-    for batch in batches:
-        rows = _unique_rows(np.concatenate([rows, batch]))[0]
+def _key_rows(keys: np.ndarray, total: int, letters: int) -> np.ndarray:
+    """The int64 count rows over ``letters`` letters that ``_type_keys``
+    gave ``keys`` for at this ``total``."""
+    rows = np.empty((len(keys), letters), dtype=np.int64)
+    base = int(total) + 1
+    for a in range(letters - 2, -1, -1):
+        rows[:, a] = keys % base
+        keys = keys // base
+    rows[:, -1] = total - rows[:, :-1].sum(axis=1)
     return rows
 
 
-def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each row of ``rows``, the index of the equal row of ``table``.
+def _xlogx(m: int) -> np.ndarray:
+    """k log k for k = 0..m, with 0 log 0 = 0: the table of
+    ``_fixed_margin_mi`` for tables of total m."""
+    k = np.arange(m + 1, dtype=np.float64)
+    return k * _log_ratio(k, 1.0)
 
-    ``table`` is a ``_distinct_rows`` result holding every row of ``rows``,
-    so the distinct rows of the stack are ``table`` in its own order.
-    """
-    return _unique_rows(np.concatenate([table, rows]))[1][len(table):]
+
+def _fixed_margin_mi(joint: np.ndarray, row_counts: np.ndarray,
+                     xlogx: np.ndarray) -> np.ndarray:
+    """The empirical MI of count tables (B, rows, cols) whose rows all sum
+    to ``row_counts``, total m, floored at 0: with L[k] = k log k from
+    ``xlogx`` = ``_xlogx(m)``, m I = sum L[N_xy] - sum_y L[c_y]
+    - sum_x L[r_x] + L[m], c the column sums. Agrees with
+    ``_joint_mutual_information`` of the same tables to rounding."""
+    m = int(row_counts.sum())
+    fixed = xlogx[m] - xlogx[row_counts].sum()
+    # einsum, as the sums over short axes are several times faster
+    cells = np.einsum("bxy->b", xlogx[joint])
+    cols = np.einsum("by->b", xlogx[np.einsum("bxy->by", joint)])
+    return np.maximum((cells - cols + fixed) / m, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +227,16 @@ def sample_source_block(p: Distribution, n: int, rng: np.random.Generator) -> np
 
 
 def sample_channel_output(x, w: Channel, rng: np.random.Generator) -> np.ndarray:
-    """Independent per-position draws from the rows W(. | x_i)."""
+    """Independent per-position draws from the rows W(. | x_i), by inverse
+    CDF on rng.random: the first letter whose CDF exceeds u, as in
+    ``sample_source_block``, so a zero-probability letter is never drawn."""
     xa = np.asarray(x, dtype=np.int64)
     if np.any(xa < 0) or np.any(xa >= w.input_size):
         raise SymbolOutOfRange("channel input symbols out of range")
     cdf = np.cumsum(w.matrix, axis=1)[xa]
     u = rng.random(xa.size)
     return np.minimum(
-        (u[:, None] > cdf).sum(axis=1), w.output_size - 1
+        (cdf <= u[:, None]).sum(axis=1), w.output_size - 1
     ).astype(np.int64)
 
 
@@ -241,14 +269,17 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     conditional type comes from a fixed word of type phi_m; rho is realized
     as m/n with m = phi_m.n. Two passes run over the same batch streams,
     each batch held only while it is drawn. The first draws only the
-    source counts, which each stream draws first, and collects the
-    distinct source types; one batched solve, its slope search started at
-    the slope of the solve of P itself at d, then gives R(P_S, d) for all
-    of them. The second redraws every batch with its channel counts and
-    compares. Every type at or above its d_max has rate 0 and every type at
-    D within 1e-12 of 0 takes the zero-distortion solve, so a type has no
-    rate only when its solve failed; such a type counts as excess, and its
-    trials are reported as ``boundary_trials`` in the diagnostics.
+    source counts, which each stream draws first, and folds their
+    ``_type_keys`` into one sorted table of distinct keys; one batched
+    solve of the decoded types, its slope search started at the slope of
+    the solve of P itself at d, then gives R(P_S, d) for all of them. The
+    second redraws every batch with its channel counts, looks each source
+    key up in the table, and compares with the ``_fixed_margin_mi`` of the
+    joint counts, from a k log k table over 0..m built once. Every type at
+    or above its d_max has rate 0 and every type at D within 1e-12 of 0
+    takes the zero-distortion solve, so a type has no rate only when its
+    solve failed; such a type counts as excess, and its trials are
+    reported as ``boundary_trials`` in the diagnostics.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
@@ -263,19 +294,21 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     def types_of(batch_index: int, size: int):
         src_counts = _stream(seed, batch_index).multinomial(n, p, size=size)
-        return _unique_rows(src_counts)[0]
+        return np.unique(_type_keys(src_counts, n))
 
-    types = _distinct_rows(_map_batches(types_of, trials, workers), p.size)
+    table = reduce(np.union1d, _map_batches(types_of, trials, workers))
     start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
     # NaN marks a failed solve and is counted as excess below
-    rates = sa._rdf_rates(types / n, src.distortion, d, 1e-10, start)
+    rates = sa._rdf_rates(_key_rows(table, n, p.size) / n, src.distortion,
+                          d, 1e-10, start)
+    xlogx = _xlogx(m)
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         src_counts = rng.multinomial(n, p, size=size)
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
-        mi = _joint_mutual_information(joint)  # empirical MI per trial
-        r_t = rates[_row_index(types, src_counts)]
+        mi = _fixed_margin_mi(joint, row_counts, xlogx)  # per trial
+        r_t = rates[np.searchsorted(table, _type_keys(src_counts, n))]
         undefined = np.isnan(r_t)
         excess = undefined | (r_t > rho_eff * mi)
         return int(excess.sum()), int(undefined.sum())
@@ -601,7 +634,10 @@ def _arrangement_sum(row_counts, col_counts, limit: int, keep) -> int:
     giving T against a fixed word of the column type. ``keep`` maps tables
     (B, rows, cols) to B booleans. Each column but the last comes from its
     ``_compositions`` within the row margins, so every partial table
-    completes, and the last is what the rows have left. Raises
+    completes, and the last is what the rows have left. Each column's
+    multinomial is taken once per distinct column: ``np.unique`` of the
+    ``_type_keys`` at the column's fixed sum gives the first table holding
+    it and every table's index into them. Raises
     EnumerationTooLarge when a bound on the table count exceeds ``limit``:
     the product over the free cells of min(r, c) + 1, or |T_rows| when
     smaller, as distinct tables arrange distinct words."""
@@ -614,15 +650,20 @@ def _arrangement_sum(row_counts, col_counts, limit: int, keep) -> int:
     blocks = [np.zeros((1, rows.size, 0), dtype=np.int64)]
     for c in col_counts[:-1]:
         blocks = _extend(blocks, _compositions(c, rows), rows)
+    # each column's sum is fixed, the last's by what the rows have left
+    sums = [*col_counts[:-1], sum(row_counts) - sum(col_counts[:-1])]
     total = 0
     for tables in blocks:
         tables = np.concatenate(
             (tables, (rows - tables.sum(axis=2))[:, :, None]), axis=2)
         tables = tables[keep(tables)]
         weight = np.ones(len(tables), dtype=object)
-        for col in np.moveaxis(tables, 2, 0):   # once per distinct column
-            distinct, inverse = _unique_rows(col)
-            weight *= np.array([_multinomial(d) for d in distinct.tolist()],
+        for col, c in zip(np.moveaxis(tables, 2, 0), sums):
+            # once per distinct column
+            _, first, inverse = np.unique(_type_keys(col, c),
+                                          return_index=True,
+                                          return_inverse=True)
+            weight *= np.array([_multinomial(d) for d in col[first].tolist()],
                                dtype=object)[inverse]
         total += int(weight.sum())
     return total
@@ -678,9 +719,11 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
     contingency-table enumeration, and the event is then drawn as one
     Bernoulli per trial. Estimates are therefore random-coding averages.
 
-    Two passes run over each class's streams: the first collects the
-    distinct output types, each tail is solved once per type and distinct
-    (class type, threshold), and the second redraws and looks P(E2) up.
+    Two passes run over each class's streams: the first folds the
+    ``_type_keys`` of the output types into one sorted table of distinct
+    keys, each tail is solved once per decoded type and distinct (class
+    type, threshold), and the second redraws, looks P(E2) up by key and
+    scores E1 with ``_fixed_margin_mi``.
     """
     m = sim.n
     if cfg.m != m:
@@ -703,13 +746,13 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
         return rng, _joint_counts_given_type(counts, w.matrix, rng, size)
 
     def output_types(i: int, batch_index: int, size: int):
-        return _unique_rows(joint_counts(i, batch_index, size)[1].sum(axis=1))[0]
+        joint = joint_counts(i, batch_index, size)[1]
+        return np.unique(_type_keys(joint.sum(axis=1), m))
 
-    types = _distinct_rows(
-        (rows for i in range(k)
-         for rows in _map_batches(partial(output_types, i), sim.trials,
-                                  workers)),
-        w.output_size)
+    table = reduce(np.union1d, (batch for i in range(k) for batch in
+                                _map_batches(partial(output_types, i),
+                                             sim.trials, workers)))
+    types = _key_rows(table, m, w.output_size)
     keys = [(tuple(int(c) for c in t.counts), r + cfg.gamma)
             for t, r in zip(cfg.input_types, cfg.rates)]
     tails = {key: [_mi_tail_log_prob(key[0], tuple(y), key[1])
@@ -727,11 +770,15 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
                            out=np.zeros((k, k, len(types))), where=n_eff > 0)
     p_e2 = -np.expm1(log_none.sum(axis=1))      # [true class, output type]
 
+    xlogx = _xlogx(m)
+
     def errors(i: int, batch_index: int, size: int):
         rng, joint = joint_counts(i, batch_index, size)
         u = rng.random(size)
-        e1 = _joint_mutual_information(joint) - cfg.rates[i] < cfg.gamma
-        e2 = u < p_e2[i, _row_index(types, joint.sum(axis=1))]
+        mi = _fixed_margin_mi(joint, cfg.input_types[i].counts, xlogx)
+        e1 = mi - cfg.rates[i] < cfg.gamma
+        y = np.searchsorted(table, _type_keys(joint.sum(axis=1), m))
+        e2 = u < p_e2[i, y]
         return np.array([e1.sum(), e2.sum(), (e1 | e2).sum()])
 
     classes = []

@@ -644,6 +644,19 @@ class TestSimulateCommand:
         assert res["estimate"] == 0.0845
         assert res["diagnostics"]["boundary_trials"] == 0
 
+    def test_bsc011_excess_pinned(self, capsys):
+        # 10^6 trials at seed 7: the same bytes at one and at two workers
+        bsc = str(REPO / "docs" / "examples" / "bsc011_hamming.json")
+        outs = [run(["simulate", bsc, "--what", "excess", "--trials",
+                     "1000000", "--seed", "7", "--workers", workers], capsys)
+                for workers in ("1", "2")]
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
+        assert code == 0
+        res = json.loads(out)["results"][0]
+        assert res["estimate"] == 0.086261
+        assert res["diagnostics"]["boundary_trials"] == 0
+
     def test_uep_byte_identical(self, problem_file, tmp_path, capsys):
         outs = []
         for i, workers in enumerate((1, 4)):

@@ -97,6 +97,18 @@ class TestSamplers:
         y1 = sample_channel_output(x1, w, stream(5))
         assert (y0 == y1).all()  # same uniforms, rows identical
 
+    def test_zero_uniform_skips_null_letters(self):
+        # u = 0.0 is a draw of rng.random; both samplers take the first
+        # letter whose CDF exceeds it, never one of probability 0
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        w = Channel(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        y = sample_channel_output(np.array([0, 1]), w, Zeros())
+        x = sample_source_block(bernoulli(1.0), 2, Zeros())
+        assert y.tolist() == x.tolist() == [1, 1]
+
 
 class TestExcessEvent:
     def test_generous_threshold_never_exceeds(self, fair_hamming):
@@ -182,6 +194,101 @@ class TestExcessEvent:
         res = excess_event_probability(fair_hamming, bsc011, phi, d_n,
                                        1000, 20_000, 31)
         assert abs(res.estimate - 0.1) <= max(3 * res.std_error, 0.04)
+
+    def test_wide_keys_match_per_trial_solves(self, bsc011):
+        # 9 letters at n = 1000 take Python-int keys; every trial is
+        # redrawn from its stream and its source type solved by rdf
+        n, trials, seed, d = 1000, 40, 3, 0.5475
+        assert (n + 1) ** 8 >= 2 ** 63
+        p = np.linspace(1.0, 2.0, 9)
+        p /= p.sum()
+        dmat = np.ones((9, 9)) - np.eye(9)
+        phi = EmpiricalType(np.array([500, 500]), n)
+        rng = mcsim._stream(seed, 0)
+        types = rng.multinomial(n, p, size=trials)
+        joint = mcsim._joint_counts_given_type(phi.counts, bsc011.matrix,
+                                               rng, trials)
+        want = sum(
+            sa.rdf(SourceSpec(Distribution(t / n), dmat), d, 1e-10).rate
+            > probcore._joint_mutual_information(j)
+            for t, j in zip(types, joint))
+        res = excess_event_probability(SourceSpec(Distribution(p), dmat),
+                                       bsc011, phi, d, n, trials, seed)
+        assert 0 < want < trials
+        assert res.estimate == want / trials
+        assert res.diagnostics["boundary_trials"] == 0
+
+
+def composition_rows(data):
+    """(rows, total): count rows over 1-9 letters, each summing to a total
+    of at most 1000, drawn with repeats from a pool of up to 6 rows."""
+    k = data.draw(st.integers(1, 9), label="letters")
+    total = data.draw(st.integers(0, 1000), label="total")
+    cuts = st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)
+    pool = [np.diff([0] + sorted(c) + [total]) for c in
+            data.draw(st.lists(cuts, min_size=1, max_size=6), label="pool")]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=30), label="picks")
+    return np.array([pool[i] for i in picks], dtype=np.int64), total
+
+
+class TestTypeKeys:
+    def check(self, rows, total, split):
+        k = rows.shape[1]
+        keys = mcsim._type_keys(rows, total)
+        assert keys.dtype == (np.int64 if (total + 1) ** (k - 1) < 2 ** 63
+                              else object)
+        # decoding gives the rows back
+        assert np.array_equal(mcsim._key_rows(keys, total, k), rows)
+        # dedupe, folded over two batches as the simulators fold them
+        table = np.union1d(np.unique(keys[:split]), np.unique(keys[split:]))
+        distinct = mcsim._key_rows(table, total, k)
+        assert len(distinct) == len({tuple(r) for r in rows.tolist()})
+        assert ({tuple(r) for r in distinct.tolist()}
+                == {tuple(r) for r in rows.tolist()})
+        # lookup returns each row's own entry
+        assert np.array_equal(distinct[np.searchsorted(table, keys)], rows)
+
+    @given(st.data())
+    def test_dedupe_lookup_and_decode(self, data):
+        rows, total = composition_rows(data)
+        self.check(rows, total, data.draw(st.integers(0, len(rows))))
+
+    @pytest.mark.parametrize("k,total", [(9, 1000), (7, 2 ** 11),
+                                         (3, 2 ** 31 - 2), (2, 10 ** 9)])
+    def test_int64_boundary_and_object_keys(self, k, total):
+        # 1001^8 and 2049^6 overflow int64, and (2^31 - 1)^2 fits
+        rng = np.random.default_rng(k)
+        pool = rng.multinomial(total, np.ones(k) / k, size=5)
+        pool[0] = 0
+        pool[0, -1] = total
+        pool[1] = 0
+        pool[1, 0] = total
+        self.check(pool[rng.integers(0, 5, size=40)], total, 17)
+
+
+class TestFixedMarginMi:
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 99, 1000, 10 ** 5])
+    def test_matches_joint_mutual_information(self, m):
+        rng = np.random.default_rng(m)
+        xlogx = mcsim._xlogx(m)
+
+        def sparse_laws(rows, cols):
+            # about a third of the letters null: empty rows and columns
+            law = rng.dirichlet(np.ones(cols), size=rows)
+            law[:, rng.random(cols) < 0.3] = 0.0
+            law[law.sum(axis=1) == 0, 0] = 1.0
+            return law / law.sum(axis=1, keepdims=True)
+
+        for n_x, n_y in [(1, 1), (1, 3), (2, 2), (3, 2), (4, 5)]:
+            for _ in range(4):
+                row_counts = rng.multinomial(m, sparse_laws(1, n_x)[0])
+                w = sparse_laws(n_x, n_y)
+                joint = mcsim._joint_counts_given_type(row_counts, w, rng, 64)
+                got = mcsim._fixed_margin_mi(joint, row_counts, xlogx)
+                want = probcore._joint_mutual_information(joint)
+                assert np.all(np.abs(got - want) <= 1e-12)
+                assert np.all(got >= 0.0)
 
 
 class TestFirstOrderMi:
