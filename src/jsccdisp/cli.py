@@ -561,6 +561,10 @@ _SIMULATIONS = {
 def cmd_simulate(args) -> int:
     problem = _load(args)
     seed, trials = _sim_context(args, problem)
+    if args.what in ("clt-mi", "clt-jscc") and trials < 2:
+        raise ProblemFileError(
+            f"simulate --what {args.what} needs at least 2 trials for its "
+            f"sample variance, got {trials}")
     n_list = _n_list(args, problem)
     report = {"what": args.what, "seed": seed, "trials": trials,
               "results": _SIMULATIONS[args.what](args, problem, seed, trials,

@@ -43,6 +43,7 @@ from .source import SourceSpec
 
 CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -249,26 +250,55 @@ def _best_split(eps, a, b):
     elementwise for eps in (0, 1) and a, b > 0; returns (e_s, e_c, minimum).
 
     With x = Qinv(e_s), y = Qinv(e_c) the constraint is log Phi(x) +
-    log Phi(y) = log(1 - eps) with log Phi strictly concave, so the single
-    minimizer solves a*h(y) = b*h(x), h = phi/Phi. On 1 - e_s = (1 - eps)^t,
-    1 - e_c = (1 - eps)^(1 - t), g(t) = a*h(y) - b*h(x) falls strictly from
-    > 0 at t = 0 to < 0 at t = 1; bisection on its sign (in logs, so phi
-    never underflows) runs until no bracket can shrink.
+    log Phi(y) = L, L = log(1 - eps), with log Phi strictly concave, so the
+    single minimizer solves a*h(y) = b*h(x), h = phi/Phi. On 1 - e_s =
+    (1 - eps)^t, 1 - e_c = (1 - eps)^(1 - t), g(t) = log(a*h(y) / (b*h(x)))
+    = log(a/b) + (x^2 - y^2)/2 + (2t - 1)L falls strictly from > 0 at t = 0
+    to < 0 at t = 1, and g(1/2) = log(a/b). So the root lies in (0, 1/2]
+    once a <= b; for a > b the search swaps a and b and then e_s and e_c,
+    which keeps t where doubles are dense (a t that rounds to 1 would make
+    e_c = 0) and the split symmetric under a <-> b.
+
+    From t = 1/2 each round takes the Newton step of g, with g'(t) =
+    L*(x*Phi(x)/phi(x) + y*Phi(y)/phi(y) + 2) and Phi/phi in logs, when it
+    lands strictly inside the bracket of the signs of g seen so far, and
+    bisects that bracket otherwise; g is never evaluated at t = 0 or 1. A
+    point stops once |g| is below its rounding bound 4 * 2^-52 *
+    (|log(a/b)| + (x^2 + y^2)/2 + |L|), or when no step lies strictly
+    inside its bracket. Each point runs on its own.
     """
     eps, a, b = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (eps, a, b)))
-    log_keep = np.log1p(-eps)
-    log_ratio = np.log(a / b)
-    lo, hi = np.zeros(eps.shape), np.ones(eps.shape)
-    while True:
-        t = 0.5 * (lo + hi)
-        e_s, e_c = -np.expm1(t * log_keep), -np.expm1((1.0 - t) * log_keep)
-        x, y = -ndtri((e_s, e_c))
-        if not np.any((lo < t) & (t < hi)):
-            return e_s, e_c, a * x + b * y
-        right = log_ratio + 0.5 * (x * x - y * y) + (2.0 * t - 1.0) * log_keep > 0
+    swap = a > b
+    found = np.empty((4, eps.size))  # e_s, e_c, x, y with a and b ordered
+    live = np.arange(eps.size)
+    log_keep = np.log1p(-eps).ravel()
+    log_ratio = np.log(np.where(swap, b / a, a / b)).ravel()
+    lo, hi = np.zeros(eps.size), np.full(eps.size, 0.5)
+    t = hi.copy()
+    while live.size:
+        log_cdf = np.array((t, 1.0 - t)) * log_keep  # log Phi(x), log Phi(y)
+        e = -np.expm1(log_cdf)
+        q = -ndtri(e)
+        g = (log_ratio + 0.5 * (q[0] * q[0] - q[1] * q[1])
+             + (2.0 * t - 1.0) * log_keep)
+        right = g > 0
         lo = np.where(right, t, lo)
         hi = np.where(right, hi, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mills = np.exp(log_cdf + 0.5 * q * q + _LOG_SQRT_2PI)  # Phi / phi
+            step = t - g / (log_keep * ((q * mills).sum(axis=0) + 2.0))
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        rounding = 4.0 * 2.0 ** -52 * (
+            np.abs(log_ratio) + 0.5 * (q * q).sum(axis=0) - log_keep)
+        done = (np.abs(g) < rounding) | ~((lo < step) & (step < hi))
+        found[:, live[done]] = np.concatenate((e, q))[:, done]
+        going = ~done
+        live, t, lo, hi = live[going], step[going], lo[going], hi[going]
+        log_keep, log_ratio = log_keep[going], log_ratio[going]
+    found = found.reshape((4,) + eps.shape)
+    e_s, e_c, x, y = np.where(swap, found[[1, 0, 3, 2]], found)
+    return e_s, e_c, a * x + b * y
 
 
 def _separation(eps, lam):

@@ -234,6 +234,38 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _newton_direction(x, grad, hess, mu):
+    """The Newton directions of F - mu * sum(log x) under sum(dx) = 0 at the
+    interior rows x (R, k), with grad F (R, k), Hessian H (R, k, k) and a
+    weight mu (R,) per row, in the scaled variable dy = dx / x (R, k).
+
+    The system has matrix X H X + mu I, bordered by the constraint; a
+    symmetric diagonal (Jacobi) scaling keeps it well conditioned as a
+    letter nears 0, and its leading block is positive definite for mu > 0,
+    so the bordered system is nonsingular even where H is singular, until
+    mu falls below the rounding of that block's unit diagonal: with two
+    equal rows of H (a channel with a repeated row) the two rows of the
+    system then agree bit for bit, which happens at a gap near 1e-16. A
+    singular system gives a NaN direction.
+    """
+    n, k = x.shape
+    scale = 1.0 / np.sqrt(x * x * hess.diagonal(axis1=1, axis2=2)
+                          + mu[:, None])
+    sx = scale * x
+    kkt = np.zeros((n, k + 1, k + 1))  # the corner stays 0
+    np.multiply(sx[:, :, None] * hess, sx[:, None, :], out=kkt[:, :k, :k])
+    kkt.reshape(n, -1)[:, :k * (k + 2):k + 2] += mu[:, None] * (scale * scale)
+    kkt[:, :k, k] = sx
+    kkt[:, k, :k] = sx
+    rhs = np.zeros((n, k + 1, 1))
+    rhs[:, :k, 0] = scale * (mu[:, None] - x * grad)
+    try:
+        dy = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        dy = _solve_each(kkt, rhs)
+    return scale * dy[:, :k, 0]
+
+
 def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     """Minimise T convex functions F_t over the probability simplex in R^k
     by a log-barrier Newton method, all at once; ``shape`` is (T, k).
@@ -243,22 +275,20 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     gap) of the problems ``rows`` (a slice or an index array) at their
     interior iterates x (R, k), with shapes (R,), (R, k), (R, k, k) and
     (R,), where gap is a certified bound on F(x) - min F. Each row runs on
-    its own: starting at uniform, its barrier weight mu = min(mu,
-    gap / (10 k)) never rises. A step solves the Newton system of
-    F - mu * sum(log x) under sum(dx) = 0 in the scaled variable
-    dy = dx / x, with matrix X H X + mu I; a symmetric diagonal (Jacobi)
-    scaling keeps that system well conditioned as a letter nears 0, and its
-    leading block is positive definite for mu > 0, so the bordered system
-    is nonsingular even where H is singular, until mu falls below the
-    rounding of that block's unit diagonal: with two equal rows of H (a
-    channel with a repeated row) the two rows of the system then agree bit
-    for bit, which happens at a gap near 1e-16. The step stops at 0.99 of
-    the way to the boundary and is halved until the barrier rises by at
-    most 1e-15 * (1 + |F|). A row stops once gap <= tol, when its Newton
-    system is singular, when no step down to 1e-12 passes that test, or
-    after 200 steps; the caller judges the gap of the returned x, floored
-    at 0 (a bound that rounds below 0 certifies an optimum). Iterates never
-    reach the boundary.
+    its own from uniform, with a barrier weight mu that never rises. Every
+    step first tries a long step: the Newton direction of F - mu * sum(log
+    x) (``_newton_direction``) at mu = min(mu, gap / (10 k), gap^2). A
+    row keeps it when its full length stays inside the simplex (every
+    dx / x above -0.99); otherwise it takes the direction at mu = min(mu,
+    gap / (10 k)), whose step stops at 0.99 of the way to the boundary.
+    The long step lets mu fall with the square of the gap; cut short at
+    the boundary on every step, it would stall a letter that heads to 0.
+    Either step is halved until the barrier rises by at most
+    1e-15 * (1 + |F|). A row stops once gap <= tol, when its Newton system
+    is singular, when no step down to 1e-12 passes that test, or after 200
+    steps; the caller judges the gap of the returned x, floored at 0 (a
+    bound that rounds below 0 certifies an optimum). Iterates never reach
+    the boundary.
     """
     t, k = shape
     x = np.full(shape, 1.0 / k)
@@ -267,31 +297,18 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     mu = np.full(t, math.inf)
     steps = np.zeros(t, dtype=np.int64)
     live = gap > tol
-    # the bordered Newton matrices, built in place in the first m rows for
-    # m live problems; the corner stays 0
-    kkt = np.zeros((t, k + 1, k + 1))
-    rhs = np.zeros((t, k + 1))
-    block, column, border = kkt[:, :k, :k], kkt[:, :k, k], kkt[:, k, :k]
-    diagonal = kkt.reshape(t, -1)[:, :k * (k + 2):k + 2]  # the block's, a view
     while n := np.count_nonzero(live):
         rows = _ALL if n == t else np.flatnonzero(live)
-        xr, fr = x[rows], f[rows]
-        mur = np.minimum(mu[rows], gap[rows] / (10 * k))
+        xr, fr, gr, hr = x[rows], f[rows], grad[rows], hess[rows]
+        short = np.minimum(mu[rows], gap[rows] / (10 * k))
+        mur = np.minimum(short, gap[rows] ** 2)
+        dy = _newton_direction(xr, gr, hr, mur)
+        refused = ~(np.maximum.reduce(-dy, axis=1) < 0.99) & (mur < short)
+        if np.count_nonzero(refused):
+            mur[refused] = short[refused]
+            dy[refused] = _newton_direction(xr[refused], gr[refused],
+                                            hr[refused], mur[refused])
         mu[rows] = mur
-        hr = hess[rows]
-        scale = 1.0 / np.sqrt(xr * xr * hr.diagonal(axis1=1, axis2=2)
-                              + mur[:, None])
-        sx = scale * xr
-        np.multiply(sx[:, :, None] * hr, sx[:, None, :], out=block[:n])
-        diagonal[:n] += mur[:, None] * (scale * scale)
-        column[:n] = sx
-        border[:n] = sx
-        rhs[:n, :k] = scale * (mur[:, None] - xr * grad[rows])
-        try:
-            dy = np.linalg.solve(kkt[:n], rhs[:n, :, None])
-        except np.linalg.LinAlgError:  # a NaN step stops its row below
-            dy = _solve_each(kkt[:n], rhs[:n, :, None])
-        dy = scale * dy[:, :k, 0]
         # the barrier may rise by its rounding error at F
         ceiling = fr - mur * log_x[rows] + 1e-15 * (1.0 + np.abs(fr))
         step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)

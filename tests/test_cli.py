@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import jsonschema
 import pytest
@@ -594,6 +595,33 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", str(path), "--what", "xi"], capsys)
         assert code == 2
         assert "sim.trials" in err
+
+    @pytest.mark.parametrize("what", ["clt-mi", "clt-jscc"])
+    def test_clt_with_one_trial_exit_2(self, tmp_path, problem_file, what,
+                                       monkeypatch, capsys):
+        # a sample variance needs two samples: one trial, from the flag or
+        # from the file, is refused before any sampling, with no warning
+        prob = dict(BSC_PROBLEM, sim={"seed": 7, "trials": 1, "n_list": [50]})
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(prob))
+        batches = count_calls(monkeypatch, cli.mcsim, "_fill_batches")
+        for argv in (["simulate", problem_file, "--what", what, "--trials",
+                      "1", "--n-list", "50"],
+                     ["simulate", str(path), "--what", what]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert f"--what {what} needs at least 2 trials" in err
+        assert batches == []
+
+    @pytest.mark.parametrize("what", ["excess", "xi"])
+    def test_one_trial_is_enough_outside_the_clt_modes(self, problem_file,
+                                                       what, capsys):
+        code, out, _ = run(["simulate", problem_file, "--what", what,
+                            "--trials", "1", "--n-list", "50"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["trials"] == 1
 
     def test_clt_block_lengths_do_not_overlap(self, problem_file, capsys):
         # each block length's samples are freed before the next is drawn,

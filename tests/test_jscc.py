@@ -33,6 +33,8 @@ from jsccdisp import (
     separation_split,
     separation_vsep,
 )
+import jsccdisp.jscc as jscc
+from jsccdisp.probcore import ndtri
 from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 
@@ -62,6 +64,33 @@ def bisect_h(target: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisection_split(eps, a, b):
+    """The best split by bisection on the sign of g(t) over [0, 1] until no
+    bracket can shrink: ``jscc._best_split`` before its Newton step."""
+    eps, a, b = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (eps, a, b)))
+    log_keep = np.log1p(-eps)
+    log_ratio = np.log(a / b)
+    lo, hi = np.zeros(eps.shape), np.ones(eps.shape)
+    while True:
+        t = 0.5 * (lo + hi)
+        e_s, e_c = -np.expm1(t * log_keep), -np.expm1((1.0 - t) * log_keep)
+        x, y = -ndtri((e_s, e_c))
+        if not np.any((lo < t) & (t < hi)):
+            return e_s, e_c, a * x + b * y
+        right = (log_ratio + 0.5 * (x * x - y * y)
+                 + (2.0 * t - 1.0) * log_keep) > 0
+        lo = np.where(right, t, lo)
+        hi = np.where(right, hi, t)
+
+
+def fig3_grid():
+    """(eps, lambda) of ``separation --paper-fig3``, as flat arrays."""
+    lam, eps = np.meshgrid(jscc.DEFAULT_LAMBDA_CURVES,
+                           np.geomspace(1e-4, 0.5, 200), indexing="ij")
+    return eps.ravel(), lam.ravel()
 
 
 @pytest.fixture
@@ -370,6 +399,66 @@ class TestSeparation:
                 a = separation_equivalent_eps(eps, lam)
                 b = separation_equivalent_eps(eps, 1.0 / lam)
                 assert a == pytest.approx(b, abs=1e-9)
+
+    def test_lambda_inversion_symmetry_at_extremes(self):
+        # a t that rounded to 1 made e_c = 0 and eps_tilde = 0 for every
+        # lambda <= 1e-40, while 1/lambda gave eps. The rows of one curve
+        # equal the scalar calls bit for bit
+        lams = [1e-300, 1e-100, 1e-40, 1e-8, 1.0, 10.0]
+        eps_grid = [1e-12, 0.1, 0.5, 1.0 - 1e-9]
+        rows = separation_curve(eps_grid, lams + [1.0 / v for v in lams])
+        tilde = np.array([r[2] for r in rows]).reshape(2, len(lams), 4)
+        np.testing.assert_allclose(tilde[0], tilde[1], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tilde[:, 0], [eps_grid] * 2, rtol=1e-12,
+                                   atol=0.0)
+        assert separation_equivalent_eps(0.1, 1e-300) == tilde[0, 0, 1]
+        assert separation_equivalent_eps(0.1, 1e300) == tilde[1, 0, 1]
+
+    def test_split_matches_bisection(self):
+        # against bisection on the Fig. 3 grid and 2,000 random points. The
+        # reference runs with a <= b (t <= 1/2): near t = 1 its e_c keeps
+        # only 2^-53 / (1 - t) relative resolution. The minimum is compared
+        # with the scale a|x| + b|y| of its two terms, |minimum| itself
+        # when x, y >= 0 (every Fig. 3 point): for eps near 1 the two
+        # terms cancel
+        rng = np.random.default_rng(19)
+        eps, lam = fig3_grid()
+        fig3 = slice(0, eps.size)
+        a = np.ones(eps.size + 2000)
+        b = np.concatenate([np.sqrt(lam), np.exp(
+            rng.uniform(math.log(1e-4), math.log(1e4), 2000))])
+        eps = np.concatenate([
+            eps, rng.uniform(1e-12, 0.999, 1000),
+            np.exp(rng.uniform(math.log(1e-12), math.log(0.999), 1000))])
+        e_s, e_c, best = jscc._best_split(eps, a, b)
+        swap = a > b
+        r_small, r_large, r_best = bisection_split(
+            eps, np.minimum(a, b), np.maximum(a, b))
+        np.testing.assert_allclose(e_s, np.where(swap, r_large, r_small),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e_c, np.where(swap, r_small, r_large),
+                                   rtol=1e-12, atol=0.0)
+        scale = a * np.abs(ndtri(e_s)) + b * np.abs(ndtri(e_c))
+        assert np.all(np.abs(best - r_best) <= 1e-13 * scale)
+        assert np.all(np.abs(best - r_best)[fig3]
+                      <= 1e-13 * np.abs(r_best[fig3]))
+        # the bisection with a and b unordered agrees on the minimum as well
+        unordered = bisection_split(eps, a, b)[2]
+        assert np.all(np.abs(best - unordered) <= 1e-13 * scale)
+
+    def test_fig3_split_rounds(self, monkeypatch):
+        # bisection took about 60 rounds (one ndtri call each) on this grid
+        rounds = []
+        real = jscc.ndtri
+
+        def counting(p):
+            rounds.append(1)
+            return real(p)
+
+        monkeypatch.setattr(jscc, "ndtri", counting)
+        eps, lam = fig3_grid()
+        jscc._best_split(eps, 1.0, np.sqrt(lam))
+        assert len(rounds) <= 16
 
     def test_extreme_lambda_limits(self):
         # the loss vanishes as lambda -> 0 or infinity

@@ -23,6 +23,8 @@ from jsccdisp import (
     source_dispersion,
     source_rate_at,
 )
+import jsccdisp.channel as ch
+import jsccdisp.probcore as pc
 import jsccdisp.source as sa
 from jsccdisp.cli import load_problem_file, main
 from conftest import HAMMING, hamming_source
@@ -34,6 +36,7 @@ CHANNEL_6X3 = str(REPO / "perfbench" / "inputs" / "channel_6x3.json")
 
 LN2 = math.log(2.0)
 TERNARY_PROBS = np.array([0.5, 0.3, 0.2])
+HAMMING3 = np.ones((3, 3)) - np.eye(3)  # the ternary example's distortion
 
 
 def h_nats(q: float) -> float:
@@ -222,6 +225,22 @@ class TestSlopeSearch:
         monkeypatch.setattr(sa, "_fixed_slope", counting)
         return calls
 
+    @staticmethod
+    def count_newton_rounds(monkeypatch) -> list:
+        """Wrap the Newton kernel of the source and channel solvers; each
+        call appends its rounds, the largest step count of its rows."""
+        rounds = []
+        for module in (sa, ch):
+            real = module._simplex_newton
+
+            def counting(*args, _real=real, **kwargs):
+                x, gap, steps = _real(*args, **kwargs)
+                rounds.append(int(steps.max()))
+                return x, gap, steps
+
+            monkeypatch.setattr(module, "_simplex_newton", counting)
+        return rounds
+
     def test_stalled_source_converges(self, monkeypatch):
         src = SourceSpec(Distribution(np.array(STALLED_P)),
                          np.array(STALLED_D))
@@ -270,13 +289,52 @@ class TestSlopeSearch:
 
     def test_excess_types_solved_in_few_rounds(self, monkeypatch, capsys):
         # the batch of source types starts at the slope of P itself; from
-        # s = -1 the run (20,000 trials, n = 500, seed 7) solved 22,739 rows
+        # s = -1 the run (20,000 trials, n = 500, seed 7) solved 22,739 rows.
+        # Its 19 Newton batches took 203 rounds before the long step
         rows = self.count_solves(monkeypatch)
+        rounds = self.count_newton_rounds(monkeypatch)
         assert main(["simulate", TERNARY, "--what", "excess"]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
         assert result["estimate"] == 0.08485
         assert result["diagnostics"]["boundary_trials"] == 0
         assert sum(rows) <= 2290
+        assert sum(rounds) <= 130
+
+    def test_newton_round_counts(self, monkeypatch, capsys):
+        # with the barrier weight falling to gap / (10 k) at most, these
+        # took 142 and 54 rounds; the long step at gap^2 takes 86 and 34
+        rounds = self.count_newton_rounds(monkeypatch)
+        assert main(["jscc", TERNARY, "--n-list", "100,1000,10000"]) == 0
+        capsys.readouterr()
+        assert sum(rounds) <= 100
+        rounds.clear()
+        rdf(load_problem_file(TERNARY)["source"], 0.1)
+        assert sum(rounds) <= 40
+
+    def test_refused_long_step_falls_back(self, monkeypatch):
+        # the first solve of rdf(ternary, 0.1), at s = -1: the third letter
+        # heads to 0, and a long step would cross the boundary on nearly
+        # every round. Each refused round solves again at gap / (10 k) for
+        # the same iterate, and the row still converges
+        calls = []
+        real = pc._newton_direction
+
+        def recording(x, grad, hess, mu):
+            dy = real(x, grad, hess, mu)
+            calls.append((x.copy(), mu.copy(), np.max(-dy, axis=1)))
+            return dy
+
+        monkeypatch.setattr(pc, "_newton_direction", recording)
+        a = np.exp(-HAMMING3)[None]
+        x, gap, steps = pc._simplex_newton(
+            sa._rd_oracle(TERNARY_PROBS[None], a), (1, 3), sa._INNER_TOL)
+        refused = [(long, short) for long, short in zip(calls, calls[1:])
+                   if np.array_equal(long[0], short[0])]
+        assert len(refused) >= 5
+        assert all(long[2][0] >= 0.99 and short[1][0] > long[1][0]
+                   for long, short in refused)
+        assert gap[0] <= sa._INNER_TOL and steps[0] <= 14
+        assert x[0, 2] < 1e-9
 
 
 class TestRdfCertificates:
