@@ -125,9 +125,10 @@ def information_density(phi: Distribution, w: Channel) -> np.ndarray:
 def _row_divergences(phi_probs: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     """D(W_x || phiW) for every input row x, with the support convention.
 
-    The capacity solve keeps phi in the interior of the simplex, so phiW is
-    positive on every output that some row reaches, and no divergence is
-    infinite.
+    The capacity solve may end inputs at exactly 0, but never one whose
+    removal leaves an output that its row reaches with phiW = 0, as that
+    makes the kernel's oracle infinite; so phiW is positive on every output
+    that some row reaches, and no divergence is infinite.
     """
     return (w_mat * _log_ratio(w_mat, phi_probs @ w_mat)).sum(axis=1)
 

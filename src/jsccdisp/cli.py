@@ -628,18 +628,14 @@ def _subcommand(sub, name: str, flags: tuple, **kwargs) -> argparse.ArgumentPars
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jsccdisp",
-        description="Finite-blocklength joint source-channel dispersion toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _channel_parser(sub) -> None:
     p = _subcommand(sub, "channel", ("--units", "--out", "--tol", "--eps", "--n-list"),
                     help="capacity, V_min/V_max, and rate approximations")
     p.add_argument("file")
     p.set_defaults(fn=cmd_channel)
 
+
+def _source_parser(sub) -> None:
     p = _subcommand(sub, "source", ("--units", "--out", "--tol", "--eps", "--n-list"),
                     help="rate-distortion, V_S, and rate approximations")
     p.add_argument("file")
@@ -648,6 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "nonnegative and finite"))
     p.set_defaults(fn=cmd_source)
 
+
+def _jscc_parser(sub) -> None:
     p = _subcommand(sub, "jscc", ("--units", "--out", "--eps", "--n-list"),
                     help="dispersion report and D_n (or rho_n) tables")
     p.add_argument("file")
@@ -656,6 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_jscc)
 
+
+def _separation_parser(sub) -> None:
     p = _subcommand(sub, "separation", ("--out",),
                     help="eps_tilde(eps, lambda) curves as CSV")
     p.add_argument("--eps-grid", default=None,
@@ -666,6 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset: 8 lambda curves on 200 log-spaced eps in [1e-4, 0.5]")
     p.set_defaults(fn=cmd_separation)
 
+
+def _simulate_parser(sub) -> None:
     p = _subcommand(sub, "simulate", ("--out", "--seed", "--eps", "--n-list"),
                     help="Monte-Carlo and exact-enumeration validations")
     p.add_argument("file")
@@ -677,12 +679,34 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="decoder threshold in nats (default: union-bound terms)")
     p.set_defaults(fn=cmd_simulate)
+
+
+_COMMANDS = {"channel": _channel_parser, "source": _source_parser,
+             "jscc": _jscc_parser, "separation": _separation_parser,
+             "simulate": _simulate_parser}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``: when its first item names a command, only that
+    subcommand is built, as parsing the rest needs no other; otherwise all
+    five, so help and the usage errors list every command. The command list
+    in the top-level usage line is the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="jsccdisp",
+        description="Finite-blocklength joint source-channel dispersion toolkit",
+    )
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except ProblemFileError as exc:

@@ -44,6 +44,7 @@ from .source import SourceSpec
 CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_TINY = math.ulp(0.0)  # the smallest positive double
 
 
 @dataclass(frozen=True)
@@ -259,13 +260,20 @@ def _best_split(eps, a, b):
     which keeps t where doubles are dense (a t that rounds to 1 would make
     e_c = 0) and the split symmetric under a <-> b.
 
-    From t = 1/2 each round takes the Newton step of g, with g'(t) =
-    L*(x*Phi(x)/phi(x) + y*Phi(y)/phi(y) + 2) and Phi/phi in logs, when it
-    lands strictly inside the bracket of the signs of g seen so far, and
-    bisects that bracket otherwise; g is never evaluated at t = 0 or 1. A
-    point stops once |g| is below its rounding bound 4 * 2^-52 *
-    (|log(a/b)| + (x^2 + y^2)/2 + |L|), or when no step lies strictly
-    inside its bracket. Each point runs on its own.
+    From t = 1/2 each round takes the Newton step of g in log t, with
+    t g'(t) = t L (x Phi(x)/phi(x) + y Phi(y)/phi(y) + 2) and t L Phi/phi
+    in logs, when it lands strictly inside the bracket of the signs of g
+    seen so far, and bisects that bracket in log t otherwise, reading a
+    lower end of 0 as the smallest positive double. For small t, g is
+    nearly linear in log t (x^2/2 grows like -log t), so a root t* that
+    shrinks like a/b takes a few rounds at any a/b, where halving t took
+    log2(1/t*). g is never evaluated at t = 0 or 1. A share e that
+    underflows to 0 enters its quantile as the smallest positive double,
+    so g stays finite, and is returned as 0. A point stops once |g| is
+    below its rounding bound 4 * 2^-52 * (|log(a/b)| + (x^2 + y^2)/2 + |L|)
+    plus, for a subnormal share e, 2^-1074 / e; when its root lies where
+    the small share underflows; or when no step lies strictly inside its
+    bracket. Each point runs on its own.
     """
     eps, a, b = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (eps, a, b)))
@@ -279,19 +287,30 @@ def _best_split(eps, a, b):
     while live.size:
         log_cdf = np.array((t, 1.0 - t)) * log_keep  # log Phi(x), log Phi(y)
         e = -np.expm1(log_cdf)
-        q = -ndtri(e)
+        q = -ndtri(np.maximum(e, _TINY))
         g = (log_ratio + 0.5 * (q[0] * q[0] - q[1] * q[1])
              + (2.0 * t - 1.0) * log_keep)
         right = g > 0
         lo = np.where(right, t, lo)
         hi = np.where(right, hi, t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mills = np.exp(log_cdf + 0.5 * q * q + _LOG_SQRT_2PI)  # Phi / phi
-            step = t - g / (log_keep * ((q * mills).sum(axis=0) + 2.0))
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        # t g'(t), with t L Phi/phi in logs, where both factors may be out
+        # of range while their product is near 1
+        slope = 2.0 * t * log_keep - (q * np.exp(
+            np.log(t) + np.log(-log_keep) + log_cdf + 0.5 * q * q
+            + _LOG_SQRT_2PI)).sum(axis=0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = t * np.exp(-g / slope)  # a non-finite step is not taken
+        step = np.where((lo < step) & (step < hi), step,
+                        np.sqrt(np.maximum(lo, _TINY)) * np.sqrt(hi))
+        # a subnormal e is a multiple of the smallest double, which moves
+        # log e, and g with it, by up to that double over e
         rounding = 4.0 * 2.0 ** -52 * (
-            np.abs(log_ratio) + 0.5 * (q * q).sum(axis=0) - log_keep)
-        done = (np.abs(g) < rounding) | ~((lo < step) & (step < hi))
+            np.abs(log_ratio) + 0.5 * (q * q).sum(axis=0) - log_keep) + (
+            _TINY / np.maximum(e, _TINY)).sum(axis=0)
+        # a root where the small side underflows leaves every t of the
+        # bracket with the same split
+        done = ((np.abs(g) < rounding) | (~right & (e[0] == 0.0))
+                | ~((lo < step) & (step < hi)))
         found[:, live[done]] = np.concatenate((e, q))[:, done]
         going = ~done
         live, t, lo, hi = live[going], step[going], lo[going], hi[going]

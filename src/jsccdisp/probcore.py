@@ -236,8 +236,10 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _newton_direction(x, grad, hess, mu):
     """The Newton directions of F - mu * sum(log x) under sum(dx) = 0 at the
-    interior rows x (R, k), with grad F (R, k), Hessian H (R, k, k) and a
-    weight mu (R,) per row, in the scaled variable dy = dx / x (R, k).
+    rows x (R, k), with grad F (R, k), Hessian H (R, k, k) and a weight mu
+    (R,) per row, in the scaled variable dy = dx / x (R, k). The barrier
+    runs over the support x > 0 alone: a letter at x = 0 gets an identity
+    row and column with a zero right-hand side, so it stays at 0.
 
     The system has matrix X H X + mu I, bordered by the constraint; a
     symmetric diagonal (Jacobi) scaling keeps it well conditioned as a
@@ -258,7 +260,9 @@ def _newton_direction(x, grad, hess, mu):
     kkt[:, :k, k] = sx
     kkt[:, k, :k] = sx
     rhs = np.zeros((n, k + 1, 1))
-    rhs[:, :k, 0] = scale * (mu[:, None] - x * grad)
+    weight = (mu[:, None] if np.count_nonzero(x) == x.size
+              else np.where(x > 0.0, mu[:, None], 0.0))
+    rhs[:, :k, 0] = scale * (weight - x * grad)
     try:
         dy = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -266,29 +270,132 @@ def _newton_direction(x, grad, hess, mu):
     return scale * dy[:, :k, 0]
 
 
+def _log_support(x) -> np.ndarray:
+    """sum(log x) over the support x > 0 of each row of x."""
+    if np.count_nonzero(x) == x.size:
+        return np.log(x).sum(axis=1)
+    return np.log(x, out=np.zeros(x.shape), where=x > 0.0).sum(axis=1)
+
+
+# A step cut at 0.99 of the way to the boundary leaves a letter at 1/100 of
+# its mass, so a letter that stopped a long step at the boundary is below
+# the floor on the next round.
+_FLOOR = 1e-2
+
+
+def _reduced_gradient(x, grad) -> np.ndarray:
+    """grad F minus its x-weighted mean, per row: the rate at which F
+    changes as a letter takes mass from the rest of its row."""
+    return grad - (x * grad).sum(axis=1, keepdims=True)
+
+
+def _rebuild_support(oracle, rows, x, f, grad, hess, gap, log_x, mu, kept):
+    """Move letters off and onto the supports of the problems ``rows`` (a
+    slice or an index array), in place, by the rules of ``_simplex_newton``;
+    ``kept`` marks the letters that may not leave. Returns the indices of
+    the rows whose support changed."""
+    xr = x[rows]
+    small = xr < _FLOOR
+    if not np.count_nonzero(small):
+        return ()
+    reduced = _reduced_gradient(xr, grad[rows])
+    leave = small & (xr > 0.0) & (reduced > gap[rows, None]) & ~kept[rows]
+    enter = (xr == 0.0) & (reduced < 0.0)
+    change = (leave | enter).any(axis=1)
+    if not np.count_nonzero(change):
+        return ()
+    at = np.flatnonzero(change) if rows is _ALL else rows[change]
+    leave, enter = leave[change], enter[change]
+    moved = np.where(leave, 0.0, np.where(enter, _FLOOR, xr[change]))
+    moved /= moved.sum(axis=1, keepdims=True)
+    with np.errstate(all="ignore"):  # judged by the finite test below
+        values = oracle(moved, at)
+    finite = (np.isfinite(values[0]) & np.isfinite(values[3])
+              & np.isfinite(values[1]).all(axis=1)
+              & np.isfinite(values[2]).all(axis=(1, 2)))
+    kept[at] |= np.where(finite[:, None], enter, leave)
+    at = at[finite]
+    x[at] = moved[finite]
+    f[at], grad[at], hess[at], gap[at] = (v[finite] for v in values)
+    log_x[at] = _log_support(x[at])
+    mu[at] = math.inf
+    return at
+
+
+def _line_search(oracle, rows, x, f, log_x, dy, mu):
+    """The step along the directions dy of the rows x of the problems
+    ``rows``: from 1, or 0.99 of the way to the boundary, halved until the
+    barrier F - mu * sum(log x) rises by at most its rounding error at F,
+    1e-15 * (1 + |F|); 0 for a row whose step fell below 1e-12 or is NaN.
+    Returns the steps, the trial points, the oracle's values there and the
+    barrier's sum(log x) at them; a halving evaluates only the rows that
+    failed."""
+    ceiling = f - mu * log_x + 1e-15 * (1.0 + np.abs(f))
+    step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)
+    np.minimum(step, 1.0, out=step)
+    stop = ~(step >= 1e-12)
+    if np.count_nonzero(stop):
+        step[stop], dy[stop] = 0.0, 0.0
+    trial = x * (1.0 + step[:, None] * dy)
+    values, logs = oracle(trial, rows), _log_support(trial)
+    failed = ~(stop | (values[0] - mu * logs <= ceiling))
+    at = np.flatnonzero(failed) if np.count_nonzero(failed) else ()
+    while len(at):
+        step[at] *= 0.5
+        stop = ~(step[at] >= 1e-12)
+        step[at[stop]] = 0.0
+        trial[at] = x[at] * (1.0 + step[at, None] * dy[at])
+        part = oracle(trial[at], at if rows is _ALL else rows[at])
+        for whole, piece in zip(values, part):
+            whole[at] = piece
+        logs[at] = _log_support(trial[at])
+        at = at[~(stop | (part[0] - mu[at] * logs[at] <= ceiling[at]))]
+    return step, trial, values, logs
+
+
 def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     """Minimise T convex functions F_t over the probability simplex in R^k
-    by a log-barrier Newton method, all at once; ``shape`` is (T, k).
-    Returns (x, gap, iterations) with shapes (T, k), (T,) and (T,).
+    by a log-barrier Newton method on an active set, all at once; ``shape``
+    is (T, k). Returns (x, gap, iterations) with shapes (T, k), (T,) and
+    (T,).
 
     ``oracle(x, rows)`` returns fresh arrays (F, grad F, Hessian H of F,
     gap) of the problems ``rows`` (a slice or an index array) at their
-    interior iterates x (R, k), with shapes (R,), (R, k), (R, k, k) and
-    (R,), where gap is a certified bound on F(x) - min F. Each row runs on
-    its own from uniform, with a barrier weight mu that never rises. Every
-    step first tries a long step: the Newton direction of F - mu * sum(log
-    x) (``_newton_direction``) at mu = min(mu, gap / (10 k), gap^2). A
-    row keeps it when its full length stays inside the simplex (every
-    dx / x above -0.99); otherwise it takes the direction at mu = min(mu,
-    gap / (10 k)), whose step stops at 0.99 of the way to the boundary.
-    The long step lets mu fall with the square of the gap; cut short at
-    the boundary on every step, it would stall a letter that heads to 0.
-    Either step is halved until the barrier rises by at most
-    1e-15 * (1 + |F|). A row stops once gap <= tol, when its Newton system
-    is singular, when no step down to 1e-12 passes that test, or after 200
-    steps; the caller judges the gap of the returned x, floored at 0 (a
-    bound that rounds below 0 certifies an optimum). Iterates never reach
-    the boundary.
+    iterates x (R, k), with shapes (R,), (R, k), (R, k, k) and (R,), where
+    gap is a certified bound on F(x) - min F over the whole simplex. Each
+    row runs on its own from uniform, with a barrier weight mu that never
+    rises while its support stays put.
+
+    Support. Each round starts by rebuilding the support of every row. With
+    r the reduced gradient (``_reduced_gradient``), a letter leaves when
+    its mass is below ``_FLOOR``, r exceeds the gap, and the oracle stays
+    finite without it. The margin keeps a support letter of small mass: on
+    the barrier's path its r is near mu / x, which falls with the gap,
+    while a letter whose optimum is 0 keeps r near its slack as the gap
+    falls to tol. A letter off the support re-enters at the floor's mass
+    once its r turns negative. A letter that re-entered, or whose removal
+    made the oracle non-finite (the only input that reaches a channel
+    output, the only zero-distortion reproduction of a source letter),
+    never leaves again, so no letter cycles. A row whose support changed
+    is renormalised, evaluated again and starts a new barrier weight.
+    Letters off the support sit at exactly 0, where the barrier does not
+    reach (``_newton_direction``); the gap still covers them, so it
+    certifies a boundary point as it does an interior one.
+
+    Steps. Every step first tries a long step: the Newton direction at mu
+    = min(mu, gap / (10 k), gap^2). Its full length may take a letter out
+    of the simplex (dx / x at or below -0.99) only if that letter may leave
+    the support, with r > 0 and not held on it; the step then stops at
+    0.99 of the way to the boundary, and the letter leaves on the next
+    round. A row whose long step would take out any other letter, or finds
+    no step (``_line_search``: a singular system, or the rounding at a tiny
+    mu), takes the direction at min(mu, gap / (10 k)) instead; where that
+    is already at most gap^2 the two are one. A row keeps the weight of
+    its step, or min(mu, gap / (10 k)) after a long step cut at the
+    boundary, whose point has not reached the path of the smaller weight.
+    A row stops once gap <= tol, when no step passes the line search, or
+    after 200 steps; the caller judges the gap of the returned x, floored
+    at 0 (a bound that rounds below 0 certifies an optimum).
     """
     t, k = shape
     x = np.full(shape, 1.0 / k)
@@ -296,35 +403,48 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     log_x = np.log(x).sum(axis=1)
     mu = np.full(t, math.inf)
     steps = np.zeros(t, dtype=np.int64)
+    kept = np.zeros(shape, dtype=bool)
     live = gap > tol
     while n := np.count_nonzero(live):
         rows = _ALL if n == t else np.flatnonzero(live)
+        changed = _rebuild_support(oracle, rows, x, f, grad, hess, gap,
+                                   log_x, mu, kept)
+        if len(changed):
+            live[changed] = gap[changed] > tol
+            if (n := np.count_nonzero(live)) < t:
+                rows = np.flatnonzero(live)
+            if not n:
+                break
         xr, fr, gr, hr = x[rows], f[rows], grad[rows], hess[rows]
         short = np.minimum(mu[rows], gap[rows] / (10 * k))
         mur = np.minimum(short, gap[rows] ** 2)
         dy = _newton_direction(xr, gr, hr, mur)
-        refused = ~(np.maximum.reduce(-dy, axis=1) < 0.99) & (mur < short)
-        if np.count_nonzero(refused):
-            mur[refused] = short[refused]
-            dy[refused] = _newton_direction(xr[refused], gr[refused],
-                                            hr[refused], mur[refused])
+        crossing = ~(dy > -0.99)
+        cut = None
+        if np.count_nonzero(crossing):
+            held = crossing & (kept[rows] | ~(_reduced_gradient(xr, gr) > 0.0))
+            refused = held.any(axis=1) & (mur < short)
+            if np.count_nonzero(refused):
+                mur[refused] = short[refused]
+                dy[refused] = _newton_direction(xr[refused], gr[refused],
+                                                hr[refused], mur[refused])
+            cut = crossing.any(axis=1) & (mur < short)
+        step, trial, values, logs = _line_search(oracle, rows, xr, fr,
+                                                 log_x[rows], dy, mur)
+        if np.count_nonzero(step) < len(step):
+            again = np.flatnonzero((step == 0.0) & (mur < short))
+            if again.size:
+                mur[again] = short[again]
+                step[again], trial[again], part, logs[again] = _line_search(
+                    oracle, again if rows is _ALL else rows[again],
+                    xr[again], fr[again], log_x[rows][again],
+                    _newton_direction(xr[again], gr[again], hr[again],
+                                      mur[again]), mur[again])
+                for whole, piece in zip(values, part):
+                    whole[again] = piece
+        if cut is not None:  # a step cut at the boundary is short of mur
+            mur[cut] = short[cut]
         mu[rows] = mur
-        # the barrier may rise by its rounding error at F
-        ceiling = fr - mur * log_x[rows] + 1e-15 * (1.0 + np.abs(fr))
-        step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)
-        np.minimum(step, 1.0, out=step)
-        while True:
-            # a row whose step fell below 1e-12, or is NaN, stays and stops
-            stop = ~(step >= 1e-12)
-            if np.count_nonzero(stop):
-                step[stop], dy[stop] = 0.0, 0.0
-            trial = xr * (1.0 + step[:, None] * dy)
-            values = oracle(trial, rows)
-            logs = np.log(trial).sum(axis=1)
-            passed = stop | (values[0] - mur * logs <= ceiling)
-            if np.count_nonzero(passed) == n:
-                break
-            step[~passed] *= 0.5
         moved = step > 0.0  # else no step lowers the barrier
         if rows is _ALL:
             x, (f, grad, hess, gap), log_x = trial, values, logs

@@ -150,10 +150,14 @@ def _rd_oracle(p: np.ndarray, a: np.ndarray):
     """``probcore._simplex_newton`` oracle of F(q) = -sum_x P(x) log (A q)_x
     for the rows of ``p`` (T, |S|) and weights ``a`` (T, |S|, |Shat|): the
     gradient is -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A,
-    and the gap Blahut's bound log max c."""
+    and the gap Blahut's bound log max c. A source letter of zero mass
+    takes (A q)_x + 1, which keeps its terms 0 where q puts no mass on its
+    reproductions."""
+    massless = (p == 0.0).astype(float)
+
     def oracle(q, rows):
         pr, ar = p[rows], a[rows]
-        denom = (ar @ q[:, :, None])[:, :, 0]
+        denom = (ar @ q[:, :, None])[:, :, 0] + massless[rows]
         c = ((pr / denom)[:, None, :] @ ar)[:, 0, :]
         hess = (ar.transpose(0, 2, 1) * (pr / denom ** 2)[:, None, :]) @ ar
         return (-(pr * np.log(denom)).sum(axis=1), -c, hess,
@@ -184,9 +188,10 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     sum_x P(x) Var_lambda[d | x] + b^T dq/ds, where H dq/ds = b, H is the
     Hessian of ``_rd_oracle`` and b_z = sum_x P(x) A_xz / (Aq)_x
     (d_xz - D_x), D_x = E_lambda[d | x]; a letter whose mass q_z is below
-    its slack 1 - c_z is off the support, where dq_z/ds = 0. The system is
-    solved in the sqrt(q)-scaled variable by a pseudo-inverse, as H is
-    singular when |Shat| > |S|. dR/ds is s * dD/ds.
+    its slack 1 - c_z is off the support, where dq_z/ds = 0 (the kernel
+    ends most such letters at exactly 0, where the rule holds as well).
+    The system is solved in the sqrt(q)-scaled variable by a
+    pseudo-inverse, as H is singular when |Shat| > |S|. dR/ds is s * dD/ds.
     """
     if zero:
         a = np.broadcast_to(dmat == 0, (len(p),) + dmat.shape).astype(float)
@@ -194,7 +199,7 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
         a = np.exp(slope[:, None, None] * dmat)
     q, gap, steps = _simplex_newton(_rd_oracle(p, a), (len(p), dmat.shape[1]),
                                     _INNER_TOL)
-    aq = (a @ q[:, :, None])[:, :, 0]
+    aq = (a @ q[:, :, None])[:, :, 0] + (p == 0.0)  # as in ``_rd_oracle``
     lam = np.where(p[:, :, None] > 0, q[:, None, :] * a / aq[:, :, None],
                    q[:, None, :])  # rows off the source support never matter
     joint = p[:, :, None] * lam

@@ -188,6 +188,29 @@ class TestCapacity:
         assert res.lower_bound - 1e-14 <= mi <= res.upper_bound + 1e-14
 
 
+    def test_only_input_to_an_output_keeps_its_mass(self):
+        # input 2 alone reaches output 2, with mass 2.5e-4 at capacity,
+        # below the kernel's floor: without it phi W puts 0 on that output
+        # and D(W_2 || phi W) is infinite, so it stays on the support
+        from scipy.optimize import minimize
+
+        mat = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.5, 0.45, 0.05]])
+        w = Channel(mat)
+        res = capacity(w, 1e-10)
+        assert res.upper_bound - res.lower_bound <= 1e-10
+        assert res.input_distribution.probs[2] > 1e-4
+
+        def neg_info(phi):
+            phi = np.maximum(phi, 0.0)
+            return -mutual_information(Distribution(phi / phi.sum()), w)
+
+        ref = minimize(neg_info, np.full(3, 1.0 / 3.0), method="SLSQP",
+                       bounds=[(0.0, 1.0)] * 3, options={"ftol": 1e-15},
+                       constraints=[{"type": "eq",
+                                     "fun": lambda v: v.sum() - 1.0}])
+        assert abs(res.capacity + ref.fun) <= 1e-9
+
+
 class TestInformationVariances:
     def test_identity_unconditional_zero(self):
         w = Channel(np.eye(4))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -477,6 +478,41 @@ class TestJsccCommand:
         assert len(lines) == 3
 
 
+def parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which may exit."""
+    try:
+        parse(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["--help", "jscc"], ["jscc"],
+        ["separation", "--paper-fig3", "--tol", "5"],
+        ["jscc", TERNARY, "extra"],
+    ] + [[cmd, "--help"] for cmd in cli._COMMANDS])
+    def test_output_equals_the_full_parser(self, argv, capsys):
+        # main builds only the subparser argv names; help, usage errors and
+        # the top-level usage line read as they do from the parser with all
+        # five subcommands, which every invocation built before
+        got = parse_outcome(main, argv, capsys)
+        want = parse_outcome(cli.build_parser([]).parse_args, argv, capsys)
+        assert got == want and got[0] in (0, 2)
+        assert got[1] or got[2]
+
+    def test_builds_only_the_named_subparser(self):
+        sub = next(a for a in cli.build_parser(["source"])._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["source"]
+        sub = next(a for a in cli.build_parser(["--help"])._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+
+
 class TestSeparationCommand:
     def test_default_lambda_curves(self, capsys):
         code, out, _ = run(["separation", "--eps-grid", "0.01,0.1"], capsys)
@@ -521,6 +557,18 @@ class TestSeparationCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_underflowing_split(self, capsys):
+        # the channel side of the first two rows is below the smallest
+        # double; it once turned eps_tilde into 0.0 with a RuntimeWarning
+        code, out, err = run(["separation", "--eps-grid", "5e-324,1e-300",
+                              "--lambda-list", "1e-308,1"], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        tilde = [float(r[2]) for r in rows]
+        assert tilde[0] == 5e-324
+        assert tilde[1] == pytest.approx(1e-300, rel=1e-12)
+        assert tilde[2:] == [0.0, 0.0]  # about 1e-645 and 1e-600
 
     def test_paper_fig3_preset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"

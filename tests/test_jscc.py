@@ -446,8 +446,9 @@ class TestSeparation:
         unordered = bisection_split(eps, a, b)[2]
         assert np.all(np.abs(best - unordered) <= 1e-13 * scale)
 
-    def test_fig3_split_rounds(self, monkeypatch):
-        # bisection took about 60 rounds (one ndtri call each) on this grid
+    @staticmethod
+    def count_rounds(monkeypatch) -> list:
+        """Wrap ``jscc.ndtri``, called once per round of the split."""
         rounds = []
         real = jscc.ndtri
 
@@ -456,9 +457,39 @@ class TestSeparation:
             return real(p)
 
         monkeypatch.setattr(jscc, "ndtri", counting)
+        return rounds
+
+    def test_fig3_split_rounds(self, monkeypatch):
+        # bisection took about 60 rounds (one ndtri call each) on this grid,
+        # Newton steps in t 15, Newton steps in log t 6
+        rounds = self.count_rounds(monkeypatch)
         eps, lam = fig3_grid()
         jscc._best_split(eps, 1.0, np.sqrt(lam))
-        assert len(rounds) <= 16
+        assert len(rounds) <= 8
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-40, 1e300])
+    def test_extreme_lambda_split_rounds(self, monkeypatch, lam):
+        # the root t* shrinks like sqrt(lambda) and halving t down to it
+        # took 505 rounds at lambda = 1e-300
+        rounds = self.count_rounds(monkeypatch)
+        e_s, e_c, tilde = separation_split(0.1, lam)
+        assert len(rounds) <= 8
+        assert tilde == pytest.approx(0.1, rel=1e-15)
+        assert min(e_s, e_c) == pytest.approx(
+            q_function(math.sqrt(q_inverse(0.1) ** 2 - math.log(lam) * (
+                1.0 if lam < 1 else -1.0))), rel=0.05)
+
+    def test_underflowing_side_keeps_eps_tilde(self):
+        # the channel side's share, about 1e-452, is below the smallest
+        # double; it used to make that side's quantile infinite and
+        # eps_tilde 0.0, where it is Q(Qinv(eps)) to within 1e-154
+        e_s, e_c, tilde = separation_split(1e-300, 1e-308)
+        assert (e_s, e_c) == (1e-300, 0.0)
+        assert tilde == pytest.approx(1e-300, rel=1e-12)
+        # at the smallest double every share rounds to 0 or to eps itself;
+        # a true eps_tilde of about 1e-645 rounds to 0
+        assert separation_split(5e-324, 1e-308)[2] == 5e-324
+        assert separation_split(5e-324, 1.0) == (0.0, 0.0, 0.0)
 
     def test_extreme_lambda_limits(self):
         # the loss vanishes as lambda -> 0 or infinity

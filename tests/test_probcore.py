@@ -249,13 +249,31 @@ class TestSimplexNewton:
         return oracle
 
     def test_projection_onto_a_face(self):
-        # the projection of c onto the simplex is (0.75, 0.25, 0, 0): two
-        # letters end at 0, where the barrier never lets an iterate arrive
+        # the projection of c onto the simplex is (0.75, 0.25, 0, 0): the
+        # two letters whose optimum is 0 leave the support and end there
+        # exactly
         c = np.array([1.0, 0.5, -0.5, -2.0])
         x, gap, steps = _simplex_newton(self.projection(c), (1, 4), 1e-13)
         assert gap[0] <= 1e-13 and 0 < steps[0] < 200
-        assert np.all(x > 0)
+        assert np.all(x[0, :2] > 0) and x[0, 2:].tolist() == [0.0, 0.0]
         assert np.allclose(x[0], [0.75, 0.25, 0.0, 0.0], atol=1e-12)
+
+    def test_letter_reenters_the_support(self):
+        # c lies in the simplex, so x* = c, whose third letter is below the
+        # floor: it leaves the support on the way, the restricted optimum
+        # shows a negative reduced gradient for it, and it comes back
+        c = np.array([0.6, 0.395, 0.005])
+        seen = []
+        oracle = self.projection(c)
+
+        def recording(x, rows):
+            seen.append(x[:, 2].copy())
+            return oracle(x, rows)
+
+        x, gap, steps = _simplex_newton(recording, (1, 3), 1e-13)
+        assert 0.0 in np.concatenate(seen)
+        assert gap[0] <= 1e-13 and steps[0] <= 10
+        assert np.allclose(x[0], c, rtol=0.0, atol=1e-12) and x[0, 2] > 0
 
     def test_optimal_start_takes_no_step(self):
         c = np.full(3, 1.0 / 3.0)

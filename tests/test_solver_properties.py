@@ -375,6 +375,69 @@ def test_rdf_agrees_with_slsqp(point, seed):
     assert rate <= res.rate + 1e-4
 
 
+@st.composite
+def boundary_points(draw):
+    """A point as in ``small_points`` whose optimum has a zero letter: one
+    more reproduction column, a copy of another raised by 0.05-1 in every
+    row, which no test channel uses."""
+    src, d = draw(small_points())
+    dmat = src.distortion
+    extra = dmat[:, draw(st.integers(0, dmat.shape[1] - 1))] + draw(
+        st.floats(0.05, 1.0))
+    return SourceSpec(src.distribution, np.hstack([dmat, extra[:, None]])), d
+
+
+@settings(max_examples=15, deadline=None)
+@given(boundary_points(), st.integers(0, 2 ** 32 - 1))
+def test_boundary_optimum_is_certified_and_agrees_with_slsqp(point, seed):
+    # the dominated letter leaves the support; the solve still meets its
+    # certificate and agrees with the SLSQP reference of
+    # test_rdf_agrees_with_slsqp
+    src, d = point
+    assume(d > 1e-3)
+    p, dmat = src.distribution.probs, src.distortion
+    res = rdf(src, d, 1e-11)
+    assert res.gap <= 1e-11
+    k, m = dmat.shape
+    w = np.random.default_rng(seed).dirichlet(np.ones(m), size=k)
+    rate, excess = min(slsqp_rate(p, dmat, d, start) for start in (
+        w, np.full((k, m), 1.0 / m), res.test_channel))
+    assert res.rate <= rate + abs(res.lagrange_slope) * max(excess, 0.0) + 1e-9
+    assert rate <= res.rate + 1e-4
+
+
+def slsqp_capacity(w: np.ndarray) -> float:
+    """max I(phi, W) over the input simplex by scipy's SLSQP from uniform."""
+    from scipy.optimize import minimize
+
+    def neg_info(phi):
+        phi = np.maximum(phi, 0.0)
+        return -mutual_information(Distribution(phi / phi.sum()), Channel(w))
+
+    n = w.shape[0]
+    phi = minimize(neg_info, np.full(n, 1.0 / n), method="SLSQP",
+                   bounds=[(0.0, 1.0)] * n,
+                   constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1.0}],
+                   options={"ftol": 1e-14, "maxiter": 500}).x
+    return -neg_info(phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels(), st.floats(0.1, 0.9))
+def test_dominated_input_is_certified_and_agrees_with_slsqp(w, mix):
+    # one more input row, a strict mixture of the first two distinct rows,
+    # has D(W_x || q) below C at every capacity-achieving q, so its mass is
+    # 0 at the optimum
+    mat = w.matrix
+    other = next((r for r in mat[1:] if np.abs(r - mat[0]).max() > 1e-3),
+                 None)
+    assume(other is not None)
+    mat = np.vstack([mat, mix * mat[0] + (1.0 - mix) * other])
+    res = capacity(Channel(mat), TOL)
+    assert res.upper_bound - res.lower_bound <= TOL
+    assert res.lower_bound >= slsqp_capacity(mat) - 1e-9
+
+
 # a channel whose capacity set is not a point, so that V_min < V_max
 CYCLIC_6X3 = two_orbit_cyclic(3)
 

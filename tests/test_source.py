@@ -290,7 +290,8 @@ class TestSlopeSearch:
     def test_excess_types_solved_in_few_rounds(self, monkeypatch, capsys):
         # the batch of source types starts at the slope of P itself; from
         # s = -1 the run (20,000 trials, n = 500, seed 7) solved 22,739 rows.
-        # Its 19 Newton batches took 203 rounds before the long step
+        # Its 19 Newton batches took 203 rounds before the long step and 126
+        # before letters heading to 0 left the support
         rows = self.count_solves(monkeypatch)
         rounds = self.count_newton_rounds(monkeypatch)
         assert main(["simulate", TERNARY, "--what", "excess"]) == 0
@@ -298,43 +299,57 @@ class TestSlopeSearch:
         assert result["estimate"] == 0.08485
         assert result["diagnostics"]["boundary_trials"] == 0
         assert sum(rows) <= 2290
-        assert sum(rounds) <= 130
+        assert sum(rounds) <= 100
 
     def test_newton_round_counts(self, monkeypatch, capsys):
         # with the barrier weight falling to gap / (10 k) at most, these
-        # took 142 and 54 rounds; the long step at gap^2 takes 86 and 34
+        # took 142 and 54 rounds; the long step at gap^2 took 86 and 34, of
+        # which each solve with a letter heading to 0 took 14; the active
+        # set takes 66 and 24
         rounds = self.count_newton_rounds(monkeypatch)
         assert main(["jscc", TERNARY, "--n-list", "100,1000,10000"]) == 0
         capsys.readouterr()
-        assert sum(rounds) <= 100
+        assert sum(rounds) <= 66
         rounds.clear()
         rdf(load_problem_file(TERNARY)["source"], 0.1)
-        assert sum(rounds) <= 40
+        assert sum(rounds) <= 26
 
-    def test_refused_long_step_falls_back(self, monkeypatch):
+    def test_boundary_letter_leaves_the_support(self, monkeypatch):
         # the first solve of rdf(ternary, 0.1), at s = -1: the third letter
-        # heads to 0, and a long step would cross the boundary on nearly
-        # every round. Each refused round solves again at gap / (10 k) for
-        # the same iterate, and the row still converges
+        # heads to 0. Its long steps stop at the boundary until it is below
+        # the floor, then it leaves the support and ends at exactly 0; no
+        # round solves a second Newton system (the long step was refused on
+        # 12 of 14 rounds before)
         calls = []
         real = pc._newton_direction
 
-        def recording(x, grad, hess, mu):
-            dy = real(x, grad, hess, mu)
-            calls.append((x.copy(), mu.copy(), np.max(-dy, axis=1)))
-            return dy
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
 
-        monkeypatch.setattr(pc, "_newton_direction", recording)
+        monkeypatch.setattr(pc, "_newton_direction", counting)
         a = np.exp(-HAMMING3)[None]
         x, gap, steps = pc._simplex_newton(
             sa._rd_oracle(TERNARY_PROBS[None], a), (1, 3), sa._INNER_TOL)
-        refused = [(long, short) for long, short in zip(calls, calls[1:])
-                   if np.array_equal(long[0], short[0])]
-        assert len(refused) >= 5
-        assert all(long[2][0] >= 0.99 and short[1][0] > long[1][0]
-                   for long, short in refused)
-        assert gap[0] <= sa._INNER_TOL and steps[0] <= 14
-        assert x[0, 2] < 1e-9
+        assert gap[0] <= sa._INNER_TOL and steps[0] <= 6
+        assert len(calls) == steps[0]
+        assert x[0, 2] == 0.0 and x[0, :2].min() > 0.0
+
+    def test_zero_solve_keeps_the_only_zero_reproductions(self):
+        # at D = 0 each source letter needs its one zero-distortion
+        # reproduction; the fourth column has none, and the third serves
+        # only a letter of zero mass, so both end at exactly 0, while the
+        # oracle stays finite without either
+        d = np.hstack([HAMMING3, np.full((3, 1), 0.5)])
+        for p, off in (([0.5, 0.3, 0.2], [3]), ([0.6, 0.4, 0.0], [2, 3])):
+            src = SourceSpec(Distribution(np.array(p)), d)
+            res = rdf(src, 0.0)
+            assert res.rate == pytest.approx(entropy(src.distribution),
+                                             abs=1e-12)
+            assert res.reproduction[off].tolist() == [0.0] * len(off)
+            on = np.flatnonzero(np.array(p) > 0)
+            np.testing.assert_allclose(res.reproduction[on], np.array(p)[on],
+                                       rtol=1e-12)
 
 
 class TestRdfCertificates:
