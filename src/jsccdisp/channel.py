@@ -138,18 +138,16 @@ def _row_variances(out: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
     return _weighted_variance(w_mat, _log_ratio(w_mat, out), axis=1)
 
 
-def _capacity_oracle(mats: np.ndarray):
-    """``probcore._simplex_newton`` oracle of F = -I(phi, W_t) for a stack
-    of channel matrices (T, |X|, |Y|): the gradient is -D(W_x || phiW), the
-    Hessian W diag(1/phiW) W^T and the gap max_x D(W_x || phiW) - I."""
-    def oracle(phi, rows):
-        mat = mats[rows]
-        out = phi[:, None, :] @ mat  # phi W, as (R, 1, |Y|)
-        t = (mat * _log_ratio(mat, out)).sum(axis=2)
-        lower = (phi * t).sum(axis=1)
-        scaled = np.divide(mat, out, out=np.zeros(mat.shape), where=mat > 0)
-        return -lower, -t, scaled @ mat.transpose(0, 2, 1), t.max(axis=1) - lower
-    return oracle
+def _capacity_oracle(phi: np.ndarray, mat: np.ndarray):
+    """``probcore._simplex_newton`` oracle of F = -I(phi, W) at the input
+    laws phi (R, |X|) of the problems with channel matrices ``mat``
+    (R, |X|, |Y|): the gradient is -D(W_x || phiW), the Hessian
+    W diag(1/phiW) W^T and the gap max_x D(W_x || phiW) - I."""
+    out = phi[:, None, :] @ mat  # phi W, as (R, 1, |Y|)
+    t = (mat * _log_ratio(mat, out)).sum(axis=2)
+    lower = (phi * t).sum(axis=1)
+    scaled = np.divide(mat, out, out=np.zeros(mat.shape), where=mat > 0)
+    return -lower, -t, scaled @ mat.transpose(0, 2, 1), t.max(axis=1) - lower
 
 
 def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
@@ -166,8 +164,8 @@ def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
     if tol <= 0:
         raise DomainError("tol must be positive")
     mat = w.matrix
-    phi, _, steps = _simplex_newton(_capacity_oracle(mat[None]),
-                                    (1, w.input_size), tol)
+    phi, _, steps = _simplex_newton(_capacity_oracle, (mat[None],),
+                                    w.input_size, tol)
     phi, steps = phi[0], int(steps[0])
     t = _row_divergences(phi, mat)
     lower, upper = max(float(np.dot(phi, t)), 0.0), float(np.max(t))

@@ -183,10 +183,9 @@ def _emit_json(obj, out_path: str | None):
 
 
 def _emit_csv(header: list[str], rows: list[tuple], out_path: str | None):
+    """Write the rows, whose cells are Python ints and floats, as CSV."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _emit("\n".join(lines) + "\n", out_path)
 
 

@@ -45,6 +45,7 @@ CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = math.ulp(0.0)  # the smallest positive double
+_MAX_SPLIT_ROUNDS = 100  # ``_best_split`` took at most 6 on random points
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,14 @@ def _best_split(eps, a, b):
     plus, for a subnormal share e, 2^-1074 / e; when its root lies where
     the small share underflows; or when no step lies strictly inside its
     bracket. Each point runs on its own.
+
+    A share e above 1/2 takes its quantile from the other tail, as
+    Phi^{-1}(exp(log Phi)) of the log Phi(x) = t L or log Phi(y) =
+    (1 - t) L at hand: as eps nears 1, 1 - e keeps only a few digits, and
+    the noise that puts into g would keep the steps hopping inside a
+    bracket that narrows by ulps. A point still open after
+    ``_MAX_SPLIT_ROUNDS`` rounds raises NonConvergence naming eps and
+    lambda = (b/a)^2.
     """
     eps, a, b = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (eps, a, b)))
@@ -284,10 +293,14 @@ def _best_split(eps, a, b):
     log_ratio = np.log(np.where(swap, b / a, a / b)).ravel()
     lo, hi = np.zeros(eps.size), np.full(eps.size, 0.5)
     t = hi.copy()
-    while live.size:
+    for _ in range(_MAX_SPLIT_ROUNDS):
         log_cdf = np.array((t, 1.0 - t)) * log_keep  # log Phi(x), log Phi(y)
         e = -np.expm1(log_cdf)
-        q = -ndtri(np.maximum(e, _TINY))
+        # Qinv(e) = -Phi^{-1}(e), or Phi^{-1}(1 - e) past e = 1/2
+        far = e > 0.5
+        prob = np.maximum(e, _TINY)
+        prob[far] = np.exp(log_cdf[far])
+        q = np.where(far, 1.0, -1.0) * ndtri(prob)
         g = (log_ratio + 0.5 * (q[0] * q[0] - q[1] * q[1])
              + (2.0 * t - 1.0) * log_keep)
         right = g > 0
@@ -315,6 +328,14 @@ def _best_split(eps, a, b):
         going = ~done
         live, t, lo, hi = live[going], step[going], lo[going], hi[going]
         log_keep, log_ratio = log_keep[going], log_ratio[going]
+        if not live.size:
+            break
+    else:
+        i = live[0]
+        raise NonConvergence(
+            f"best split of eps = {float(eps.flat[i])!r} at lambda = "
+            f"{(b.flat[i] / a.flat[i]) ** 2:.15g}: still searching after "
+            f"{_MAX_SPLIT_ROUNDS} rounds ({live.size} points open)")
     found = found.reshape((4,) + eps.shape)
     e_s, e_c, x, y = np.where(swap, found[[1, 0, 3, 2]], found)
     return e_s, e_c, a * x + b * y

@@ -219,7 +219,6 @@ def divergence_variance(p: Distribution, q: Distribution) -> float:
 # ---------------------------------------------------------------------------
 
 _MAX_NEWTON_ITER = 200
-_ALL = slice(None)
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,27 +288,26 @@ def _reduced_gradient(x, grad) -> np.ndarray:
     return grad - (x * grad).sum(axis=1, keepdims=True)
 
 
-def _rebuild_support(oracle, rows, x, f, grad, hess, gap, log_x, mu, kept):
-    """Move letters off and onto the supports of the problems ``rows`` (a
-    slice or an index array), in place, by the rules of ``_simplex_newton``;
+def _rebuild_support(oracle, data, x, f, grad, hess, gap, log_x, mu, kept):
+    """Move letters off and onto the supports of the rows x, whose problems
+    have the rows ``data``, in place, by the rules of ``_simplex_newton``;
     ``kept`` marks the letters that may not leave. Returns the indices of
     the rows whose support changed."""
-    xr = x[rows]
-    small = xr < _FLOOR
+    small = x < _FLOOR
     if not np.count_nonzero(small):
         return ()
-    reduced = _reduced_gradient(xr, grad[rows])
-    leave = small & (xr > 0.0) & (reduced > gap[rows, None]) & ~kept[rows]
-    enter = (xr == 0.0) & (reduced < 0.0)
+    reduced = _reduced_gradient(x, grad)
+    leave = small & (x > 0.0) & (reduced > gap[:, None]) & ~kept
+    enter = (x == 0.0) & (reduced < 0.0)
     change = (leave | enter).any(axis=1)
     if not np.count_nonzero(change):
         return ()
-    at = np.flatnonzero(change) if rows is _ALL else rows[change]
+    at = np.flatnonzero(change)
     leave, enter = leave[change], enter[change]
-    moved = np.where(leave, 0.0, np.where(enter, _FLOOR, xr[change]))
+    moved = np.where(leave, 0.0, np.where(enter, _FLOOR, x[change]))
     moved /= moved.sum(axis=1, keepdims=True)
     with np.errstate(all="ignore"):  # judged by the finite test below
-        values = oracle(moved, at)
+        values = oracle(moved, *(d[at] for d in data))
     finite = (np.isfinite(values[0]) & np.isfinite(values[3])
               & np.isfinite(values[1]).all(axis=1)
               & np.isfinite(values[2]).all(axis=(1, 2)))
@@ -322,14 +320,14 @@ def _rebuild_support(oracle, rows, x, f, grad, hess, gap, log_x, mu, kept):
     return at
 
 
-def _line_search(oracle, rows, x, f, log_x, dy, mu):
-    """The step along the directions dy of the rows x of the problems
-    ``rows``: from 1, or 0.99 of the way to the boundary, halved until the
-    barrier F - mu * sum(log x) rises by at most its rounding error at F,
-    1e-15 * (1 + |F|); 0 for a row whose step fell below 1e-12 or is NaN.
-    Returns the steps, the trial points, the oracle's values there and the
-    barrier's sum(log x) at them; a halving evaluates only the rows that
-    failed."""
+def _line_search(oracle, data, x, f, log_x, dy, mu):
+    """The step along the directions dy of the rows x, whose problems have
+    the rows ``data``: from 1, or 0.99 of the way to the boundary, halved
+    until the barrier F - mu * sum(log x) rises by at most its rounding
+    error at F, 1e-15 * (1 + |F|); 0 for a row whose step fell below 1e-12
+    or is NaN. Returns the steps, the trial points, the oracle's values
+    there and the barrier's sum(log x) at them; a halving evaluates only the
+    rows that failed."""
     ceiling = f - mu * log_x + 1e-15 * (1.0 + np.abs(f))
     step = 0.99 / np.maximum(np.maximum.reduce(-dy, axis=1), 1e-300)
     np.minimum(step, 1.0, out=step)
@@ -337,7 +335,7 @@ def _line_search(oracle, rows, x, f, log_x, dy, mu):
     if np.count_nonzero(stop):
         step[stop], dy[stop] = 0.0, 0.0
     trial = x * (1.0 + step[:, None] * dy)
-    values, logs = oracle(trial, rows), _log_support(trial)
+    values, logs = oracle(trial, *data), _log_support(trial)
     failed = ~(stop | (values[0] - mu * logs <= ceiling))
     at = np.flatnonzero(failed) if np.count_nonzero(failed) else ()
     while len(at):
@@ -345,7 +343,7 @@ def _line_search(oracle, rows, x, f, log_x, dy, mu):
         stop = ~(step[at] >= 1e-12)
         step[at[stop]] = 0.0
         trial[at] = x[at] * (1.0 + step[at, None] * dy[at])
-        part = oracle(trial[at], at if rows is _ALL else rows[at])
+        part = oracle(trial[at], *(d[at] for d in data))
         for whole, piece in zip(values, part):
             whole[at] = piece
         logs[at] = _log_support(trial[at])
@@ -353,18 +351,23 @@ def _line_search(oracle, rows, x, f, log_x, dy, mu):
     return step, trial, values, logs
 
 
-def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
+def _simplex_newton(oracle, data: tuple, k: int, tol: float):
     """Minimise T convex functions F_t over the probability simplex in R^k
-    by a log-barrier Newton method on an active set, all at once; ``shape``
-    is (T, k). Returns (x, gap, iterations) with shapes (T, k), (T,) and
-    (T,).
+    by a log-barrier Newton method on an active set, all at once. Returns
+    (x, gap, iterations) with shapes (T, k), (T,) and (T,).
 
-    ``oracle(x, rows)`` returns fresh arrays (F, grad F, Hessian H of F,
-    gap) of the problems ``rows`` (a slice or an index array) at their
-    iterates x (R, k), with shapes (R,), (R, k), (R, k, k) and (R,), where
-    gap is a certified bound on F(x) - min F over the whole simplex. Each
-    row runs on its own from uniform, with a barrier weight mu that never
-    rises while its support stays put.
+    ``data`` is a tuple of arrays whose first axis is the problem, of
+    length T, and ``oracle(x, *rows)`` a plain function that returns fresh
+    arrays (F, grad F, Hessian H of F, gap) at the iterates x (R, k) of the
+    problems whose data are ``rows``, the same R rows of each array of
+    ``data``, with shapes (R,), (R, k), (R, k, k) and (R,), where gap is a
+    certified bound on F(x) - min F over the whole simplex. An oracle that
+    needs each problem's index passes ``np.arange(T)`` as data. Each row
+    runs on its own from uniform, with a barrier weight mu that never
+    rises while its support stays put. The kernel carries only the rows
+    still running: a row that stops leaves its x, gap and step count in
+    the result at its index, and every per-row array, ``data`` included,
+    drops it.
 
     Support. Each round starts by rebuilding the support of every row. With
     r the reduced gradient (``_reduced_gradient``), a letter leaves when
@@ -397,66 +400,65 @@ def _simplex_newton(oracle, shape: tuple[int, int], tol: float):
     after 200 steps; the caller judges the gap of the returned x, floored
     at 0 (a bound that rounds below 0 certifies an optimum).
     """
-    t, k = shape
-    x = np.full(shape, 1.0 / k)
-    f, grad, hess, gap = oracle(x, _ALL)
+    t = len(data[0])
+    x = np.full((t, k), 1.0 / k)
+    f, grad, hess, gap = oracle(x, *data)
     log_x = np.log(x).sum(axis=1)
     mu = np.full(t, math.inf)
     steps = np.zeros(t, dtype=np.int64)
-    kept = np.zeros(shape, dtype=bool)
-    live = gap > tol
-    while n := np.count_nonzero(live):
-        rows = _ALL if n == t else np.flatnonzero(live)
-        changed = _rebuild_support(oracle, rows, x, f, grad, hess, gap,
-                                   log_x, mu, kept)
-        if len(changed):
-            live[changed] = gap[changed] > tol
-            if (n := np.count_nonzero(live)) < t:
-                rows = np.flatnonzero(live)
+    kept = np.zeros((t, k), dtype=bool)
+    index = np.arange(t)
+    result = x, gap, steps  # a row's final values land here when it stops
+    live, rebuilt = gap > tol, False
+    while True:
+        if (n := np.count_nonzero(live)) < len(live):
+            stop = ~live
+            at = index[stop]
+            for whole, part in zip(result, (x, gap, steps)):
+                whole[at] = part[stop]
             if not n:
-                break
-        xr, fr, gr, hr = x[rows], f[rows], grad[rows], hess[rows]
-        short = np.minimum(mu[rows], gap[rows] / (10 * k))
-        mur = np.minimum(short, gap[rows] ** 2)
-        dy = _newton_direction(xr, gr, hr, mur)
+                return result[0], np.maximum(result[1], 0.0), result[2]
+            index, x, f, grad, hess, gap, log_x, mu, steps, kept, *data = (
+                v[live] for v in (index, x, f, grad, hess, gap, log_x, mu,
+                                  steps, kept, *data))
+        # a row whose new support meets tol stops before the round's step
+        if not rebuilt and len(_rebuild_support(oracle, data, x, f, grad, hess,
+                                                gap, log_x, mu, kept)):
+            live, rebuilt = gap > tol, True
+            continue
+        short = np.minimum(mu, gap / (10 * k))
+        mu = np.minimum(short, gap ** 2)
+        dy = _newton_direction(x, grad, hess, mu)
         crossing = ~(dy > -0.99)
         cut = None
         if np.count_nonzero(crossing):
-            held = crossing & (kept[rows] | ~(_reduced_gradient(xr, gr) > 0.0))
-            refused = held.any(axis=1) & (mur < short)
+            held = crossing & (kept | ~(_reduced_gradient(x, grad) > 0.0))
+            refused = held.any(axis=1) & (mu < short)
             if np.count_nonzero(refused):
-                mur[refused] = short[refused]
-                dy[refused] = _newton_direction(xr[refused], gr[refused],
-                                                hr[refused], mur[refused])
-            cut = crossing.any(axis=1) & (mur < short)
-        step, trial, values, logs = _line_search(oracle, rows, xr, fr,
-                                                 log_x[rows], dy, mur)
+                mu[refused] = short[refused]
+                dy[refused] = _newton_direction(x[refused], grad[refused],
+                                                hess[refused], mu[refused])
+            cut = crossing.any(axis=1) & (mu < short)
+        step, trial, values, logs = _line_search(oracle, data, x, f, log_x,
+                                                 dy, mu)
         if np.count_nonzero(step) < len(step):
-            again = np.flatnonzero((step == 0.0) & (mur < short))
+            again = np.flatnonzero((step == 0.0) & (mu < short))
             if again.size:
-                mur[again] = short[again]
+                mu[again] = short[again]
                 step[again], trial[again], part, logs[again] = _line_search(
-                    oracle, again if rows is _ALL else rows[again],
-                    xr[again], fr[again], log_x[rows][again],
-                    _newton_direction(xr[again], gr[again], hr[again],
-                                      mur[again]), mur[again])
+                    oracle, [d[again] for d in data], x[again], f[again],
+                    log_x[again], _newton_direction(
+                        x[again], grad[again], hess[again], mu[again]),
+                    mu[again])
                 for whole, piece in zip(values, part):
                     whole[again] = piece
-        if cut is not None:  # a step cut at the boundary is short of mur
-            mur[cut] = short[cut]
-        mu[rows] = mur
+        if cut is not None:  # a step cut at the boundary is short of mu
+            mu[cut] = short[cut]
         moved = step > 0.0  # else no step lowers the barrier
-        if rows is _ALL:
-            x, (f, grad, hess, gap), log_x = trial, values, logs
-            steps += moved
-            live = moved & (gap > tol) & (steps < _MAX_NEWTON_ITER)
-        else:
-            x[rows], f[rows], grad[rows], hess[rows], gap[rows] = trial, *values
-            log_x[rows] = logs
-            steps[rows] += moved
-            live[rows] = moved & (values[3] > tol) & (
-                steps[rows] < _MAX_NEWTON_ITER)
-    return x, np.maximum(gap, 0.0), steps
+        x, (f, grad, hess, gap), log_x = trial, values, logs
+        steps += moved
+        live = moved & (gap > tol) & (steps < _MAX_NEWTON_ITER)
+        rebuilt = False
 
 
 # ---------------------------------------------------------------------------

@@ -146,28 +146,24 @@ class _Solves:
                          int(self.iterations[row]))
 
 
-def _rd_oracle(p: np.ndarray, a: np.ndarray):
+def _rd_oracle(q: np.ndarray, p: np.ndarray, a: np.ndarray):
     """``probcore._simplex_newton`` oracle of F(q) = -sum_x P(x) log (A q)_x
-    for the rows of ``p`` (T, |S|) and weights ``a`` (T, |S|, |Shat|): the
-    gradient is -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A,
-    and the gap Blahut's bound log max c. A source letter of zero mass
-    takes (A q)_x + 1, which keeps its terms 0 where q puts no mass on its
-    reproductions."""
-    massless = (p == 0.0).astype(float)
-
-    def oracle(q, rows):
-        pr, ar = p[rows], a[rows]
-        denom = (ar @ q[:, :, None])[:, :, 0] + massless[rows]
-        c = ((pr / denom)[:, None, :] @ ar)[:, 0, :]
-        hess = (ar.transpose(0, 2, 1) * (pr / denom ** 2)[:, None, :]) @ ar
-        return (-(pr * np.log(denom)).sum(axis=1), -c, hess,
-                np.log(c.max(axis=1)))
-    return oracle
+    at the reproduction marginals q (R, |Shat|) of the problems with source
+    laws ``p`` (R, |S|) and weights ``a`` (R, |S|, |Shat|): the gradient is
+    -c, c = A^T (P / A q), the Hessian A^T diag(P / (A q)^2) A, and the gap
+    Blahut's bound log max c. A source letter of zero mass adds 0 to each,
+    as long as its (A q)_x is positive: ``_fixed_slope`` gives it a row of
+    ones."""
+    denom = (a @ q[:, :, None])[:, :, 0]
+    c = ((p / denom)[:, None, :] @ a)[:, 0, :]
+    hess = (a.transpose(0, 2, 1) * (p / denom ** 2)[:, None, :]) @ a
+    return (-(p * np.log(denom)).sum(axis=1), -c, hess,
+            np.log(c.max(axis=1)))
 
 
 def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
-                 tol: float, out: _Solves, rows: np.ndarray,
-                 zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                 tol: float, out: _Solves,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rate-distortion problems of the rows of ``p`` (T, |S|), each at
     its own fixed Lagrangian slope s <= 0, written into ``out`` at ``rows``.
 
@@ -179,9 +175,12 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     over the simplex, A = exp(s*d) (Csiszar's dual form), in one
     ``probcore._simplex_newton`` call on ``_rd_oracle``. A solve aims for
     1e-13 and passes with a finite rate and any gap within ``tol``, or
-    within 1e-13 for a smaller ``tol``. With ``zero`` the weights A become
-    the indicator of d == 0 (the s -> -inf limit), which solves the D = 0
-    endpoint.
+    within 1e-13 for a smaller ``tol``. The exponent s*d is read as 0 where
+    d = 0, so the slope -inf makes A the indicator of d = 0 and solves the
+    D = 0 endpoint. It is read as 0 on the row of a source letter of zero
+    mass as well: a row of ones has (A q)_x = 1, so that letter adds 0 to
+    the oracle even where q puts no mass on its zero-distortion
+    reproductions, where its indicator row would give 0/0.
 
     dD/ds comes from implicit differentiation of the optimality condition
     c(q, s) = A^T (P / A q) = 1 on the support of q: it is
@@ -193,13 +192,12 @@ def _fixed_slope(p: np.ndarray, dmat: np.ndarray, slope: np.ndarray,
     The system is solved in the sqrt(q)-scaled variable by a
     pseudo-inverse, as H is singular when |Shat| > |S|. dR/ds is s * dD/ds.
     """
-    if zero:
-        a = np.broadcast_to(dmat == 0, (len(p),) + dmat.shape).astype(float)
-    else:
-        a = np.exp(slope[:, None, None] * dmat)
-    q, gap, steps = _simplex_newton(_rd_oracle(p, a), (len(p), dmat.shape[1]),
+    a = np.exp(np.multiply(slope[:, None, None], dmat,
+                           where=(dmat > 0) & (p[:, :, None] > 0),
+                           out=np.zeros((len(p),) + dmat.shape)))
+    q, gap, steps = _simplex_newton(_rd_oracle, (p, a), dmat.shape[1],
                                     _INNER_TOL)
-    aq = (a @ q[:, :, None])[:, :, 0] + (p == 0.0)  # as in ``_rd_oracle``
+    aq = (a @ q[:, :, None])[:, :, 0]
     lam = np.where(p[:, :, None] > 0, q[:, None, :] * a / aq[:, :, None],
                    q[:, None, :])  # rows off the source support never matter
     joint = p[:, :, None] * lam
@@ -292,9 +290,9 @@ def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
     """R(P_t, D) for every row P_t of ``p`` (T, |S|) at one D, as in
     ``rdf``: the rows at or above their d_max, within 1e-12, take the
     constant reproduction and rate 0; for D within 1e-12 of 0 the rest
-    solve the zero-distortion endpoint in one ``_fixed_slope`` call;
-    otherwise one batched slope search from ``start`` solves them, and
-    their rates get the tangent-line correction."""
+    solve the zero-distortion endpoint in one ``_fixed_slope`` call at the
+    slope -inf; otherwise one batched slope search from ``start`` solves
+    them, and their rates get the tangent-line correction."""
     out = _Solves(len(p), *dmat.shape)
     expected = p @ dmat
     best = np.argmin(expected, axis=1)
@@ -307,7 +305,7 @@ def _rdf_solves(p: np.ndarray, dmat: np.ndarray, d: float,
         return out
     if d <= BOUNDARY_TOL:
         _fixed_slope(p[rows], dmat, np.full(rows.size, -math.inf), tol, out,
-                     rows, zero=True)
+                     rows)
         return out
     _slope_search(p, dmat, d, False, tol, out, rows, start)
     out.rate[rows] = np.maximum(

@@ -570,6 +570,13 @@ class TestSeparationCommand:
         assert tilde[1] == pytest.approx(1e-300, rel=1e-12)
         assert tilde[2:] == [0.0, 0.0]  # about 1e-645 and 1e-600
 
+    def test_split_round_cap_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.jscc, "_MAX_SPLIT_ROUNDS", 1)
+        code, out, err = run(["separation", "--eps-grid", "0.1",
+                              "--lambda-list", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert "eps = 0.1 at lambda = 2:" in err
+
     def test_paper_fig3_preset(self, tmp_path, capsys):
         out_path = tmp_path / "fig3.csv"
         code, _, _ = run(["separation", "--paper-fig3", "--out",

@@ -479,6 +479,27 @@ class TestSeparation:
             q_function(math.sqrt(q_inverse(0.1) ** 2 - math.log(lam) * (
                 1.0 if lam < 1 else -1.0))), rel=0.05)
 
+    def test_near_one_split_rounds(self, monkeypatch):
+        # the quantile of a share e near 1 came from 1 - e, which keeps only
+        # a few digits; the noise that put into g kept eps = 1 - 3.7e-10 at
+        # lambda = 57.4 hopping inside its bracket for 981 rounds
+        rng = np.random.default_rng(0)
+        eps = 1.0 - 10.0 ** rng.uniform(-15, math.log10(0.5), 5000)
+        lam = 10.0 ** rng.uniform(-30, 30, 5000)
+        rounds = self.count_rounds(monkeypatch)
+        best = jscc._best_split(eps, 1.0, np.sqrt(lam))[2]
+        assert len(rounds) <= 8  # the points run as one batch
+        assert np.all(np.isfinite(best))
+        rounds.clear()
+        separation_split(1.0 - 3.7e-10, 57.4)
+        assert len(rounds) <= 8
+
+    def test_split_round_cap(self, monkeypatch):
+        monkeypatch.setattr(jscc, "_MAX_SPLIT_ROUNDS", 1)
+        with pytest.raises(NonConvergence,
+                           match=r"eps = 0\.1 at lambda = 2: .* 1 rounds"):
+            jscc._best_split(np.array([0.1, 0.2]), 1.0, math.sqrt(2.0))
+
     def test_underflowing_side_keeps_eps_tilde(self):
         # the channel side's share, about 1e-452, is below the smallest
         # double; it used to make that side's quantile infinite and

@@ -31,6 +31,7 @@ from jsccdisp.probcore import (
     ndtr,
     ndtri,
 )
+from jsccdisp.source import _rd_oracle
 
 
 def direct_entropy(probs) -> float:
@@ -253,7 +254,8 @@ class TestSimplexNewton:
         # two letters whose optimum is 0 leave the support and end there
         # exactly
         c = np.array([1.0, 0.5, -0.5, -2.0])
-        x, gap, steps = _simplex_newton(self.projection(c), (1, 4), 1e-13)
+        x, gap, steps = _simplex_newton(self.projection(c), (np.arange(1),), 4,
+                                        1e-13)
         assert gap[0] <= 1e-13 and 0 < steps[0] < 200
         assert np.all(x[0, :2] > 0) and x[0, 2:].tolist() == [0.0, 0.0]
         assert np.allclose(x[0], [0.75, 0.25, 0.0, 0.0], atol=1e-12)
@@ -270,14 +272,15 @@ class TestSimplexNewton:
             seen.append(x[:, 2].copy())
             return oracle(x, rows)
 
-        x, gap, steps = _simplex_newton(recording, (1, 3), 1e-13)
+        x, gap, steps = _simplex_newton(recording, (np.arange(1),), 3, 1e-13)
         assert 0.0 in np.concatenate(seen)
         assert gap[0] <= 1e-13 and steps[0] <= 10
         assert np.allclose(x[0], c, rtol=0.0, atol=1e-12) and x[0, 2] > 0
 
     def test_optimal_start_takes_no_step(self):
         c = np.full(3, 1.0 / 3.0)
-        x, gap, steps = _simplex_newton(self.projection(c), (1, 3), 1e-13)
+        x, gap, steps = _simplex_newton(self.projection(c), (np.arange(1),), 3,
+                                        1e-13)
         assert (steps[0], gap[0]) == (0, 0.0)
         assert np.array_equal(x[0], c)
 
@@ -290,7 +293,7 @@ class TestSimplexNewton:
             return (f, np.tile(cost, (len(x), 1)), np.zeros((len(x), 3, 3)),
                     f - cost.min())
 
-        x, gap, _ = _simplex_newton(oracle, (1, 3), 1e-12)
+        x, gap, _ = _simplex_newton(oracle, (np.arange(1),), 3, 1e-12)
         assert gap[0] <= 1e-12
         assert x[0, 1] == pytest.approx(1.0, abs=1e-11)
 
@@ -301,9 +304,40 @@ class TestSimplexNewton:
             return (f, 2.0 * x, np.full((len(x), 3, 3), np.nan),
                     np.ones(len(x)))
 
-        x, gap, steps = _simplex_newton(oracle, (2, 3), 1e-12)
+        x, gap, steps = _simplex_newton(oracle, (np.arange(2),), 3, 1e-12)
         assert np.array_equal(x, np.full((2, 3), 1.0 / 3.0))
         assert steps.tolist() == [0, 0] and gap.tolist() == [1.0, 1.0]
+
+    def test_stopped_rows_leave_the_batch(self):
+        # three fixed-slope rate-distortion rows: row 0 is optimal at the
+        # start, row 1 stops after 4 steps and row 2 runs for 28, halving
+        # its step on 16 of them and ending with a letter near 0. The oracle
+        # records the rows of each call through their indices, which travel
+        # with the data; a row that the batch carried past its stop would
+        # get more calls than it makes alone.
+        ham, d = 1.0 - np.eye(3), np.array([[0.26, 0.0, 1.9],
+                                            [2.37, 0.0, 1.58],
+                                            [0.0, 2.22, 0.06]])
+        p = np.array([np.full(3, 1.0 / 3.0), [0.3, 0.35, 0.35],
+                      [0.57, 0.413, 0.017]])
+        a = np.exp(np.array([-ham, -ham, -3.26 * d]))
+        calls = []
+
+        def oracle(q, p, a, index):
+            calls.append(index.tolist())
+            return _rd_oracle(q, p, a)
+
+        x, gap, steps = _simplex_newton(oracle, (p, a, np.arange(3)), 3,
+                                        1e-13)
+        batch = calls[:]
+        assert steps.tolist() == [0, 4, 28] and np.all(gap <= 1e-13)
+        for row in range(3):
+            calls.clear()
+            x1, gap1, steps1 = _simplex_newton(
+                oracle, (p[[row]], a[[row]], np.array([row])), 3, 1e-13)
+            assert sum(row in rows for rows in batch) == len(calls)
+            assert np.array_equal(x[row], x1[0])
+            assert (gap[row], steps[row]) == (gap1[0], steps1[0])
 
 
 class TestJointMutualInformation:

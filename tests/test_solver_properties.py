@@ -176,7 +176,8 @@ def test_batched_rates_equal_rdf_row_by_row(batch, fraction):
 def mixed_problems(draw):
     """1-5 capacity problems on k-input channels and 1-5 fixed-slope
     rate-distortion problems with k reproduction letters, k in 2-5, as one
-    stacked ``_simplex_newton`` oracle, and the oracle of each row alone."""
+    stacked ``_simplex_newton`` oracle of the problems' indices, and the
+    oracle and data of each row alone."""
     k, ny, ns = (draw(st.integers(2, 5)) for _ in range(3))
     mats = np.array([channel_matrix(draw, k, ny)
                      for _ in range(draw(st.integers(1, 5)))])
@@ -190,17 +191,16 @@ def mixed_problems(draw):
                                        max_size=ns))] = 0.0
         a.append(np.exp(-draw(st.floats(0.1, 20.0)) * d))
     a = np.array(a)
-    cap, rd = _capacity_oracle(mats), _rd_oracle(p, a)
 
     def stacked(x, rows):
-        rows = np.arange(len(mats) + n_rd)[rows]
         first = rows < len(mats)  # a prefix: rows come in ascending order
-        parts = zip(cap(x[first], rows[first]),
-                    rd(x[~first], rows[~first] - len(mats)))
+        rd = rows[~first] - len(mats)
+        parts = zip(_capacity_oracle(x[first], mats[rows[first]]),
+                    _rd_oracle(x[~first], p[rd], a[rd]))
         return tuple(np.concatenate(pair) for pair in parts)
 
-    alone = ([_capacity_oracle(m[None]) for m in mats]
-             + [_rd_oracle(p[[i]], a[[i]]) for i in range(n_rd)])
+    alone = ([(_capacity_oracle, (m[None],)) for m in mats]
+             + [(_rd_oracle, (p[[i]], a[[i]])) for i in range(n_rd)])
     return k, stacked, alone
 
 
@@ -208,10 +208,10 @@ def mixed_problems(draw):
 def test_stacked_newton_equals_batches_of_one(problem):
     k, stacked, alone = problem
     tol = 1e-11
-    x, gap, steps = _simplex_newton(stacked, (len(alone), k), tol)
+    x, gap, steps = _simplex_newton(stacked, (np.arange(len(alone)),), k, tol)
     assert np.all(gap <= tol)
-    for row, oracle in enumerate(alone):
-        x1, gap1, steps1 = _simplex_newton(oracle, (1, k), tol)
+    for row, (oracle, data) in enumerate(alone):
+        x1, gap1, steps1 = _simplex_newton(oracle, data, k, tol)
         assert np.allclose(x[row], x1[0], rtol=0.0, atol=1e-12)
         assert abs(gap[row] - gap1[0]) <= 1e-12 and steps[row] == steps1[0]
 

@@ -330,7 +330,7 @@ class TestSlopeSearch:
         monkeypatch.setattr(pc, "_newton_direction", counting)
         a = np.exp(-HAMMING3)[None]
         x, gap, steps = pc._simplex_newton(
-            sa._rd_oracle(TERNARY_PROBS[None], a), (1, 3), sa._INNER_TOL)
+            sa._rd_oracle, (TERNARY_PROBS[None], a), 3, sa._INNER_TOL)
         assert gap[0] <= sa._INNER_TOL and steps[0] <= 6
         assert len(calls) == steps[0]
         assert x[0, 2] == 0.0 and x[0, :2].min() > 0.0
