@@ -3,6 +3,11 @@
 Computes channel, source, joint, and separation dispersion quantities for
 finite alphabets and validates their Gaussian approximations by seeded
 Monte-Carlo simulation over empirical types.
+
+The Monte-Carlo layer, ``jsccdisp.mcsim``, loads on first use: the package
+registers it in ``sys.modules`` through ``importlib.util.LazyLoader`` and
+serves the names it re-exports from it through a module ``__getattr__``, so
+a run that only computes dispersion quantities never compiles or runs it.
 """
 
 from .channel import (
@@ -54,25 +59,6 @@ from .jscc import (
     separation_split,
     separation_vsep,
 )
-from .mcsim import (
-    CltResult,
-    SimConfig,
-    SimResult,
-    UepConfig,
-    UepResult,
-    dball_bound,
-    dball_count_exact,
-    eta_n,
-    excess_event_probability,
-    first_order_jscc_samples,
-    first_order_mi_samples,
-    gamma_n,
-    mi_continuity_check,
-    sample_channel_output,
-    sample_source_block,
-    uep_simulate,
-    xi_n_violation_rate,
-)
 from .probcore import (
     Channel,
     ConditionalType,
@@ -100,3 +86,53 @@ from .source import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy_submodule(name: str):
+    """The submodule ``name``, in ``sys.modules`` and bound here, its code
+    run on the first attribute access."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+mcsim = _lazy_submodule("mcsim")
+
+_MCSIM_NAMES = frozenset((
+    "CltResult",
+    "SimConfig",
+    "SimResult",
+    "UepConfig",
+    "UepResult",
+    "dball_bound",
+    "dball_count_exact",
+    "eta_n",
+    "excess_event_probability",
+    "first_order_jscc_samples",
+    "first_order_mi_samples",
+    "gamma_n",
+    "mi_continuity_check",
+    "sample_channel_output",
+    "sample_source_block",
+    "uep_simulate",
+    "xi_n_violation_rate",
+))
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | _MCSIM_NAMES)
+
+
+def __getattr__(name: str):
+    if name in _MCSIM_NAMES:
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MCSIM_NAMES)

@@ -13,6 +13,7 @@ source._tilted, target rate out of range).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import operator
@@ -704,6 +705,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What exists before a command, the modules, classes and functions of
+    # the start-up, outlives it, so it is kept out of the collected
+    # generations while the command runs: no collection rescans it, however
+    # near to due the start-up left one.
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:

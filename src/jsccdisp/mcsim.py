@@ -19,9 +19,15 @@ probability of each channel output type. A type is one integer key
 and Python ints otherwise). Both simulators make two passes over the same
 streams: the first folds the distinct keys of each batch into one sorted
 table with ``np.union1d``, the table is decoded (``_key_rows``) and each
-type solved once, and the second redraws each batch and looks its keys up
-in the table with ``np.searchsorted``. No per-trial array outlives its
-batch, and no solve is kept between calls. The empirical MI of a sampled
+type solved once, and the second looks the keys up in the table with
+``np.searchsorted``. The UEP simulator redraws each batch for its second
+pass, so none of its per-trial arrays outlives its batch. The excess
+simulator draws each source block once: it runs the two passes per window
+of ``_EXCESS_WINDOW`` batches, solves in each window only the types its
+table does not hold yet, and keeps between the passes one index byte per
+trial (two once a batch has more than 256 types) and one generator per
+batch, at most 128 KB (256 KB) of indices and 32 generators whatever the
+trial count. No solve is kept between calls. The empirical MI of a sampled
 joint, whose row margins are the fixed input type, comes from a table of
 k log k over 0..m built once per call (``_fixed_margin_mi``).
 
@@ -41,7 +47,7 @@ constant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -85,6 +91,8 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
 # sorted samples per step of the KS walk; bounds its temporaries
 _KS_CHUNK = 1 << 16
 _TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
+# batches of an excess run whose source draws are held between its passes
+_EXCESS_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """A Monte-Carlo estimate of a probability: the fraction of ``trials``
+    in which the event occurred, its binomial standard error, and the
+    simulator's ``diagnostics``."""
+
     estimate: float
     std_error: float
     trials: int
@@ -136,12 +148,18 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
 def _map_batches(fn, trials: int, workers: int):
     """fn(batch_index, size) over every batch of ``DEFAULT_BATCH`` trials
     (the last may be shorter), yielded in batch order as each is consumed,
-    so a caller that folds them holds none for long."""
+    so a caller that folds them holds none for long. At most
+    min(workers, batches, ``os.cpu_count()``) threads run them; the
+    results do not depend on how many."""
     batches = [(b, min(DEFAULT_BATCH, trials - b * DEFAULT_BATCH))
                for b in range((trials + DEFAULT_BATCH - 1) // DEFAULT_BATCH)]
+    workers = min(workers, len(batches), os.cpu_count() or 1)
     if workers <= 1:
         yield from (fn(b, size) for b, size in batches)
         return
+    # imported here: a run that starts no pool never loads the module
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(lambda args: fn(*args), batches)
 
@@ -267,15 +285,20 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     Per trial the source type is a Multinomial(n, P) draw and the channel
     conditional type comes from a fixed word of type phi_m; rho is realized
-    as m/n with m = phi_m.n. Two passes run over the same batch streams,
-    each batch held only while it is drawn. The first draws only the
-    source counts, which each stream draws first, and folds their
-    ``_type_keys`` into one sorted table of distinct keys; one batched
-    solve of the decoded types, its slope search started at the slope of
-    the solve of P itself at d, then gives R(P_S, d) for all of them. The
-    second redraws every batch with its channel counts, looks each source
-    key up in the table, and compares with the ``_fixed_margin_mi`` of the
-    joint counts, from a k log k table over 0..m built once. Every type at
+    as m/n with m = phi_m.n. The batches run in windows of
+    ``_EXCESS_WINDOW``, each in two passes, and every source block is drawn
+    once. The first pass draws only the source counts, which each stream
+    draws first, and keeps per batch its generator, positioned after that
+    draw, the sorted distinct ``_type_keys`` of the batch and each trial's
+    index into them, in the smallest unsigned type that holds it. The
+    window's keys not yet in the run's sorted table are decoded and solved
+    in one batch, the slope search started at the slope of the solve of P
+    itself at d, and merged into it, so each distinct type is solved once
+    per call. The second pass continues each batch's generator with its
+    channel counts, looks the batch's distinct keys up in the table,
+    spreads their rates over the trials by the kept indices, and compares
+    with the ``_fixed_margin_mi`` of the joint counts, from a k log k table
+    over 0..m built once. Every type at
     or above its d_max has rate 0 and every type at D within 1e-12 of 0
     takes the zero-distortion solve, so a type has no rate only when its
     solve failed; such a type counts as excess, and its trials are
@@ -292,31 +315,47 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     p = src.distribution.probs
     row_counts = phi_m.counts
 
-    def types_of(batch_index: int, size: int):
-        src_counts = _stream(seed, batch_index).multinomial(n, p, size=size)
-        return np.unique(_type_keys(src_counts, n))
-
-    table = reduce(np.union1d, _map_batches(types_of, trials, workers))
     start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
-    # NaN marks a failed solve and is counted as excess below
-    rates = sa._rdf_rates(_key_rows(table, n, p.size) / n, src.distortion,
-                          d, 1e-10, start)
     xlogx = _xlogx(m)
+    # the keys solved so far, sorted, and their rates; NaN marks a failed
+    # solve and is counted as excess below
+    table = _type_keys(np.zeros((0, p.size), dtype=np.int64), n)
+    rates = np.empty(0)
 
-    def run(batch_index: int, size: int):
-        rng = _stream(seed, batch_index)
-        src_counts = rng.multinomial(n, p, size=size)
+    def draw(first: int, batch_index: int, size: int):
+        rng = _stream(seed, first + batch_index)
+        keys, inverse = np.unique(
+            _type_keys(rng.multinomial(n, p, size=size), n),
+            return_inverse=True)
+        return rng, keys, inverse.astype(np.min_scalar_type(len(keys) - 1))
+
+    def score(drawn: list, batch_index: int, size: int):
+        rng, keys, inverse = drawn[batch_index]
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
         mi = _fixed_margin_mi(joint, row_counts, xlogx)  # per trial
-        r_t = rates[np.searchsorted(table, _type_keys(src_counts, n))]
+        r_t = rates[np.searchsorted(table, keys)][inverse]
         undefined = np.isnan(r_t)
         excess = undefined | (r_t > rho_eff * mi)
         return int(excess.sum()), int(undefined.sum())
 
     total = boundary = 0
-    for excess, undefined in _map_batches(run, trials, workers):
-        total += excess
-        boundary += undefined
+    window = _EXCESS_WINDOW * DEFAULT_BATCH
+    for first in range(0, trials, window):
+        size = min(window, trials - first)
+        drawn = list(_map_batches(partial(draw, first // DEFAULT_BATCH),
+                                  size, workers))
+        new = np.setdiff1d(reduce(np.union1d, (k for _, k, _ in drawn)),
+                           table, assume_unique=True)
+        if new.size:
+            at = np.searchsorted(table, new)
+            table = np.insert(table, at, new)
+            rates = np.insert(rates, at, sa._rdf_rates(
+                _key_rows(new, n, p.size) / n, src.distortion, d, 1e-10,
+                start))
+        for excess, undefined in _map_batches(partial(score, drawn), size,
+                                              workers):
+            total += excess
+            boundary += undefined
     return _binomial_result(total, trials,
                             boundary_trials=boundary, rho_effective=rho_eff)
 
@@ -689,6 +728,10 @@ def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
 
 @dataclass(frozen=True)
 class UepClassResult:
+    """The simulated error events of one UEP class: its rate, its number of
+    codewords, and the estimates of E1 (the true codeword scores below the
+    threshold), E2 (a competitor scores above it) and their union."""
+
     class_index: int
     rate: float
     n_codewords: int
@@ -699,6 +742,10 @@ class UepClassResult:
 
 @dataclass(frozen=True)
 class UepResult:
+    """A UEP simulation: one ``UepClassResult`` per class, in class order,
+    the decoder threshold ``gamma``, the rate-cap margin ``eta`` and the
+    block length ``m``."""
+
     classes: tuple
     gamma: float
     eta: float

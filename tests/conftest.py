@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -56,3 +58,26 @@ def bsc011() -> Channel:
 @pytest.fixture
 def fair_hamming() -> SourceSpec:
     return hamming_source(0.5)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The max_workers of every thread pool the test asks for. The pools
+    are stand-ins that map in the calling thread, so none starts a thread."""
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -356,6 +357,102 @@ class TestChannelCommand:
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+
+# the names the package re-exports from its Monte-Carlo layer
+MCSIM_NAMES = [
+    "CltResult", "SimConfig", "SimResult", "UepConfig", "UepResult",
+    "dball_bound", "dball_count_exact", "eta_n", "excess_event_probability",
+    "first_order_jscc_samples", "first_order_mi_samples", "gamma_n",
+    "mi_continuity_check", "sample_channel_output", "sample_source_block",
+    "uep_simulate", "xi_n_violation_rate",
+]
+
+
+class TestLazyMonteCarlo:
+    def test_loads_on_first_use(self):
+        # the analytic commands neither run jsccdisp.mcsim nor import a
+        # thread pool; a serial simulation runs mcsim but starts no pool
+        bsc = str(REPO / "docs" / "examples" / "bsc011_hamming.json")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import jsccdisp.cli\n"
+            "from jsccdisp.cli import main\n"
+            "import jsccdisp\n"
+            "lazy = sys.modules['jsccdisp.mcsim']\n"
+            "def state():\n"
+            "    # type() does not trigger the load, attribute access does\n"
+            "    return [type(lazy).__name__ == '_LazyModule',\n"
+            "            'concurrent.futures' in sys.modules]\n"
+            "states = [state()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['jscc', {TERNARY!r}]) == 0\n"
+            "    assert main(['separation', '--paper-fig3']) == 0\n"
+            "    states.append(state())\n"
+            "    listed = dir(jsccdisp)\n"
+            "    states.append(state())\n"
+            f"    assert main(['simulate', {bsc!r}, '--what', 'xi',\n"
+            "                 '--trials', '5000', '--workers', '1']) == 0\n"
+            "states.append(state())\n"
+            f"names = {MCSIM_NAMES!r}\n"
+            "imported = {}\n"
+            "for name in names:\n"
+            "    exec(f'from jsccdisp import {name} as value', {}, imported)\n"
+            "    assert imported['value'] is getattr(lazy, name), name\n"
+            "star = {}\n"
+            "exec('from jsccdisp import *', star)\n"
+            "print(json.dumps({'states': states,\n"
+            "                  'listed': [n for n in names if n in listed],\n"
+            "                  'star': [n for n in names if n in star]}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout.splitlines()[-1])
+        assert out["states"] == [[True, False], [True, False], [True, False],
+                                 [False, False]]
+        assert out["listed"] == out["star"] == MCSIM_NAMES
+
+    def test_unknown_name_raises(self):
+        import jsccdisp
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            jsccdisp.no_such_name  # noqa: B018
+
+    def test_huge_worker_count_starts_few_threads(self, monkeypatch, capsys,
+                                                  pool_sizes):
+        monkeypatch.setattr(cli.mcsim.os, "cpu_count", lambda: 2)
+        bsc = str(REPO / "docs" / "examples" / "bsc011_hamming.json")
+        outs = []
+        for workers in ("1", str(10 ** 6)):
+            code, out, _ = run(["simulate", bsc, "--what", "xi", "--trials",
+                                "9000", "--workers", workers], capsys)
+            assert code == 0
+            outs.append(out)
+        assert pool_sizes == [2]
+        assert outs[0] == outs[1]
+
+
+class TestMain:
+    def test_start_up_frozen_while_a_command_runs(self, monkeypatch, capsys):
+        # the objects that exist before the command are out of the
+        # collector's generations during it, and back in them after it
+        frozen = []
+        real = cli.build_parser
+
+        def recording(argv):
+            frozen.append(gc.get_freeze_count())
+            return real(argv)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        before = gc.get_freeze_count()
+        code, _, _ = run(["separation", "--eps-grid", "0.1"], capsys)
+        assert code == 0
+        assert frozen[0] > 1000
+        assert gc.get_freeze_count() == before == 0
 
 
 class TestSourceCommand:

@@ -51,6 +51,7 @@ import jsccdisp.probcore as probcore
 import jsccdisp.source as sa
 from jsccdisp.source import _tilted_solve
 from conftest import HAMMING, bernoulli, bsc, hamming_source
+from functools import reduce
 
 LN2 = math.log(2.0)
 
@@ -170,9 +171,9 @@ class TestExcessEvent:
         assert np.array_equal(types / 200, calls[0])
 
     def test_memory_does_not_grow_with_trials(self, fair_hamming, bsc011):
-        # two passes redraw every batch instead of keeping per-trial arrays:
-        # a batch works in about 1 MB, and 32 batches are enough for 8
-        # bytes kept per trial to show
+        # per-trial state is kept for one window of batches at a time, not
+        # for the run: a batch works in about 1 MB, and 32 batches are
+        # enough for 8 bytes kept per trial to show
         phi = EmpiricalType(np.array([100, 100]), 200)
 
         def peak(trials):
@@ -217,6 +218,130 @@ class TestExcessEvent:
         assert 0 < want < trials
         assert res.estimate == want / trials
         assert res.diagnostics["boundary_trials"] == 0
+
+
+def two_pass_excess(src, w, phi, d, n, trials, seed):
+    """(excess trials, trials without a rate) by the plain two passes: fold
+    every batch's source keys into one table and solve it, then redraw each
+    batch and look every trial's key up in the table."""
+    p, size = src.distribution.probs, mcsim.DEFAULT_BATCH
+    batches = [(b, min(size, trials - b * size))
+               for b in range(-(-trials // size))]
+    table = reduce(np.union1d, (np.unique(mcsim._type_keys(
+        mcsim._stream(seed, b).multinomial(n, p, size=k), n))
+        for b, k in batches))
+    start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
+    rates = sa._rdf_rates(mcsim._key_rows(table, n, p.size) / n,
+                          src.distortion, d, 1e-10, start)
+    xlogx, excess, undefined = mcsim._xlogx(phi.n), 0, 0
+    for b, k in batches:
+        rng = mcsim._stream(seed, b)
+        keys = mcsim._type_keys(rng.multinomial(n, p, size=k), n)
+        joint = mcsim._joint_counts_given_type(phi.counts, w.matrix, rng, k)
+        mi = mcsim._fixed_margin_mi(joint, phi.counts, xlogx)
+        r = rates[np.searchsorted(table, keys)]
+        excess += int((np.isnan(r) | (r > phi.n / n * mi)).sum())
+        undefined += int(np.isnan(r).sum())
+    return excess, undefined
+
+
+def ternary_source():
+    return SourceSpec(Distribution(np.array([0.5, 0.3, 0.2])),
+                      np.ones((3, 3)) - np.eye(3))
+
+
+class TestExcessSinglePass:
+    # (source, channel, input type, d, n): the bsc011 example, and the
+    # ternary one, whose n = 500 gives batches of more than 256 types
+    PROBLEMS = {
+        "bsc011": (hamming_source(0.5), bsc(0.11),
+                   EmpiricalType(np.array([500, 500]), 1000), 0.115, 1000),
+        "ternary": (ternary_source(), Channel(np.array([[0.95, 0.05],
+                                                        [0.2, 0.8]])),
+                    EmpiricalType(np.array([600, 400]), 1000), 0.1, 500),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name", ["bsc011", "ternary"])
+    def test_matches_two_pass_reference(self, monkeypatch, name, workers):
+        # windows of 2 batches: 5 batches and 17 trials make 3 windows
+        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        src, w, phi, d, n = self.PROBLEMS[name]
+        trials, seed = 5 * mcsim.DEFAULT_BATCH + 17, 11
+        res = excess_event_probability(src, w, phi, d, n, trials, seed,
+                                       workers)
+        excess, undefined = two_pass_excess(src, w, phi, d, n, trials, seed)
+        assert 0 < excess < trials
+        assert res.estimate == excess / trials
+        assert res.diagnostics["boundary_trials"] == undefined == 0
+
+    def test_ternary_batches_take_two_byte_indices(self):
+        src, _, _, _, n = self.PROBLEMS["ternary"]
+        counts = mcsim._stream(11, 0).multinomial(
+            n, src.distribution.probs, size=mcsim.DEFAULT_BATCH)
+        types = len(np.unique(mcsim._type_keys(counts, n)))
+        assert np.min_scalar_type(types - 1) == np.uint16
+
+    def test_default_window_matches_reference(self):
+        src, w, phi, d, n = self.PROBLEMS["bsc011"]
+        trials = (mcsim._EXCESS_WINDOW + 1) * mcsim.DEFAULT_BATCH + 3
+        res = excess_event_probability(src, w, phi, d, n, trials, 5, 2)
+        excess, _ = two_pass_excess(src, w, phi, d, n, trials, 5)
+        assert res.estimate == excess / trials
+
+    def test_wide_keys_across_windows(self, monkeypatch, bsc011):
+        # 9 letters at n = 1000 take Python-int keys; batches of 16 trials
+        # in windows of 2 merge object tables
+        monkeypatch.setattr(mcsim, "DEFAULT_BATCH", 16)
+        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        n, trials, seed, d = 1000, 70, 3, 0.5475
+        p = np.linspace(1.0, 2.0, 9)
+        src = SourceSpec(Distribution(p / p.sum()),
+                         np.ones((9, 9)) - np.eye(9))
+        phi = EmpiricalType(np.array([500, 500]), n)
+        assert mcsim._type_keys(np.zeros((1, 9), dtype=np.int64),
+                                n).dtype == object
+        res = excess_event_probability(src, bsc011, phi, d, n, trials, seed,
+                                       workers=2)
+        excess, _ = two_pass_excess(src, bsc011, phi, d, n, trials, seed)
+        assert 0 < excess < trials
+        assert res.estimate == excess / trials
+
+    def test_rate_without_solve_counts_as_excess(self, monkeypatch):
+        # a NaN rate, as a failed solve gives, on every type whose first
+        # count is a multiple of 3
+        solve = sa._rdf_rates
+        n = 500
+
+        def failing(p, *args):
+            rates = solve(p, *args)
+            rates[np.rint(p[:, 0] * n) % 3 == 0] = np.nan
+            return rates
+
+        monkeypatch.setattr(sa, "_rdf_rates", failing)
+        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        src, w, phi, d, _ = self.PROBLEMS["ternary"]
+        trials = 3 * mcsim.DEFAULT_BATCH + 1
+        res = excess_event_probability(src, w, phi, d, n, trials, 2, 2)
+        excess, undefined = two_pass_excess(src, w, phi, d, n, trials, 2)
+        assert 0 < undefined < excess < trials
+        assert res.estimate == excess / trials
+        assert res.diagnostics["boundary_trials"] == undefined
+
+
+class TestMapBatches:
+    @pytest.mark.parametrize("batches, cpus, want", [
+        (3, 8, [3]), (20, 8, [8]), (20, None, []), (1, 8, [])])
+    def test_threads_capped(self, monkeypatch, pool_sizes, batches, cpus,
+                            want):
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: cpus)
+        trials = batches * mcsim.DEFAULT_BATCH - 1
+        out = list(mcsim._map_batches(lambda b, size: (b, size), trials,
+                                      10 ** 6))
+        assert pool_sizes == want
+        assert out == [(b, min(mcsim.DEFAULT_BATCH,
+                               trials - b * mcsim.DEFAULT_BATCH))
+                       for b in range(batches)]
 
 
 def composition_rows(data):
