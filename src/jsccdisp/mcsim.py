@@ -16,20 +16,28 @@ The excess-event and UEP simulators need a per-type quantity for every
 type a run draws: R(P_S, D) of each source type, the competitors' tail
 probability of each channel output type. A type is one integer key
 (``_type_keys``: its counts as digits in base n + 1, int64 while they fit
-and Python ints otherwise). Both simulators make two passes over the same
-streams: the first folds the distinct keys of each batch into one sorted
-table with ``np.union1d``, the table is decoded (``_key_rows``) and each
-type solved once, and the second looks the keys up in the table with
-``np.searchsorted``. The UEP simulator redraws each batch for its second
-pass, so none of its per-trial arrays outlives its batch. The excess
-simulator draws each source block once: it runs the two passes per window
-of ``_EXCESS_WINDOW`` batches, solves in each window only the types its
-table does not hold yet, and keeps between the passes one index byte per
-trial (two once a batch has more than 256 types) and one generator per
-batch, at most 128 KB (256 KB) of indices and 32 generators whatever the
-trial count. No solve is kept between calls. The empirical MI of a sampled
-joint, whose row margins are the fixed input type, comes from a table of
-k log k over 0..m built once per call (``_fixed_margin_mi``).
+and Python ints otherwise); distinct keys are folded into one sorted table
+with ``np.union1d``, decoded (``_key_rows``), each type solved once, and
+looked up with ``np.searchsorted``. The UEP simulator makes two passes over
+the same streams, the first to fold the table and the second to redraw
+each batch and look up, so none of its per-trial arrays outlives its batch.
+The excess simulator draws each batch once, in one ``_map_batches`` call
+per run: a batch returns its distinct source keys, each trial's index into
+them and each trial's rho times its empirical MI. Per window of
+``_EXCESS_WINDOW`` batches it solves only the types its table does not
+hold yet, then compares, holding one index byte per trial (two once a
+batch has more than 256 types) and one float64 per trial, at most 1.3 MB
+for a window of 32 batches whatever the trial count. No solve is kept
+between calls. The empirical MI of a sampled joint, whose row margins are
+the fixed input type, comes from a table of k log k over 0..m built once
+per call (``_fixed_margin_mi``).
+
+Little besides the draws themselves runs per batch: a count row over two
+letters is one binomial call (``_multinomial_rows``), with the same draws
+as the multinomial, and per-trial sums over the cells of a table are one
+left fold of cell columns (``_cell_sum``), not a reduction over two short
+axes. ``_map_batches`` keeps at most ``_LOOKAHEAD`` batches per thread
+submitted and not yet consumed.
 
 Exact counts are one ``_arrangement_sum`` call each: it builds the joint
 tables with fixed margins from per-column ``_compositions``, in blocks of
@@ -48,8 +56,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -91,8 +101,10 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
 # sorted samples per step of the KS walk; bounds its temporaries
 _KS_CHUNK = 1 << 16
 _TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
-# batches of an excess run whose source draws are held between its passes
+# batches of an excess run whose new source types are solved together
 _EXCESS_WINDOW = 32
+# batches submitted to a thread pool and not yet yielded, per thread
+_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -147,10 +159,12 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
 
 def _map_batches(fn, trials: int, workers: int):
     """fn(batch_index, size) over every batch of ``DEFAULT_BATCH`` trials
-    (the last may be shorter), yielded in batch order as each is consumed,
-    so a caller that folds them holds none for long. At most
-    min(workers, batches, ``os.cpu_count()``) threads run them; the
-    results do not depend on how many."""
+    (the last may be shorter), yielded in batch order. At most
+    min(workers, batches, ``os.cpu_count()``) threads run them, and at most
+    ``_LOOKAHEAD`` batches per thread are submitted and not yet yielded, so
+    the threads draw ahead of a slow consumer by a bounded amount and a
+    caller that folds the results holds few of them at a time. The results
+    do not depend on the thread count."""
     batches = [(b, min(DEFAULT_BATCH, trials - b * DEFAULT_BATCH))
                for b in range((trials + DEFAULT_BATCH - 1) // DEFAULT_BATCH)]
     workers = min(workers, len(batches), os.cpu_count() or 1)
@@ -161,7 +175,13 @@ def _map_batches(fn, trials: int, workers: int):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda args: fn(*args), batches)
+        pending = deque()
+        for b, size in batches:
+            if len(pending) == _LOOKAHEAD * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, b, size))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _fill_batches(fn, trials: int, workers: int) -> np.ndarray:
@@ -258,20 +278,49 @@ def sample_channel_output(x, w: Channel, rng: np.random.Generator) -> np.ndarray
     ).astype(np.int64)
 
 
+def _multinomial_rows(rng: np.random.Generator, total: int,
+                      probs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, count rows (trials, letters), filled with the draws of
+    ``rng.multinomial(total, probs, size=len(out))``. A law over two
+    letters is one ``rng.binomial(total, probs[0], len(out))`` call, with
+    total - k written into the other letter: for two letters numpy's
+    multinomial makes exactly that binomial draw per trial, so the counts
+    and the generator's position after them are the same."""
+    if len(probs) == 2:
+        out[:, 0] = rng.binomial(total, probs[0], len(out))
+        np.subtract(total, out[:, 0], out=out[:, 1])
+    else:
+        out[...] = rng.multinomial(total, probs, size=len(out))
+    return out
+
+
 def _joint_counts_given_type(row_counts: np.ndarray, w_mat: np.ndarray,
                              rng: np.random.Generator, size: int) -> np.ndarray:
     """Joint (X,Y) counts for a fixed input word of the given type.
 
     For each input symbol a, the output counts are Multinomial(r_a, W_a),
-    independently; rows are drawn in ascending symbol order.
+    independently (``_multinomial_rows``); rows are drawn in ascending
+    symbol order.
     """
     n_x, n_y = w_mat.shape
     joint = np.zeros((size, n_x, n_y), dtype=np.int64)
     for a in range(n_x):
         r_a = int(row_counts[a])
         if r_a > 0:
-            joint[:, a, :] = rng.multinomial(r_a, w_mat[a], size=size)
+            _multinomial_rows(rng, r_a, w_mat[a], joint[:, a, :])
     return joint
+
+
+def _cell_sum(cells) -> np.ndarray:
+    """The per-trial sum of the cell columns ``cells``, each one value per
+    trial, as one left fold from 0.0 in the order given. Over a table's
+    cells in row-major order this is how numpy's ``.sum(axis=(1, 2))`` adds
+    a table of under 8 cells, so the sums are bitwise equal to it there;
+    from 8 cells numpy sums pairwise, and the two differ by rounding, at
+    most (cells - 1) * 2^-52 of the sum of the cells' magnitudes. It avoids
+    the reduction over two short axes, which costs several times the
+    arithmetic."""
+    return reduce(np.add, cells, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +334,25 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     Per trial the source type is a Multinomial(n, P) draw and the channel
     conditional type comes from a fixed word of type phi_m; rho is realized
-    as m/n with m = phi_m.n. The batches run in windows of
-    ``_EXCESS_WINDOW``, each in two passes, and every source block is drawn
-    once. The first pass draws only the source counts, which each stream
-    draws first, and keeps per batch its generator, positioned after that
-    draw, the sorted distinct ``_type_keys`` of the batch and each trial's
-    index into them, in the smallest unsigned type that holds it. The
-    window's keys not yet in the run's sorted table are decoded and solved
-    in one batch, the slope search started at the slope of the solve of P
-    itself at d, and merged into it, so each distinct type is solved once
-    per call. The second pass continues each batch's generator with its
-    channel counts, looks the batch's distinct keys up in the table,
-    spreads their rates over the trials by the kept indices, and compares
-    with the ``_fixed_margin_mi`` of the joint counts, from a k log k table
-    over 0..m built once. Every type at
-    or above its d_max has rate 0 and every type at D within 1e-12 of 0
-    takes the zero-distortion solve, so a type has no rate only when its
-    solve failed; such a type counts as excess, and its trials are
+    as m/n with m = phi_m.n. Each batch is drawn in one pass, by one
+    ``_map_batches`` call for the whole run: its stream draws the source
+    counts, then the channel counts, and the batch returns the sorted
+    distinct ``_type_keys`` of its source types, each trial's index into
+    them, in the smallest unsigned type that holds it, and each trial's
+    rho times the ``_fixed_margin_mi`` of its joint counts, from a k log k
+    table over 0..m built once. The batches are taken in windows of
+    ``_EXCESS_WINDOW``: the window's keys not yet in the run's sorted table
+    are decoded and solved in one batch, the slope search started at the
+    slope of the solve of P itself at d, and merged into it, so each
+    distinct type is solved once per call; then each batch's keys are
+    looked up in the table, their rates spread over the trials by the
+    indices and compared. A window holds an index byte per trial (two once
+    a batch has more than 256 types) and one float64 per trial, at most
+    32 * 4096 * 10 bytes (1.3 MB), and the threads draw at most
+    ``_LOOKAHEAD`` batches each ahead of it, whatever the trial count.
+    Every type at or above its d_max has rate 0 and every type at D within
+    1e-12 of 0 takes the zero-distortion solve, so a type has no rate only
+    when its solve failed; such a type counts as excess, and its trials are
     reported as ``boundary_trials`` in the diagnostics.
     """
     if phi_m.alphabet_size != w.input_size:
@@ -322,29 +373,20 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     table = _type_keys(np.zeros((0, p.size), dtype=np.int64), n)
     rates = np.empty(0)
 
-    def draw(first: int, batch_index: int, size: int):
-        rng = _stream(seed, first + batch_index)
+    def draw(batch_index: int, size: int):
+        rng = _stream(seed, batch_index)
         keys, inverse = np.unique(
-            _type_keys(rng.multinomial(n, p, size=size), n),
+            _type_keys(_multinomial_rows(rng, n, p, np.empty(
+                (size, p.size), dtype=np.int64)), n),
             return_inverse=True)
-        return rng, keys, inverse.astype(np.min_scalar_type(len(keys) - 1))
-
-    def score(drawn: list, batch_index: int, size: int):
-        rng, keys, inverse = drawn[batch_index]
         joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
-        mi = _fixed_margin_mi(joint, row_counts, xlogx)  # per trial
-        r_t = rates[np.searchsorted(table, keys)][inverse]
-        undefined = np.isnan(r_t)
-        excess = undefined | (r_t > rho_eff * mi)
-        return int(excess.sum()), int(undefined.sum())
+        return (keys, inverse.astype(np.min_scalar_type(len(keys) - 1)),
+                rho_eff * _fixed_margin_mi(joint, row_counts, xlogx))
 
     total = boundary = 0
-    window = _EXCESS_WINDOW * DEFAULT_BATCH
-    for first in range(0, trials, window):
-        size = min(window, trials - first)
-        drawn = list(_map_batches(partial(draw, first // DEFAULT_BATCH),
-                                  size, workers))
-        new = np.setdiff1d(reduce(np.union1d, (k for _, k, _ in drawn)),
+    batches = _map_batches(draw, trials, workers)
+    for window in iter(lambda: list(islice(batches, _EXCESS_WINDOW)), []):
+        new = np.setdiff1d(reduce(np.union1d, (k for k, _, _ in window)),
                            table, assume_unique=True)
         if new.size:
             at = np.searchsorted(table, new)
@@ -352,10 +394,12 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
             rates = np.insert(rates, at, sa._rdf_rates(
                 _key_rows(new, n, p.size) / n, src.distortion, d, 1e-10,
                 start))
-        for excess, undefined in _map_batches(partial(score, drawn), size,
-                                              workers):
-            total += excess
-            boundary += undefined
+        for keys, inverse, bar in window:
+            r_t = rates[np.searchsorted(table, keys)][inverse]
+            undefined = np.isnan(r_t)
+            total += int((undefined | (r_t > bar)).sum())
+            boundary += int(undefined.sum())
+        window.clear()   # before the next window is drawn
     return _binomial_result(total, trials,
                             boundary_trials=boundary, rho_effective=rho_eff)
 
@@ -447,12 +491,13 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     coeff = _log_ratio(w.matrix, phi @ w.matrix)
     expected = phi_n.counts[:, None] * w.matrix
     scale = 1.0 / (n * math.sqrt(v_cond / n))
+    cells = list(np.ndindex(coeff.shape))
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         joint = _joint_counts_given_type(phi_n.counts, w.matrix, rng, size)
-        dev = joint - expected[None, :, :]
-        return (dev * coeff[None, :, :]).sum(axis=(1, 2)) * scale
+        return _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
+                         for x, y in cells) * scale
 
     samples = _fill_batches(run, trials, workers)
     return _clt_result(samples, trials, standardizer_variance=v_cond / n)
@@ -497,14 +542,16 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     expected = phi_m.counts[:, None] * w.matrix
     chan_scale = rho_eff * d_r / m
     scale = 1.0 / math.sqrt(sigma2)
+    cells = list(np.ndindex(coeff.shape))
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
-        src_counts = rng.multinomial(n, p, size=size)
+        src_counts = _multinomial_rows(rng, n, p, np.empty(
+            (size, p.size), dtype=np.int64))
         joint = _joint_counts_given_type(phi_m.counts, w.matrix, rng, size)
         src_part = (src_counts / n - p) @ dp
-        dev = joint - expected[None, :, :]
-        chan_part = (dev * coeff[None, :, :]).sum(axis=(1, 2)) * chan_scale
+        chan_part = _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
+                              for x, y in cells) * chan_scale
         return (src_part + chan_part) * scale
 
     samples = _fill_batches(run, trials, workers)
@@ -531,13 +578,15 @@ def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
     threshold = (
         n_x * n_y * (math.log(n) / n) / phi_min if phi_min > 0 else math.inf
     )
-    support = phi_n.counts > 0
+    # the cells of the rows in the support of phi_n
+    cells = [(x, y) for x, y in np.ndindex(w.matrix.shape)
+             if phi_n.counts[x] > 0]
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         joint = _joint_counts_given_type(phi_n.counts, w.matrix, rng, size)
-        cond = joint[:, support, :] / phi_n.counts[support][None, :, None]
-        sq = ((cond - w.matrix[support][None, :, :]) ** 2).sum(axis=(1, 2))
+        sq = _cell_sum((joint[:, x, y] / phi_n.counts[x] - w.matrix[x, y]) ** 2
+                       for x, y in cells)
         return int((sq > threshold).sum())
 
     total = sum(_map_batches(run, trials, workers))

@@ -63,7 +63,8 @@ def fair_hamming() -> SourceSpec:
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
     """The max_workers of every thread pool the test asks for. The pools
-    are stand-ins that map in the calling thread, so none starts a thread."""
+    are stand-ins that run each submitted call in the calling thread and
+    return its completed future, so none starts a thread."""
     sizes = []
 
     class Recording:
@@ -76,8 +77,13 @@ def pool_sizes(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return sizes

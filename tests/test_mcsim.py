@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import time
 import tracemalloc
 
@@ -111,6 +112,143 @@ class TestSamplers:
         assert y.tolist() == x.tolist() == [1, 1]
 
 
+class Spy:
+    """A generator that records which of its draws a sampler calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def binomial(self, *args):
+        self.calls.append("binomial")
+        return self.rng.binomial(*args)
+
+    def multinomial(self, *args, **kwargs):
+        self.calls.append("multinomial")
+        return self.rng.multinomial(*args, **kwargs)
+
+
+def multinomial_only(rng, total, probs, out):
+    out[...] = rng.multinomial(total, probs, size=len(out))
+    return out
+
+
+class TestTwoLetterRows:
+    # r * min(p0, 1 - p0) below 30 takes numpy's inversion path, above it
+    # BTPE
+    @pytest.mark.parametrize("r", [1, 30, 31, 500, 1000, 100_000])
+    @pytest.mark.parametrize("p0", [0.0, 1e-9, 0.11, 0.5, 0.89, 1.0])
+    def test_binomial_is_the_multinomial_draw(self, r, p0):
+        probs = np.array([p0, 1.0 - p0])
+        a, b, c = (mcsim._stream(5, r) for _ in range(3))
+        k = a.binomial(r, p0, 512)
+        rows = mcsim._multinomial_rows(b, r, probs,
+                                       np.empty((512, 2), dtype=np.int64))
+        want = c.multinomial(r, probs, size=512)
+        assert np.array_equal(k, want[:, 0])
+        assert np.array_equal(r - k, want[:, 1])
+        assert np.array_equal(rows, want)
+        # the generators stand at the same place afterwards
+        after = c.random(4)
+        assert np.array_equal(a.random(4), after)
+        assert np.array_equal(b.random(4), after)
+
+    def test_other_rows_take_multinomial(self):
+        rows = np.array([40, 60])
+        for w, want in [(np.array([[0.5, 0.3, 0.2], [0.1, 0.9, 0.0]]),
+                         ["multinomial", "multinomial"]),
+                        (bsc(0.11).matrix, ["binomial", "binomial"])]:
+            spy = Spy(mcsim._stream(1, 0))
+            joint = mcsim._joint_counts_given_type(rows, w, spy, 100)
+            assert spy.calls == want
+            rng = mcsim._stream(1, 0)
+            assert np.array_equal(joint, np.stack(
+                [rng.multinomial(r, law, size=100) for r, law in zip(rows, w)],
+                axis=1))
+
+    SIMULATIONS = {
+        "excess": lambda: excess_event_probability(
+            hamming_source(0.3), bsc(0.11), EmpiricalType(np.array([60, 40]),
+                                                          100),
+            0.1, 120, 9000, 4, 2).estimate,
+        "clt-mi": lambda: first_order_mi_samples(
+            EmpiricalType(np.array([70, 30]), 100), bsc(0.2), 9000, 4,
+            2).samples.tobytes(),
+        "clt-jscc": lambda: first_order_jscc_samples(
+            hamming_source(0.3), 0.1, bsc(0.11),
+            EmpiricalType(np.array([60, 40]), 100), 120, 9000, 4,
+            2).samples.tobytes(),
+        "xi": lambda: xi_n_violation_rate(
+            EmpiricalType(np.array([70, 30]), 100), bsc(0.2), 9000, 4,
+            2).estimate,
+        "uep": lambda: uep_simulate(
+            UepConfig(rates=(0.1, 0.05), input_types=(
+                EmpiricalType(np.array([32, 32]), 64),
+                EmpiricalType(np.array([40, 24]), 64)), gamma=0.05),
+            bsc(0.11), SimConfig(seed=5, trials=6000, n=64), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIMULATIONS))
+    def test_simulators_match_multinomial_draws(self, monkeypatch, name):
+        got = self.SIMULATIONS[name]()
+        monkeypatch.setattr(mcsim, "_multinomial_rows", multinomial_only)
+        assert got == self.SIMULATIONS[name]()
+
+
+class TestCellSum:
+    @staticmethod
+    def tables(shape, seed):
+        """4096 count tables, the first 64 equal to a table of whole
+        expected counts, and per-cell coefficients of mixed sign and of
+        one sign, the latter making the first 64 sums over -0.0 cells."""
+        rng = np.random.default_rng(seed)
+        expected = rng.integers(0, 50, size=shape).astype(float)
+        joint = rng.integers(0, 50, size=(4096, *shape))
+        joint[:64] = expected
+        scales = 10.0 ** rng.uniform(-3, 3, size=shape)
+        return rng, joint, expected, (rng.standard_normal(shape) * scales,
+                                      -rng.random(shape) * scales)
+
+    @staticmethod
+    def first_order(joint, expected, coeff):
+        old = ((joint - expected[None, :, :]) * coeff[None, :, :]).sum(
+            axis=(1, 2))
+        new = mcsim._cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
+                              for x, y in np.ndindex(coeff.shape))
+        return old, new, (np.abs(joint - expected) * np.abs(coeff)).sum(
+            axis=(1, 2))
+
+    @staticmethod
+    def xi(joint, counts, w):
+        old = ((joint / counts[None, :, None] - w[None, :, :]) ** 2).sum(
+            axis=(1, 2))
+        new = mcsim._cell_sum((joint[:, x, y] / counts[x] - w[x, y]) ** 2
+                              for x, y in np.ndindex(w.shape))
+        return old, new, old
+
+    def cases(self, shape, seed):
+        rng, joint, expected, coeffs = self.tables(shape, seed)
+        for coeff in coeffs:
+            yield self.first_order(joint, expected, coeff)
+        counts = rng.integers(1, 100, size=shape[0])
+        yield self.xi(joint, counts, rng.dirichlet(np.ones(shape[1]),
+                                                   size=shape[0]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 7)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_under_eight_cells(self, shape, seed):
+        _, joint, expected, (_, negative) = self.tables(shape, seed)
+        assert np.signbit((joint[0] - expected) * negative).all()
+        for old, new, _ in self.cases(shape, seed):
+            assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pairwise_tables_agree_to_rounding(self, shape, seed):
+        # numpy sums 8 cells and more pairwise, the fold left to right
+        for old, new, size in self.cases(shape, seed):
+            assert np.all(np.abs(new - old) <= 1e-12 * size)
+
+
 class TestExcessEvent:
     def test_generous_threshold_never_exceeds(self, fair_hamming):
         # noiseless channel and d above every type's d_max
@@ -186,6 +324,24 @@ class TestExcessEvent:
                 tracemalloc.stop()
 
         peak(10)  # one-time allocations of the first call
+        assert peak(4 * 131_072) <= 1.5 * peak(131_072)
+
+    def test_memory_flat_at_two_workers(self, fair_hamming, bsc011,
+                                        monkeypatch):
+        # the threads draw a bounded number of batches ahead of the window
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+        phi = EmpiricalType(np.array([100, 100]), 200)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                excess_event_probability(fair_hamming, bsc011, phi, 0.12,
+                                         200, trials, 5, workers=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
         assert peak(4 * 131_072) <= 1.5 * peak(131_072)
 
     def test_tracks_theorem_prediction_midscale(self, fair_hamming, bsc011):
@@ -342,6 +498,43 @@ class TestMapBatches:
         assert out == [(b, min(mcsim.DEFAULT_BATCH,
                                trials - b * mcsim.DEFAULT_BATCH))
                        for b in range(batches)]
+
+    def test_threads_draw_a_bounded_way_ahead(self, monkeypatch):
+        # real threads and a consumer slower than they are: a batch is
+        # finished when fn returns and consumed when the loop receives it
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+        lock = threading.Lock()
+        finished, consumed, most = 0, 0, 0
+
+        def fn(b, size):
+            nonlocal finished, most
+            with lock:
+                finished += 1
+                most = max(most, finished - consumed)
+            return b
+
+        out = []
+        for b in mcsim._map_batches(fn, 20 * mcsim.DEFAULT_BATCH, 2):
+            with lock:
+                consumed += 1
+            out.append(b)
+            time.sleep(0.01)
+        assert out == list(range(20))
+        assert 1 < most <= mcsim._LOOKAHEAD * 2
+
+    def test_error_in_a_batch_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+
+        def fn(b, size):
+            if b == 5:
+                raise DomainError("batch 5")
+            return b
+
+        out = []
+        with pytest.raises(DomainError, match="batch 5"):
+            for b in mcsim._map_batches(fn, 20 * mcsim.DEFAULT_BATCH, 2):
+                out.append(b)
+        assert out == list(range(5))
 
 
 def composition_rows(data):
