@@ -13,24 +13,17 @@ Because sampling never depends on swept parameters (thresholds, distortion
 levels), a shared seed acts as common random numbers across a sweep.
 
 The excess-event and UEP simulators need a per-type quantity for every
-type a run draws: R(P_S, D) of each source type, the competitors' tail
-probability of each channel output type. A type is one integer key
-(``_type_keys``: its counts as digits in base n + 1, int64 while they fit
-and Python ints otherwise); distinct keys are folded into one sorted table
-with ``np.union1d``, decoded (``_key_rows``), each type solved once, and
-looked up with ``np.searchsorted``. The UEP simulator makes two passes over
-the same streams, the first to fold the table and the second to redraw
-each batch and look up, so none of its per-trial arrays outlives its batch.
-The excess simulator draws each batch once, in one ``_map_batches`` call
-per run: a batch returns its distinct source keys, each trial's index into
-them and each trial's rho times its empirical MI. Per window of
-``_EXCESS_WINDOW`` batches it solves only the types its table does not
-hold yet, then compares, holding one index byte per trial (two once a
-batch has more than 256 types) and one float64 per trial, at most 1.3 MB
-for a window of 32 batches whatever the trial count. No solve is kept
-between calls. The empirical MI of a sampled joint, whose row margins are
-the fixed input type, comes from a table of k log k over 0..m built once
-per call (``_fixed_margin_mi``).
+type a run draws: R(P_S, D) of each source type, P(E2) of each channel
+output type. A type is one integer key (``_type_keys``: its counts as
+digits in base n + 1, int64 while they fit, Python ints otherwise). Both
+draw each batch once, in one ``_map_batches`` call per run; a batch
+returns its sorted distinct keys, each trial's index into them and its
+per-trial values. Per window of ``_TYPE_WINDOW`` batches, ``_per_type``
+solves the keys the run's sorted table does not hold yet in one call and
+merges them in, so each distinct type is solved once per call and a run
+holds its table and one window of per-trial arrays. The empirical MI of a
+sampled joint, whose row margins are the fixed input type, comes from a
+k log k table over 0..m built once per call (``_fixed_margin_mi``).
 
 Little besides the draws themselves runs per batch: a count row over two
 letters is one binomial call (``_multinomial_rows``), with the same draws
@@ -58,7 +51,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import islice
 
 import numpy as np
@@ -101,8 +94,8 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
 # sorted samples per step of the KS walk; bounds its temporaries
 _KS_CHUNK = 1 << 16
 _TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
-# batches of an excess run whose new source types are solved together
-_EXCESS_WINDOW = 32
+# batches of a run whose new types are solved together (``_per_type``)
+_TYPE_WINDOW = 32
 # batches submitted to a thread pool and not yet yielded, per thread
 _LOOKAHEAD = 2
 
@@ -227,6 +220,28 @@ def _key_rows(keys: np.ndarray, total: int, letters: int) -> np.ndarray:
     return rows
 
 
+def _per_type(batches, solve):
+    """Each batch of ``batches`` with the values of its keys (its first
+    item, sorted and distinct). Per window of ``_TYPE_WINDOW`` batches,
+    ``solve(new)`` gives the values (keys on the last axis) of the keys the
+    run's sorted table does not hold yet, which are merged into it; a
+    window is released before the next one is drawn."""
+    table = values = None
+    for window in iter(lambda: list(islice(batches, _TYPE_WINDOW)), []):
+        keys = reduce(np.union1d, (batch[0] for batch in window))
+        if table is None:
+            table, values = keys, solve(keys)
+        else:
+            new = np.setdiff1d(keys, table, assume_unique=True)
+            if new.size:
+                at = np.searchsorted(table, new)
+                table = np.insert(table, at, new)
+                values = np.insert(values, at, solve(new), axis=-1)
+        for batch in window:
+            yield batch, values[..., np.searchsorted(table, batch[0])]
+        window.clear()
+
+
 def _xlogx(m: int) -> np.ndarray:
     """k log k for k = 0..m, with 0 log 0 = 0: the table of
     ``_fixed_margin_mi`` for tables of total m."""
@@ -334,26 +349,17 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     Per trial the source type is a Multinomial(n, P) draw and the channel
     conditional type comes from a fixed word of type phi_m; rho is realized
-    as m/n with m = phi_m.n. Each batch is drawn in one pass, by one
-    ``_map_batches`` call for the whole run: its stream draws the source
-    counts, then the channel counts, and the batch returns the sorted
-    distinct ``_type_keys`` of its source types, each trial's index into
-    them, in the smallest unsigned type that holds it, and each trial's
-    rho times the ``_fixed_margin_mi`` of its joint counts, from a k log k
-    table over 0..m built once. The batches are taken in windows of
-    ``_EXCESS_WINDOW``: the window's keys not yet in the run's sorted table
-    are decoded and solved in one batch, the slope search started at the
-    slope of the solve of P itself at d, and merged into it, so each
-    distinct type is solved once per call; then each batch's keys are
-    looked up in the table, their rates spread over the trials by the
-    indices and compared. A window holds an index byte per trial (two once
-    a batch has more than 256 types) and one float64 per trial, at most
-    32 * 4096 * 10 bytes (1.3 MB), and the threads draw at most
-    ``_LOOKAHEAD`` batches each ahead of it, whatever the trial count.
-    Every type at or above its d_max has rate 0 and every type at D within
-    1e-12 of 0 takes the zero-distortion solve, so a type has no rate only
-    when its solve failed; such a type counts as excess, and its trials are
-    reported as ``boundary_trials`` in the diagnostics.
+    as m/n with m = phi_m.n. A batch draws the source counts, then the
+    channel counts, and returns its distinct source keys, each trial's
+    index into them and each trial's rho times its ``_fixed_margin_mi``;
+    new types are solved with the slope search started at the solve of P
+    at d. A window holds, per trial, an index byte (two past 256 types in
+    a batch) and one float64, at most 1.3 MB, and the threads draw at most
+    ``_LOOKAHEAD`` batches each ahead of it. Every type at or above its
+    d_max has rate 0 and every type at D within 1e-12 of 0 takes the
+    zero-distortion solve, so a type has no rate only when its solve
+    failed; such a type counts as excess, and its trials are reported as
+    ``boundary_trials`` in the diagnostics.
     """
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
@@ -368,10 +374,6 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
     xlogx = _xlogx(m)
-    # the keys solved so far, sorted, and their rates; NaN marks a failed
-    # solve and is counted as excess below
-    table = _type_keys(np.zeros((0, p.size), dtype=np.int64), n)
-    rates = np.empty(0)
 
     def draw(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
@@ -383,23 +385,18 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
         return (keys, inverse.astype(np.min_scalar_type(len(keys) - 1)),
                 rho_eff * _fixed_margin_mi(joint, row_counts, xlogx))
 
+    def solve(new):
+        return sa._rdf_rates(_key_rows(new, n, p.size) / n, src.distortion,
+                             d, 1e-10, start)
+
     total = boundary = 0
-    batches = _map_batches(draw, trials, workers)
-    for window in iter(lambda: list(islice(batches, _EXCESS_WINDOW)), []):
-        new = np.setdiff1d(reduce(np.union1d, (k for k, _, _ in window)),
-                           table, assume_unique=True)
-        if new.size:
-            at = np.searchsorted(table, new)
-            table = np.insert(table, at, new)
-            rates = np.insert(rates, at, sa._rdf_rates(
-                _key_rows(new, n, p.size) / n, src.distortion, d, 1e-10,
-                start))
-        for keys, inverse, bar in window:
-            r_t = rates[np.searchsorted(table, keys)][inverse]
-            undefined = np.isnan(r_t)
-            total += int((undefined | (r_t > bar)).sum())
-            boundary += int(undefined.sum())
-        window.clear()   # before the next window is drawn
+    for (_, inverse, bar), rates in _per_type(
+            _map_batches(draw, trials, workers), solve):
+        # NaN marks a failed solve and counts as excess
+        r_t = rates[inverse]
+        undefined = np.isnan(r_t)
+        total += int((undefined | (r_t > bar)).sum())
+        boundary += int(undefined.sum())
     return _binomial_result(total, trials,
                             boundary_trials=boundary, rho_effective=rho_eff)
 
@@ -472,6 +469,24 @@ def _clt_result(samples: np.ndarray, trials: int, **diagnostics) -> CltResult:
     )
 
 
+def _channel_first_order(phi_type: EmpiricalType, w: Channel):
+    """(V(phi, W), draw): draw(rng, size) draws the joint counts N of
+    ``size`` trials of a fixed input word of type ``phi_type`` from ``rng``
+    and returns each trial's sum_{x,y} (N_xy - E N_xy) log W(y|x)/(phi W)(y),
+    whose variance is m V(phi, W)."""
+    phi = phi_type.counts / phi_type.n
+    coeff = _log_ratio(w.matrix, phi @ w.matrix)
+    expected = phi_type.counts[:, None] * w.matrix
+    cells = list(np.ndindex(coeff.shape))
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        joint = _joint_counts_given_type(phi_type.counts, w.matrix, rng, size)
+        return _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
+                         for x, y in cells)
+
+    return conditional_information_variance(Distribution(phi), w), draw
+
+
 def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
                            seed: int, workers: int = 1) -> CltResult:
     """First-order term of the empirical-MI Taylor expansion, standardized.
@@ -484,22 +499,12 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     if trials < 1:
         raise DomainError("trials must be positive")
     n = phi_n.n
-    phi = phi_n.counts / n
-    v_cond = conditional_information_variance(Distribution(phi), w)
+    v_cond, chan = _channel_first_order(phi_n, w)
     if v_cond <= 1e-15:
         raise ZeroVariance(f"V(phi_n, W) = {v_cond} is numerically zero")
-    coeff = _log_ratio(w.matrix, phi @ w.matrix)
-    expected = phi_n.counts[:, None] * w.matrix
     scale = 1.0 / (n * math.sqrt(v_cond / n))
-    cells = list(np.ndindex(coeff.shape))
-
-    def run(batch_index: int, size: int):
-        rng = _stream(seed, batch_index)
-        joint = _joint_counts_given_type(phi_n.counts, w.matrix, rng, size)
-        return _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
-                         for x, y in cells) * scale
-
-    samples = _fill_batches(run, trials, workers)
+    samples = _fill_batches(lambda b, size: chan(_stream(seed, b), size)
+                            * scale, trials, workers)
     return _clt_result(samples, trials, standardizer_variance=v_cond / n)
 
 
@@ -532,27 +537,20 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     d_r = 1.0 / res.lagrange_slope
     dp = -grad * d_r                      # centered; constants cancel in A
 
-    phi = phi_m.counts / m
-    v_chan = conditional_information_variance(Distribution(phi), w)
+    v_chan, chan = _channel_first_order(phi_m, w)
     sigma2 = (d_r ** 2) * v_s / n + (rho_eff * d_r) ** 2 * v_chan / m
     if sigma2 <= 1e-18:
         raise ZeroVariance("the first-order statistic has vanishing variance")
 
-    coeff = _log_ratio(w.matrix, phi @ w.matrix)
-    expected = phi_m.counts[:, None] * w.matrix
     chan_scale = rho_eff * d_r / m
     scale = 1.0 / math.sqrt(sigma2)
-    cells = list(np.ndindex(coeff.shape))
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         src_counts = _multinomial_rows(rng, n, p, np.empty(
             (size, p.size), dtype=np.int64))
-        joint = _joint_counts_given_type(phi_m.counts, w.matrix, rng, size)
         src_part = (src_counts / n - p) @ dp
-        chan_part = _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
-                              for x, y in cells) * chan_scale
-        return (src_part + chan_part) * scale
+        return (src_part + chan(rng, size) * chan_scale) * scale
 
     samples = _fill_batches(run, trials, workers)
     return _clt_result(samples, trials, standardizer_variance=sigma2,
@@ -609,9 +607,8 @@ def eta_n(n: int, input_alphabet_size: int, k_n: int) -> float:
 def gamma_n(n: int, input_alphabet_size: int, k_n: int,
             poly_degree: float) -> float:
     """Decoder threshold 2*eta_n + log(k_n)/(2n) + a*log(n)/n, a=(d+1)/2."""
-    a = (poly_degree + 1.0) / 2.0
     return (2.0 * eta_n(n, input_alphabet_size, k_n)
-            + math.log(k_n) / (2.0 * n) + a * math.log(n) / n)
+            + union_bound_gamma(n, k_n, poly_degree))
 
 
 def union_bound_gamma(m: int, k_n: int, poly_degree: float = 0.0) -> float:
@@ -775,6 +772,33 @@ def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
     return min(math.log(hits) - math.log(_multinomial(row_counts)), 0.0)
 
 
+def _p_e2(cfg: UepConfig, types: np.ndarray) -> np.ndarray:
+    """P(E2) per [true class, output type] for output count rows ``types``
+    (T, |Y|): some competitor, one of the true class's other N_i - 1
+    codewords or another class's N_j, scores at or above its threshold.
+    Each tail is solved once per distinct (class type, threshold); the
+    classes are summed as a left fold (``_cell_sum``), so a type's value
+    does not depend on the other rows."""
+    k = cfg.class_count
+    keys = [(tuple(int(c) for c in t.counts), r + cfg.gamma)
+            for t, r in zip(cfg.input_types, cfg.rates)]
+    tails = {key: [_mi_tail_log_prob(key[0], tuple(y), key[1])
+                   for y in types.tolist()] for key in dict.fromkeys(keys)}
+    # log P[a codeword of class j scores >= its threshold | output type]
+    log_hit = np.array([tails[key] for key in keys])
+    # log P[it does not]; -inf where it surely does
+    log_miss = np.log1p(-np.exp(log_hit), out=np.full_like(log_hit, -np.inf),
+                        where=log_hit < 0.0)
+    # competitors of true class i from class j; the product is masked where
+    # there are none, so a sure score never meets a zero count
+    n_eff = np.array([[float(n_j - (i == j)) for j, n_j in
+                       enumerate(cfg.codewords_per_class())]
+                      for i in range(k)])[:, :, None]
+    log_none = np.multiply(n_eff, log_miss[None],
+                           out=np.zeros((k, k, len(types))), where=n_eff > 0)
+    return -np.expm1(_cell_sum(log_none[:, j] for j in range(k)))
+
+
 @dataclass(frozen=True)
 class UepClassResult:
     """The simulated error events of one UEP class: its rate, its number of
@@ -815,11 +839,12 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
     contingency-table enumeration, and the event is then drawn as one
     Bernoulli per trial. Estimates are therefore random-coding averages.
 
-    Two passes run over each class's streams: the first folds the
-    ``_type_keys`` of the output types into one sorted table of distinct
-    keys, each tail is solved once per decoded type and distinct (class
-    type, threshold), and the second redraws, looks P(E2) up by key and
-    scores E1 with ``_fixed_margin_mi``.
+    Each batch draws each class's stream once, in class order: the joint
+    counts, then one uniform per trial; E2 is u < P(E2) of the output
+    type, solved once per run and type by ``_per_type`` (``_p_e2``). A
+    window holds, per trial and class, an index byte (two past 256 output
+    types in a batch), an E1 byte and one float64, at most 1.4 MB per
+    class.
     """
     m = sim.n
     if cfg.m != m:
@@ -835,61 +860,32 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
                 f"class {i}: rate {rate} exceeds H(type) - eta_n = {cap}"
             )
     n_codewords = cfg.codewords_per_class()
-
-    def joint_counts(i: int, batch_index: int, size: int):
-        rng = _stream(seed_for_class(sim.seed, i), batch_index)
-        counts = cfg.input_types[i].counts
-        return rng, _joint_counts_given_type(counts, w.matrix, rng, size)
-
-    def output_types(i: int, batch_index: int, size: int):
-        joint = joint_counts(i, batch_index, size)[1]
-        return np.unique(_type_keys(joint.sum(axis=1), m))
-
-    table = reduce(np.union1d, (batch for i in range(k) for batch in
-                                _map_batches(partial(output_types, i),
-                                             sim.trials, workers)))
-    types = _key_rows(table, m, w.output_size)
-    keys = [(tuple(int(c) for c in t.counts), r + cfg.gamma)
-            for t, r in zip(cfg.input_types, cfg.rates)]
-    tails = {key: [_mi_tail_log_prob(key[0], tuple(y), key[1])
-                   for y in types.tolist()] for key in dict.fromkeys(keys)}
-    # log P[a codeword of class j scores >= its threshold | output type]
-    log_hit = np.array([tails[key] for key in keys])
-    # log P[it does not]; -inf where it surely does
-    log_miss = np.log1p(-np.exp(log_hit), out=np.full_like(log_hit, -np.inf),
-                        where=log_hit < 0.0)
-    # competitors of true class i from class j; the product is masked where
-    # there are none, so a sure score never meets a zero count
-    n_eff = np.array([[float(n_j - (i == j)) for j, n_j in
-                       enumerate(n_codewords)] for i in range(k)])[:, :, None]
-    log_none = np.multiply(n_eff, log_miss[None],
-                           out=np.zeros((k, k, len(types))), where=n_eff > 0)
-    p_e2 = -np.expm1(log_none.sum(axis=1))      # [true class, output type]
-
     xlogx = _xlogx(m)
 
-    def errors(i: int, batch_index: int, size: int):
-        rng, joint = joint_counts(i, batch_index, size)
-        u = rng.random(size)
-        mi = _fixed_margin_mi(joint, cfg.input_types[i].counts, xlogx)
-        e1 = mi - cfg.rates[i] < cfg.gamma
-        y = np.searchsorted(table, _type_keys(joint.sum(axis=1), m))
-        e2 = u < p_e2[i, y]
-        return np.array([e1.sum(), e2.sum(), (e1 | e2).sum()])
+    def draw(batch_index: int, size: int):
+        keys, e1, u = [], [], []
+        for i, etype in enumerate(cfg.input_types):
+            rng = _stream(seed_for_class(sim.seed, i), batch_index)
+            joint = _joint_counts_given_type(etype.counts, w.matrix, rng, size)
+            keys.append(_type_keys(joint.sum(axis=1), m))
+            e1.append(_fixed_margin_mi(joint, etype.counts, xlogx)
+                      - cfg.rates[i] < cfg.gamma)
+            u.append(rng.random(size))
+        table, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        return (table, inverse.reshape(k, size).astype(
+            np.min_scalar_type(len(table) - 1)), np.array(e1), np.array(u))
 
-    classes = []
-    for i in range(k):
-        e1, e2, both = (int(t) for t in sum(
-            _map_batches(partial(errors, i), sim.trials, workers)))
-        classes.append(UepClassResult(
-            class_index=i,
-            rate=cfg.rates[i],
-            n_codewords=n_codewords[i],
-            e1=_binomial_result(e1, sim.trials),
-            e2=_binomial_result(e2, sim.trials),
-            overall=_binomial_result(both, sim.trials),
-        ))
-    return UepResult(classes=tuple(classes), gamma=cfg.gamma, eta=eta, m=m)
+    classes = np.arange(k)[:, None]
+    counts = np.zeros((3, k), dtype=np.int64)   # E1, E2, either; per class
+    for (_, inverse, e1, u), p_e2 in _per_type(
+            _map_batches(draw, sim.trials, workers),
+            lambda new: _p_e2(cfg, _key_rows(new, m, w.output_size))):
+        e2 = u < p_e2[classes, inverse]
+        counts += [e1.sum(axis=1), e2.sum(axis=1), (e1 | e2).sum(axis=1)]
+    return UepResult(classes=tuple(
+        UepClassResult(i, cfg.rates[i], n_codewords[i],
+                       *(_binomial_result(int(c), sim.trials) for c in row))
+        for i, row in enumerate(counts.T)), gamma=cfg.gamma, eta=eta, m=m)
 
 
 def seed_for_class(seed: int, class_index: int) -> int:

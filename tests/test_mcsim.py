@@ -421,7 +421,7 @@ class TestExcessSinglePass:
     @pytest.mark.parametrize("name", ["bsc011", "ternary"])
     def test_matches_two_pass_reference(self, monkeypatch, name, workers):
         # windows of 2 batches: 5 batches and 17 trials make 3 windows
-        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        monkeypatch.setattr(mcsim, "_TYPE_WINDOW", 2)
         src, w, phi, d, n = self.PROBLEMS[name]
         trials, seed = 5 * mcsim.DEFAULT_BATCH + 17, 11
         res = excess_event_probability(src, w, phi, d, n, trials, seed,
@@ -440,7 +440,7 @@ class TestExcessSinglePass:
 
     def test_default_window_matches_reference(self):
         src, w, phi, d, n = self.PROBLEMS["bsc011"]
-        trials = (mcsim._EXCESS_WINDOW + 1) * mcsim.DEFAULT_BATCH + 3
+        trials = (mcsim._TYPE_WINDOW + 1) * mcsim.DEFAULT_BATCH + 3
         res = excess_event_probability(src, w, phi, d, n, trials, 5, 2)
         excess, _ = two_pass_excess(src, w, phi, d, n, trials, 5)
         assert res.estimate == excess / trials
@@ -449,7 +449,7 @@ class TestExcessSinglePass:
         # 9 letters at n = 1000 take Python-int keys; batches of 16 trials
         # in windows of 2 merge object tables
         monkeypatch.setattr(mcsim, "DEFAULT_BATCH", 16)
-        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        monkeypatch.setattr(mcsim, "_TYPE_WINDOW", 2)
         n, trials, seed, d = 1000, 70, 3, 0.5475
         p = np.linspace(1.0, 2.0, 9)
         src = SourceSpec(Distribution(p / p.sum()),
@@ -475,7 +475,7 @@ class TestExcessSinglePass:
             return rates
 
         monkeypatch.setattr(sa, "_rdf_rates", failing)
-        monkeypatch.setattr(mcsim, "_EXCESS_WINDOW", 2)
+        monkeypatch.setattr(mcsim, "_TYPE_WINDOW", 2)
         src, w, phi, d, _ = self.PROBLEMS["ternary"]
         trials = 3 * mcsim.DEFAULT_BATCH + 1
         res = excess_event_probability(src, w, phi, d, n, trials, 2, 2)
@@ -933,7 +933,7 @@ class TestUepSimulate:
 
     def test_pinned_criterion_09_values(self, bsc011):
         # acceptance criterion 09's configuration; the values are those of
-        # the per-trial decoder this two-pass simulator replaced
+        # the per-trial decoder that the per-type simulator replaced
         n = 128
         phi = EmpiricalType(np.array([64, 64]), n)
         gamma = union_bound_gamma(n, 2)
@@ -944,6 +944,136 @@ class TestUepSimulate:
         got = [(c.e1.estimate, c.e2.estimate, c.overall.estimate)
                for c in res.classes]
         assert got == [(0.1679, 0.0244, 0.1891), (0.1649, 0.0231, 0.1853)]
+
+
+def two_pass_uep(cfg, w, sim):
+    """[(e1, e2, overall) per class] by the plain two passes: fold every
+    class's and batch's output-type keys into one table and solve P(E2) on
+    it, summing the competitor classes with ``.sum(axis=1)``, then redraw
+    each batch and look every trial's key up in the table."""
+    m, k, size = sim.n, cfg.class_count, mcsim.DEFAULT_BATCH
+    batches = [(b, min(size, sim.trials - b * size))
+               for b in range(-(-sim.trials // size))]
+
+    def joint(i, b, t):
+        rng = mcsim._stream(mcsim.seed_for_class(sim.seed, i), b)
+        return rng, mcsim._joint_counts_given_type(
+            cfg.input_types[i].counts, w.matrix, rng, t)
+
+    table = reduce(np.union1d, (
+        np.unique(mcsim._type_keys(joint(i, b, t)[1].sum(axis=1), m))
+        for i in range(k) for b, t in batches))
+    types = mcsim._key_rows(table, m, w.output_size).tolist()
+    log_hit = np.array([[_mi_tail_log_prob(tuple(int(c) for c in e.counts),
+                                           tuple(y), r + cfg.gamma)
+                         for y in types]
+                        for e, r in zip(cfg.input_types, cfg.rates)])
+    log_miss = np.log1p(-np.exp(log_hit), out=np.full_like(log_hit, -np.inf),
+                        where=log_hit < 0.0)
+    n_eff = np.array([[float(n_j - (i == j)) for j, n_j in
+                       enumerate(cfg.codewords_per_class())]
+                      for i in range(k)])[:, :, None]
+    log_none = np.multiply(n_eff, log_miss[None],
+                           out=np.zeros((k, k, len(types))), where=n_eff > 0)
+    p_e2 = -np.expm1(log_none.sum(axis=1))
+    xlogx, out = mcsim._xlogx(m), []
+    for i, etype in enumerate(cfg.input_types):
+        e1 = e2 = both = 0
+        for b, t in batches:
+            rng, counts = joint(i, b, t)
+            u = rng.random(t)
+            hit1 = (mcsim._fixed_margin_mi(counts, etype.counts, xlogx)
+                    - cfg.rates[i] < cfg.gamma)
+            hit2 = u < p_e2[i, np.searchsorted(
+                table, mcsim._type_keys(counts.sum(axis=1), m))]
+            e1, e2 = e1 + int(hit1.sum()), e2 + int(hit2.sum())
+            both += int((hit1 | hit2).sum())
+        out.append((e1, e2, both))
+    return out
+
+
+def equal_classes(k, m=64, eps=0.2):
+    """k classes of the balanced type at the dispersion rate for eps, with
+    the union-bound threshold, on bsc(0.11)."""
+    phi = EmpiricalType(np.array([m // 2, m // 2]), m)
+    gamma = union_bound_gamma(m, k)
+    rate = uep_dispersion_rate(phi, bsc(0.11), eps, gamma)
+    return UepConfig(rates=(rate,) * k, input_types=(phi,) * k, gamma=gamma)
+
+
+class TestUepSinglePass:
+    CONFIGS = {
+        "one": equal_classes(1),
+        "two": equal_classes(2),
+        "three": equal_classes(3),
+        # different types and rates
+        "mixed": UepConfig(rates=(0.1, 0.05), input_types=(
+            EmpiricalType(np.array([32, 32]), 64),
+            EmpiricalType(np.array([40, 24]), 64)), gamma=0.05),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_two_pass_reference(self, monkeypatch, name, workers):
+        # windows of 2 batches: 5 batches and 17 trials make 3 windows
+        monkeypatch.setattr(mcsim, "_TYPE_WINDOW", 2)
+        cfg, w = self.CONFIGS[name], bsc(0.11)
+        sim = SimConfig(seed=11, trials=5 * mcsim.DEFAULT_BATCH + 17, n=64)
+        res = uep_simulate(cfg, w, sim, workers)
+        want = two_pass_uep(cfg, w, sim)
+        assert [(c.e1.estimate, c.e2.estimate, c.overall.estimate)
+                for c in res.classes] == [
+            tuple(x / sim.trials for x in row) for row in want]
+        assert all(0 < e2 < sim.trials for _, e2, _ in want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draws_each_stream_once(self, monkeypatch, workers):
+        calls = []
+        stream = mcsim._stream
+
+        def recorded(seed, batch_index):
+            calls.append((seed, batch_index))
+            return stream(seed, batch_index)
+
+        monkeypatch.setattr(mcsim, "_stream", recorded)
+        uep_simulate(equal_classes(3), bsc(0.11),
+                     SimConfig(seed=5, trials=3 * mcsim.DEFAULT_BATCH + 1,
+                               n=64), workers)
+        assert sorted(calls) == [(mcsim.seed_for_class(5, i), b)
+                                 for i in range(3) for b in range(4)]
+
+    @pytest.mark.parametrize("k", [2, 12])
+    def test_p_e2_does_not_depend_on_its_batch(self, k):
+        # one output type solved alone and among all 65 binary ones; classes
+        # of two types and three rates
+        types = (EmpiricalType(np.array([32, 32]), 64),
+                 EmpiricalType(np.array([40, 24]), 64))
+        cfg = UepConfig(rates=tuple(0.02 + 0.02 * (i % 3) for i in range(k)),
+                        input_types=tuple(types[i % 2] for i in range(k)),
+                        gamma=0.05)
+        rows = np.array([[y, 64 - y] for y in range(65)])
+        together = mcsim._p_e2(cfg, rows)
+        assert together.shape == (k, 65)
+        assert ((0 < together) & (together < 1)).any()
+        for t in range(65):
+            alone = mcsim._p_e2(cfg, rows[t:t + 1])
+            assert alone.tobytes() == together[:, t:t + 1].tobytes()
+
+    def test_memory_does_not_grow_with_trials(self):
+        # per-trial state is kept for one window of batches at a time
+        cfg = equal_classes(1)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                uep_simulate(cfg, bsc(0.11), SimConfig(seed=5, trials=trials,
+                                                       n=64))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # one-time allocations of the first call
+        assert peak(4 * 131_072) <= 1.5 * peak(131_072)
 
 
 def brute_force_dball(counts, s_hat, dmat, d):
