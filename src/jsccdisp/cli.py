@@ -203,7 +203,7 @@ def _parse_float_list(text: str, what: str, valid, need: str) -> list[float]:
 
 
 def _n_list(args, problem) -> list[int]:
-    if args.n_list:
+    if args.n_list is not None:
         return [int(v) for v in _parse_float_list(
             args.n_list, "--n-list", lambda v: v.is_integer() and v >= 1,
             "a positive integer")]
@@ -258,9 +258,10 @@ def cmd_source(args) -> int:
     d = args.distortion
     if d is None:
         raise ProblemFileError("the source command needs --distortion")
-    dm = sa.d_max(src)
-    interior = sa.BOUNDARY_TOL < d < dm - sa.BOUNDARY_TOL
-    res = sa.rdf(src, d, min(args.tol, 1e-11 if interior else 1e-9))
+    try:
+        res, _, v_s = sa._tilted(src, d, tol=args.tol)
+    except BoundaryDistortion:
+        res, v_s = sa.rdf(src, d, min(args.tol, sa.DEFAULT_RDF_TOL)), None
     report = {
         "units": units,
         "distortion": d,
@@ -268,11 +269,10 @@ def cmd_source(args) -> int:
         "achieved_distortion": res.achieved_distortion,
         "lagrange_slope": None if not math.isfinite(res.lagrange_slope)
         else res.lagrange_slope / div,
-        "d_max": dm,
+        "d_max": sa.d_max(src),
         "correction_note": jscc.CORRECTION_NOTE,
     }
-    if interior:
-        v_s = sa._tilted(src, res, d)[2]
+    if v_s is not None:
         report["v_s"] = v_s / (div * div)
         eps = problem.get("eps")
         if eps is not None:
@@ -345,14 +345,19 @@ def cmd_jscc(args) -> int:
 
 def cmd_separation(args) -> int:
     if args.paper_fig3:
+        for flag, value in (("--eps-grid", args.eps_grid),
+                            ("--lambda-list", args.lambda_list)):
+            if value is not None:
+                raise ProblemFileError(f"{flag} cannot be given with "
+                                       "--paper-fig3, which sets both grids")
         lambdas = list(jscc.DEFAULT_LAMBDA_CURVES)
         eps_grid = np.geomspace(1e-4, 0.5, 200).tolist()
     else:
-        lambdas = (_parse_float_list(args.lambda_list, "--lambda-list",
-                                     lambda v: 0.0 < v < math.inf,
-                                     "positive and finite")
-                   if args.lambda_list else list(jscc.DEFAULT_LAMBDA_CURVES))
-        if not args.eps_grid:
+        lambdas = (list(jscc.DEFAULT_LAMBDA_CURVES) if args.lambda_list is None
+                   else _parse_float_list(args.lambda_list, "--lambda-list",
+                                          lambda v: 0.0 < v < math.inf,
+                                          "positive and finite"))
+        if args.eps_grid is None:
             raise ProblemFileError("separation needs --eps-grid or --paper-fig3")
         eps_grid = _parse_float_list(args.eps_grid, "--eps-grid",
                                      lambda v: 0.0 < v < 1.0, "in (0, 1)")
@@ -423,8 +428,7 @@ def _simulate_clt_mi(args, problem, seed, trials, n_list):
 def _simulate_clt_jscc(args, problem, seed, trials, n_list):
     pb = _jscc_problem(problem)
     cap = ch.capacity(pb.channel)
-    d_star, res = sa._distortion_rate(pb.source, pb.rho * cap.capacity,
-                                      sa._TILTED_RATE_TOL)
+    d_star, res, _, _ = sa._tilted_at_rate(pb.source, pb.rho * cap.capacity)
 
     def row(n):
         m = int(math.floor(pb.rho * n))
@@ -608,7 +612,8 @@ _COMMON_FLAGS = {
     "--out": dict(help="output path (default stdout)"),
     "--tol": dict(type=_float_type(lambda v: 0 < v < math.inf,
                                    "positive and finite"),
-                  default=1e-10, help="numerical tolerance in nats"),
+                  default=1e-10, help="numerical tolerance in nats "
+                  "(source: it can only tighten the rdf solves)"),
     "--seed": dict(type=_int_type(0), help="override the simulation seed"),
     "--eps": dict(type=_float_type(lambda v: 0 < v < 1, "in (0, 1)"),
                   help="override the target probability"),

@@ -107,7 +107,7 @@ class LosslessRhoPoint:
     correction_note: str = CORRECTION_NOTE
 
 
-def opta(problem: JsccProblem, tol: float = 1e-9) -> float:
+def opta(problem: JsccProblem, tol: float = sa.DEFAULT_RDF_TOL) -> float:
     """The distortion D* solving R(P, D*) = rho * C(W), by one slope search.
 
     Returns 0 when rho*C >= R(P,0) (lossless regime) and d_max when the
@@ -125,15 +125,12 @@ def jscc_dispersion(problem: JsccProblem) -> tuple[float, float]:
 
 def dispersion_report(problem: JsccProblem) -> DispersionReport:
     """All dispersion quantities for a problem, in nats; C comes from the
-    capacity solve inside ``vmin_vmax``, and D* and V_S(P, D*) from the
-    final solve of one slope search to R(s) = rho*C within 1e-12. A D* on
-    the boundary of (0, d_max) raises BoundaryDistortion by the rule of
-    ``source._tilted``."""
+    capacity solve inside ``vmin_vmax``, and D* and V_S(P, D*) from one
+    ``source._tilted_at_rate`` call at rho*C. A D* on the boundary of
+    (0, d_max) raises BoundaryDistortion by the rule of ``source._tilted``."""
     disp = ch.vmin_vmax(problem.channel)
     cap = disp.capacity.capacity
-    d_star, res = sa._distortion_rate(problem.source, problem.rho * cap,
-                                      sa._TILTED_RATE_TOL)
-    v_s = sa._tilted(problem.source, res, d_star)[2]
+    d_star, _, _, v_s = sa._tilted_at_rate(problem.source, problem.rho * cap)
     return DispersionReport(
         capacity=cap,
         v_min=disp.v_min,
@@ -148,7 +145,8 @@ def dispersion_report(problem: JsccProblem) -> DispersionReport:
     )
 
 
-def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
+def distortion_threshold(problem: JsccProblem, n: int,
+                         tol: float = sa.DEFAULT_RDF_TOL,
                          report: DispersionReport | None = None
                          ) -> ThresholdPoint:
     """D_n solving R(P, D_n) = rho*C - sqrt(V_J/n) * Qinv(eps), both V_J ends:
@@ -156,7 +154,8 @@ def distortion_threshold(problem: JsccProblem, n: int, tol: float = 1e-9,
     return distortion_thresholds(problem, [n], tol, report)[0]
 
 
-def distortion_thresholds(problem: JsccProblem, ns, tol: float = 1e-9,
+def distortion_thresholds(problem: JsccProblem, ns,
+                          tol: float = sa.DEFAULT_RDF_TOL,
                           report: DispersionReport | None = None
                           ) -> list[ThresholdPoint]:
     """The thresholds of ``distortion_threshold`` for every n of ``ns``.

@@ -254,13 +254,14 @@ def _fixed_margin_mi(joint: np.ndarray, row_counts: np.ndarray,
     """The empirical MI of count tables (B, rows, cols) whose rows all sum
     to ``row_counts``, total m, floored at 0: with L[k] = k log k from
     ``xlogx`` = ``_xlogx(m)``, m I = sum L[N_xy] - sum_y L[c_y]
-    - sum_x L[r_x] + L[m], c the column sums. Agrees with
+    - sum_x L[r_x] + L[m], c the column sums. Both per-trial sums are
+    ``_cell_sum`` folds of gathered cell columns (the cells in row-major
+    order), and each c_y a left fold of its column's counts. Agrees with
     ``_joint_mutual_information`` of the same tables to rounding."""
     m = int(row_counts.sum())
     fixed = xlogx[m] - xlogx[row_counts].sum()
-    # einsum, as the sums over short axes are several times faster
-    cells = np.einsum("bxy->b", xlogx[joint])
-    cols = np.einsum("by->b", xlogx[np.einsum("bxy->by", joint)])
+    cells = _cell_sum(xlogx[c] for r in joint.transpose(1, 2, 0) for c in r)
+    cols = _cell_sum(xlogx[reduce(np.add, c)] for c in joint.T)
     return np.maximum((cells - cols + fixed) / m, 0.0)
 
 
@@ -518,10 +519,10 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
            + rho * D'_R * sum_{x,y} (P_{Y|x}(y|x)-W(y|x)) I'_W(y|x),
     a sum of n + m independent variables; the standardizer is its exact
     variance (D'_R)^2 V_S / n + (rho D'_R)^2 V(phi_m, W) / m with rho = m/n.
-    g and V_S come from ``source._tilted`` of ``solve``, the ``RdfResult``
-    of the solve that found D* (what ``rdf`` returns), so that one solve at
-    D* serves every block length; without it D* is solved here by
-    ``source._tilted_solve``. A D* on the boundary of (0, d_max) raises
+    g and V_S come from ``source._tilted`` at D*, read off ``solve``, the
+    ``RdfResult`` of the solve that found D* (what ``rdf`` returns), so that
+    one solve at D* serves every block length; without it ``_tilted``
+    solves D* itself. A D* on the boundary of (0, d_max) raises
     BoundaryDistortion.
     """
     if phi_m.alphabet_size != w.input_size:
@@ -532,8 +533,7 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     rho_eff = m / n
     p = src.distribution.probs
 
-    res, grad, v_s = (sa._tilted_solve(src, d_star) if solve is None
-                      else sa._tilted(src, solve, d_star))
+    res, grad, v_s = sa._tilted(src, d_star, solve)
     d_r = 1.0 / res.lagrange_slope
     dp = -grad * d_r                      # centered; constants cancel in A
 

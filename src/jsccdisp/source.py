@@ -20,7 +20,7 @@ D_n of a ``jscc`` report) as one batch, each row from s = -1. ``rdf`` and
 writes its rows into one record (``_Solves``), and a solved point leaves
 this module only as an ``RdfResult``. V_S at a point is read off the
 solve that found the point (``_tilted``, the one boundary rule), so D*
-and V_S(P, D*) take one search.
+and V_S(P, D*) take one search (``_tilted_at_rate``).
 
 Rates are nats per source sample; the gradient convention is centered
 (g(s) = d/de R((1-e)P + e*delta_s, D) at e=0), which differs from raw
@@ -51,8 +51,10 @@ BOUNDARY_TOL = 1e-12
 DEFAULT_RDF_TOL = 1e-9
 _INNER_TOL = 1e-13
 _MAX_SLOPE_ITER = 300
+# the loosest rdf tolerance behind a V_S read off a solve at D
+_TILTED_TOL = 1e-11
 # a rate search to 1e-12 whose solve gives V_S puts D(s) within 1e-12 / |s|,
-# inside the 1e-11 of ``_tilted_solve`` wherever s < -0.1
+# inside the ``_TILTED_TOL`` of ``_tilted`` wherever s < -0.1
 _TILTED_RATE_TOL = 1e-12
 
 
@@ -352,16 +354,9 @@ def distortion_rate(src: SourceSpec, rate: float,
     rate >= R(P,0), which is solved once per source. Raises DomainError on
     a NaN rate, and NonConvergence as ``rdf`` does.
     """
-    return _distortion_rate(src, rate, tol)[0]
-
-
-def _distortion_rate(src: SourceSpec, rate: float,
-                     tol: float) -> tuple[float, RdfResult | None]:
-    """``distortion_rate`` and its final solve (None at the endpoints): a
-    batch of one of ``_distortion_rates``."""
     d, out = _distortion_rates(src, np.array([rate], dtype=float), tol)
-    return float(d[0]), (out.result(0) if 0.0 < rate < src._zero_rate
-                         else None)
+    out.result(0)  # NonConvergence naming P where the search failed
+    return float(d[0])
 
 
 def _distortion_rates(src: SourceSpec, rates: np.ndarray,
@@ -399,13 +394,16 @@ def _distortion_rates(src: SourceSpec, rates: np.ndarray,
     return d, out
 
 
-def _tilted(src: SourceSpec, res: RdfResult | None,
-            d: float) -> tuple[RdfResult, np.ndarray, float]:
-    """(res, g, V_S) from the solve ``res`` that found D: g = j - E_P[j], the
-    centered d-tilted information of its slope and q*, and V_S = Var_P[j].
+def _tilted(src: SourceSpec, d: float, res: RdfResult | None = None,
+            tol: float = _TILTED_TOL) -> tuple[RdfResult, np.ndarray, float]:
+    """(res, g, V_S) at D: g = j - E_P[j], the centered d-tilted information
+    of the slope and q* of the solve ``res`` that found D, and V_S = Var_P[j].
+    Without ``res``, D is solved here by one ``rdf`` call to
+    min(``tol``, ``_TILTED_TOL``).
 
-    The one boundary rule for V_S: BoundaryDistortion, with ``res``
-    unread, unless D lies more than ``BOUNDARY_TOL`` inside (0, d_max)."""
+    The one boundary rule for V_S: BoundaryDistortion, before any solve is
+    made or read, unless D lies more than ``BOUNDARY_TOL`` inside
+    (0, d_max)."""
     dm = d_max(src)
     if not (BOUNDARY_TOL < d < dm - BOUNDARY_TOL):
         raise BoundaryDistortion(
@@ -413,6 +411,8 @@ def _tilted(src: SourceSpec, res: RdfResult | None,
             f"(0, {dm}); got D = {d} (D = 0 is the lossless regime: "
             "jscc --lossless)"
         )
+    if res is None:
+        res = rdf(src, d, min(tol, _TILTED_TOL))
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
     p = src.distribution.probs
@@ -420,11 +420,15 @@ def _tilted(src: SourceSpec, res: RdfResult | None,
     return res, g, float(np.dot(p, g ** 2))
 
 
-def _tilted_solve(src: SourceSpec, d: float,
-                  tol: float = 1e-11) -> tuple[RdfResult, np.ndarray, float]:
-    """``_tilted`` of one ``rdf`` solve at D, made only for an interior D."""
-    inside = BOUNDARY_TOL < d < d_max(src) - BOUNDARY_TOL
-    return _tilted(src, rdf(src, d, tol) if inside else None, d)
+def _tilted_at_rate(src: SourceSpec, rate: float
+                    ) -> tuple[float, RdfResult, np.ndarray, float]:
+    """(D, res, g, V_S) at D = D(P, ``rate``): one ``_distortion_rates``
+    search to ``_TILTED_RATE_TOL``, whose final solve gives ``_tilted`` at
+    D. NonConvergence names P when the search failed; an endpoint D, where
+    the search makes no solve, is refused by ``_tilted`` as it is on the
+    boundary."""
+    d, out = _distortion_rates(src, np.array([rate]), _TILTED_RATE_TOL)
+    return (float(d[0]),) + _tilted(src, float(d[0]), out.result(0))
 
 
 def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
@@ -433,12 +437,12 @@ def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:
     j is the d-tilted information, built from the slope and the
     reproduction marginal of one rdf solve at D.
     """
-    return _tilted_solve(src, d)[1]
+    return _tilted(src, d)[1]
 
 
 def source_dispersion(src: SourceSpec, d: float) -> float:
     """V_S(P,D) = Var_P[j(S,D)], the variance of the d-tilted information."""
-    return _tilted_solve(src, d)[2]
+    return _tilted(src, d)[2]
 
 
 def _normal_rate(rate: float, v_s: float, n: int, eps: float) -> float:
@@ -457,5 +461,5 @@ def source_rate_at(src: SourceSpec, d: float, n: int, eps: float) -> float:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
-    res, _, v_s = _tilted_solve(src, d)
+    res, _, v_s = _tilted(src, d)
     return _normal_rate(res.rate, v_s, n, eps)

@@ -14,14 +14,17 @@ import pytest
 
 import jsccdisp.channel as ch
 import jsccdisp.cli as cli
+import jsccdisp.jscc as jscc
 import jsccdisp.source as sa
 from conftest import two_orbit_cyclic
 from jsccdisp.cli import main
+from jsccdisp.errors import BoundaryDistortion
 
 LN2 = math.log(2.0)
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "src" / "jsccdisp" / "problem_file.schema.json").read_text())
 TERNARY = str(REPO / "docs" / "examples" / "ternary_asymmetric.json")
+BSC011 = str(REPO / "docs" / "examples" / "bsc011_hamming.json")
 
 BSC_PROBLEM = {
     "source": {"probs": [0.5, 0.5], "distortion": [[0.0, 1.0], [1.0, 0.0]]},
@@ -262,7 +265,7 @@ class TestNumericFlags:
         # a report with a NaN in it writes nothing, not a NaN token
         real = sa._tilted
         monkeypatch.setattr(sa, "_tilted",
-                            lambda *a: real(*a)[:2] + (math.nan,))
+                            lambda *a, **k: real(*a, **k)[:2] + (math.nan,))
         code, out, err = run(["source", TERNARY, "-D", "0.1"], capsys)
         assert (code, out) == (3, "")
         assert "non-finite" in err
@@ -472,6 +475,26 @@ class TestSourceCommand:
         assert len(rdfs) == 1
         assert "v_s" in json.loads(out)
 
+    @pytest.mark.parametrize("path", [BSC011, TERNARY],
+                             ids=["bsc011", "ternary"])
+    def test_v_s_where_source_dispersion_returns(self, path, capsys):
+        # one boundary rule: the command prints V_S exactly where
+        # source_dispersion gives it, 1e-12 from either end by 1e-3 of that
+        src = cli.load_problem_file(path)["source"]
+        dm = sa.d_max(src)
+        for d, inside in ((1e-12 * 0.999, False), (1e-12 * 1.001, True),
+                          (dm - 1e-12 * 1.001, True),
+                          (dm - 1e-12 * 0.999, False)):
+            try:
+                v_s = sa.source_dispersion(src, d)
+            except BoundaryDistortion:
+                v_s = None
+            code, out, _ = run(["source", path, "-D", repr(d),
+                                "--units", "nats"], capsys)
+            assert code == 0
+            assert (v_s is not None, json.loads(out).get("v_s")) == (inside,
+                                                                    v_s)
+
     def test_requires_distortion(self, problem_file, capsys):
         code, _, err = run(["source", problem_file], capsys)
         assert code == 2
@@ -537,6 +560,27 @@ class TestJsccCommand:
             code, out, err = run(argv, capsys)
             assert (code, out) == (4, "")
             assert err.startswith("boundary error: V_S")
+
+    @pytest.mark.parametrize("path,rho", [
+        (BSC011, None), (TERNARY, None),
+        (None, 1.9996638822216264),  # test_one_boundary_rule's near file
+    ], ids=["bsc011", "ternary", "near"])
+    def test_d_star_and_v_s_from_one_search(self, path, rho, tmp_path,
+                                            capsys):
+        # jscc and clt-jscc read D* and V_S(P, D*) off one _tilted_at_rate
+        if path is None:
+            path = tmp_path / "near.json"
+            path.write_text(json.dumps(dict(BSC_PROBLEM, rho=rho)))
+            path = str(path)
+        pb = cli._jscc_problem(cli.load_problem_file(path))
+        rep = jscc.dispersion_report(pb)
+        d_star, _, _, v_s = sa._tilted_at_rate(pb.source,
+                                               pb.rho * rep.capacity)
+        assert (rep.d_star, rep.v_s_at_d_star) == (d_star, v_s)
+        code, out, _ = run(["simulate", path, "--what", "clt-jscc",
+                            "--n-list", "100", "--trials", "500"], capsys)
+        assert code == 0
+        assert [r["d_star"] for r in json.loads(out)["results"]] == [d_star]
 
     def test_eps_flag_overrides_file(self, problem_file, capsys):
         _, out, _ = run(["jscc", problem_file, "--n-list", "1000"], capsys)
@@ -654,6 +698,23 @@ class TestSeparationCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["jscc", BSC011, "--n-list="], "--n-list: empty grid"),
+        (["separation", "--eps-grid", "0.1", "--lambda-list="],
+         "--lambda-list: empty grid"),
+        (["separation", "--eps-grid="], "--eps-grid: empty grid"),
+        (["separation", "--paper-fig3", "--eps-grid", "0.3"], "--eps-grid"),
+        (["separation", "--paper-fig3", "--lambda-list", "7"],
+         "--lambda-list"),
+    ], ids=["empty-n-list", "empty-lambda-list", "empty-eps-grid",
+            "fig3-eps-grid", "fig3-lambda-list"])
+    def test_given_grid_is_never_ignored(self, argv, message, capsys):
+        # an empty grid is refused as one, not read as no flag, and the
+        # --paper-fig3 preset takes no grid beside it
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
 
     def test_underflowing_split(self, capsys):
         # the channel side of the first two rows is below the smallest

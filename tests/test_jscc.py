@@ -35,7 +35,7 @@ from jsccdisp import (
 )
 import jsccdisp.jscc as jscc
 from jsccdisp.probcore import ndtri
-from jsccdisp.source import _tilted_solve
+from jsccdisp.source import _tilted
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 
 LN2 = math.log(2.0)
@@ -162,7 +162,7 @@ class TestJsccDispersion:
         pb = JsccProblem(src, bsc(0.03882227019921258), 1.002737171152922,
                          0.1)
         rate = pb.rho * capacity(pb.channel).capacity
-        v_s = _tilted_solve(src, distortion_rate(src, rate, 1e-15), 1e-15)[2]
+        v_s = _tilted(src, distortion_rate(src, rate, 1e-15), tol=1e-15)[2]
         assert v_s == pytest.approx(0.24748962749159162, rel=1e-13)
         assert dispersion_report(pb).v_s_at_d_star == pytest.approx(
             v_s, rel=1e-12)

@@ -50,7 +50,7 @@ from jsccdisp.mcsim import (
 import jsccdisp.mcsim as mcsim
 import jsccdisp.probcore as probcore
 import jsccdisp.source as sa
-from jsccdisp.source import _tilted_solve
+from jsccdisp.source import _tilted
 from conftest import HAMMING, bernoulli, bsc, hamming_source
 from functools import reduce
 
@@ -668,7 +668,7 @@ class TestBatchFill:
         monkeypatch.setattr(mcsim, "_map_batches", recording)
         phi = EmpiricalType(np.array([60, 40]), 100)
         src = hamming_source(0.3)
-        solve = _tilted_solve(src, 0.1)[0]
+        solve = _tilted(src, 0.1)[0]
         simulations = (
             lambda workers: first_order_mi_samples(
                 phi, bsc011, trials, 9, workers),
@@ -771,7 +771,7 @@ class TestFirstOrderJscc:
         phi = EmpiricalType(np.array([250, 250]), 500)
         a = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7)
         b = first_order_jscc_samples(src, d_star, w, phi, 500, 3000, 7,
-                                     solve=_tilted_solve(src, d_star)[0])
+                                     solve=_tilted(src, d_star)[0])
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.diagnostics == b.diagnostics
 

@@ -45,7 +45,7 @@ from jsccdisp.source import (
     _rd_oracle,
     _rdf_rates,
     _Solves,
-    _tilted_solve,
+    _tilted,
 )
 from conftest import two_orbit_cyclic
 
@@ -231,7 +231,7 @@ def test_rate_is_nonincreasing_and_convex_in_d(src, fraction, split):
 def test_tilted_information_averages_to_the_rate(src, fraction):
     assume(d_max(src) > 1e-3)
     d = fraction * d_max(src)
-    res, g, _ = _tilted_solve(src, d)
+    res, g, _ = _tilted(src, d)
     s = res.lagrange_slope
     j = s * d - np.log(np.exp(s * src.distortion) @ res.reproduction)
     p = src.distribution.probs

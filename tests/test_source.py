@@ -409,6 +409,18 @@ class TestRdfGradient:
         with pytest.raises(BoundaryDistortion):
             rdf_gradient(fair_hamming, 0.5)
 
+    @pytest.mark.parametrize("name", ["bsc011_hamming", "ternary_asymmetric"])
+    def test_boundary_rule_before_any_solve(self, name, monkeypatch):
+        # _tilted refuses D within 1e-12 of 0 or d_max before it solves
+        src = load_problem_file(str(EXAMPLES / f"{name}.json"))["source"]
+        calls = []
+        monkeypatch.setattr(sa, "rdf", lambda *a, **k: calls.append(a))
+        dm = d_max(src)
+        for d in (0.0, 1e-13, dm - 1e-13, dm):
+            with pytest.raises(BoundaryDistortion):
+                sa._tilted(src, d)
+        assert calls == []
+
     @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3])
     def test_tilted_information_absolute_distortion(self, d):
         # d(i,j) = |i - j|: the tilted information j(x) = s*D -
