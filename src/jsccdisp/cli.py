@@ -296,14 +296,15 @@ def _jscc_problem(problem: dict) -> jscc.JsccProblem:
 def cmd_jscc(args) -> int:
     problem = _load(args)
     units, div = _units(args, problem)
-    pb = _jscc_problem(problem)
-    n_list = _n_list(args, problem)
 
     # one table per mode; its JSON keys are the CSV header less the table name
     if args.lossless:
-        disp = ch.vmin_vmax(pb.channel)
-        pts = [jscc.lossless_rho(pb.source, pb.channel, n, pb.eps, disp=disp)
-               for n in n_list]
+        # the lossless table reads no rho
+        src, w, eps = (_require(problem, key)
+                       for key in ("source", "channel", "eps"))
+        n_list = _n_list(args, problem)
+        disp = ch.vmin_vmax(w)
+        pts = [jscc.lossless_rho(src, w, n, eps, disp=disp) for n in n_list]
         table, header = "rho_n", ["n", "rho_n_with_vlow", "rho_n_with_vhigh"]
         rows = [(pt.n, pt.rho_with_vlow, pt.rho_with_vhigh) for pt in pts]
         report = {"units": units, "mode": "lossless",
@@ -311,6 +312,8 @@ def cmd_jscc(args) -> int:
                   "v_source": pts[0].v_source / (div * div),
                   "correction_note": jscc.CORRECTION_NOTE}
     else:
+        pb = _jscc_problem(problem)
+        n_list = _n_list(args, problem)
         rep = jscc.dispersion_report(pb)
         pts = jscc.distortion_thresholds(pb, n_list, report=rep)
         table, header = "thresholds", [
@@ -590,6 +593,14 @@ def _int_type(minimum: int):
     return parse
 
 
+def _path_type(text: str) -> str:
+    """An argparse type: a nonempty path, else a usage error (an empty
+    ``--out`` would otherwise write to stdout)."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def _float_type(valid, need: str):
     """An argparse type: a float passing ``valid``, else a usage error."""
     def parse(text: str) -> float:
@@ -609,7 +620,7 @@ def _float_type(valid, need: str):
 _COMMON_FLAGS = {
     "--units": dict(choices=["bits", "nats"],
                     help="output units (default: file setting, else bits)"),
-    "--out": dict(help="output path (default stdout)"),
+    "--out": dict(type=_path_type, help="output path (default stdout)"),
     "--tol": dict(type=_float_type(lambda v: 0 < v < math.inf,
                                    "positive and finite"),
                   default=1e-10, help="numerical tolerance in nats "

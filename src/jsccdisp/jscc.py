@@ -187,10 +187,7 @@ def distortion_thresholds(problem: JsccProblem, ns,
                 )
             targets.append(t)
     rates = list(dict.fromkeys(targets))
-    d, out = sa._distortion_rates(problem.source, np.array(rates), tol)
-    for error in out.error:
-        if error is not None:
-            raise NonConvergence(error)
+    d, _ = sa._distortion_rates(problem.source, np.array(rates), tol)
     d = dict(zip(rates, d.tolist()))
     return [ThresholdPoint(n=n, d_with_vlow=d[lo], d_with_vhigh=d[hi],
                            target_rate_with_vlow=lo, target_rate_with_vhigh=hi)

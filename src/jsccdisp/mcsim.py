@@ -102,7 +102,8 @@ _LOOKAHEAD = 2
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Common simulation knobs: seed, trial count and block length."""
+    """Common simulation knobs: seed, trial count and block length, and
+    the one check of seed, trials and n for every simulator."""
 
     seed: int
     trials: int
@@ -143,8 +144,6 @@ def _binomial_result(successes: int, trials: int, **diag) -> SimResult:
 # ---------------------------------------------------------------------------
 
 def _stream(seed: int, batch_index: int) -> np.random.Generator:
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer; got {seed}")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed, batch_index)))
     )
@@ -353,8 +352,9 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     as m/n with m = phi_m.n. A batch draws the source counts, then the
     channel counts, and returns its distinct source keys, each trial's
     index into them and each trial's rho times its ``_fixed_margin_mi``;
-    new types are solved with the slope search started at the solve of P
-    at d. A window holds, per trial, an index byte (two past 256 types in
+    new types are solved with the slope search started at the slope of
+    ``rdf`` at P and d, which refuses a negative or NaN d and names P when
+    its solve fails. A window holds, per trial, an index byte (two past 256 types in
     a batch) and one float64, at most 1.3 MB, and the threads draw at most
     ``_LOOKAHEAD`` batches each ahead of it. Every type at or above its
     d_max has rate 0 and every type at D within 1e-12 of 0 takes the
@@ -362,18 +362,15 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     failed; such a type counts as excess, and its trials are reported as
     ``boundary_trials`` in the diagnostics.
     """
+    SimConfig(seed, trials, n)
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
-    if trials < 1 or n < 1:
-        raise DomainError("trials and n must be positive")
-    if d < 0:
-        raise DomainError("distortion level must be nonnegative")
     m = phi_m.n
     rho_eff = m / n
     p = src.distribution.probs
     row_counts = phi_m.counts
 
-    start = sa._rdf_solves(p[None], src.distortion, d, 1e-10).slope[0]
+    start = sa.rdf(src, d, 1e-10).lagrange_slope
     xlogx = _xlogx(m)
 
     def draw(batch_index: int, size: int):
@@ -495,10 +492,9 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
     The statistic sum_{x,y} (P_{Y|x}(y|x) - W(y|x)) * I'_W(y|x) has variance
     exactly V(phi_n, W)/n; each sample is divided by its square root.
     """
+    SimConfig(seed, trials, phi_n.n)
     if phi_n.alphabet_size != w.input_size:
         raise DomainError("phi_n must live on the channel input alphabet")
-    if trials < 1:
-        raise DomainError("trials must be positive")
     n = phi_n.n
     v_cond, chan = _channel_first_order(phi_n, w)
     if v_cond <= 1e-15:
@@ -525,10 +521,9 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     solves D* itself. A D* on the boundary of (0, d_max) raises
     BoundaryDistortion.
     """
+    SimConfig(seed, trials, n)
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
-    if trials < 1 or n < 1:
-        raise DomainError("trials and n must be positive")
     m = phi_m.n
     rho_eff = m / n
     p = src.distribution.probs
@@ -563,19 +558,17 @@ def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
     """Estimate P[ conditional type outside Xi_n ].
 
     Xi_n is the set of conditional types V with
-    sum (V - W)^2 <= |X||Y| (log n / n) / min_x phi_n(x); the Hoeffding
+    sum (V - W)^2 <= |X||Y| (log n / n) / min_x phi_n(x), the sum and the
+    minimum over the input letters x in the support of phi_n; the Hoeffding
     bound 2|X||Y| / n^2 is reported in the diagnostics.
     """
+    SimConfig(seed, trials, phi_n.n)
     if phi_n.alphabet_size != w.input_size:
         raise DomainError("phi_n must live on the channel input alphabet")
-    if trials < 1:
-        raise DomainError("trials must be positive")
     n = phi_n.n
     n_x, n_y = w.matrix.shape
-    phi_min = float(phi_n.counts.min()) / n
-    threshold = (
-        n_x * n_y * (math.log(n) / n) / phi_min if phi_min > 0 else math.inf
-    )
+    phi_min = float(phi_n.counts[phi_n.counts > 0].min()) / n
+    threshold = n_x * n_y * (math.log(n) / n) / phi_min
     # the cells of the rows in the support of phi_n
     cells = [(x, y) for x, y in np.ndindex(w.matrix.shape)
              if phi_n.counts[x] > 0]

@@ -13,12 +13,15 @@ with NonConvergence naming P. Each slope is solved by the simplex Newton
 kernel of ``probcore`` with Blahut's bound as its certificate. The search
 runs on a batch of source laws at once (``_rdf_rates``), from a start
 slope that a caller may give, and to a target that may differ per row:
-the excess simulator seeds its batch of source types with the slope of P
-itself, and ``_distortion_rates`` searches a whole table of rates (every
-D_n of a ``jscc`` report) as one batch, each row from s = -1. ``rdf`` and
-``distortion_rate`` are batches of one from s = -1. Each fixed-slope solve
-writes its rows into one record (``_Solves``), and a solved point leaves
-this module only as an ``RdfResult``. V_S at a point is read off the
+the excess simulator seeds its batch of source types with the slope of
+``rdf`` at P itself, and ``_distortion_rates`` searches a whole table of
+rates (every D_n of a ``jscc`` report) as one batch, each row from s = -1.
+``rdf`` and ``distortion_rate`` are batches of one from s = -1. Each
+fixed-slope solve writes its rows into one record (``_Solves``), which
+never leaves this module: a solved point leaves it as an ``RdfResult``,
+or as its bare rate (``_rdf_rates``, NaN where the solve failed) or
+distortion (``_distortion_rates``, which raises the first failed row's
+NonConvergence through ``_Solves.result``). V_S at a point is read off the
 solve that found the point (``_tilted``, the one boundary rule), so D*
 and V_S(P, D*) take one search (``_tilted_at_rate``).
 
@@ -354,21 +357,21 @@ def distortion_rate(src: SourceSpec, rate: float,
     rate >= R(P,0), which is solved once per source. Raises DomainError on
     a NaN rate, and NonConvergence as ``rdf`` does.
     """
-    d, out = _distortion_rates(src, np.array([rate], dtype=float), tol)
-    out.result(0)  # NonConvergence naming P where the search failed
+    d, _ = _distortion_rates(src, np.array([rate], dtype=float), tol)
     return float(d[0])
 
 
-def _distortion_rates(src: SourceSpec, rates: np.ndarray,
-                      tol: float) -> tuple[np.ndarray, _Solves]:
+def _distortion_rates(src: SourceSpec, rates: np.ndarray, tol: float
+                      ) -> tuple[np.ndarray, dict[int, RdfResult]]:
     """D(P, R) for each of ``rates`` (T,), as ``distortion_rate`` gives it,
-    and the solves behind them.
+    and the ``RdfResult`` of the final solve of each row that took a search,
+    by row.
 
     A rate <= 0 gives d_max and a rate >= R(P,0) gives 0 (R(P,0) is solved
-    only when some rate is positive); the rates between take one batched
-    slope search, every row from s = -1, and the tangent correction. A row
-    whose search failed has D NaN and its message in the solves' ``error``;
-    a row at an endpoint has no solve.
+    only when some rate is positive), with no solve; the rates between take
+    one batched slope search, every row from s = -1, and the tangent
+    correction. Raises the NonConvergence of the first failed row, in row
+    order, naming P (``_Solves.result``).
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -385,13 +388,11 @@ def _distortion_rates(src: SourceSpec, rates: np.ndarray,
         probs = src.distribution.probs
         _slope_search(np.broadcast_to(probs, (len(rates), probs.size)),
                       src.distortion, rates[rows], True, tol, out, rows)
-        solved = np.array([out.error[r] is None for r in rows])
-        d[rows[~solved]] = np.nan
-        rows = rows[solved]
-        d[rows] = np.minimum(np.maximum(
-            out.dist[rows] + (rates[rows] - out.rate[rows]) / out.slope[rows],
-            0.0), dm)
-    return d, out
+    solves = {r: out.result(r) for r in rows.tolist()}
+    d[rows] = np.minimum(np.maximum(
+        out.dist[rows] + (rates[rows] - out.rate[rows]) / out.slope[rows],
+        0.0), dm)
+    return d, solves
 
 
 def _tilted(src: SourceSpec, d: float, res: RdfResult | None = None,
@@ -427,8 +428,8 @@ def _tilted_at_rate(src: SourceSpec, rate: float
     D. NonConvergence names P when the search failed; an endpoint D, where
     the search makes no solve, is refused by ``_tilted`` as it is on the
     boundary."""
-    d, out = _distortion_rates(src, np.array([rate]), _TILTED_RATE_TOL)
-    return (float(d[0]),) + _tilted(src, float(d[0]), out.result(0))
+    d, solves = _distortion_rates(src, np.array([rate]), _TILTED_RATE_TOL)
+    return (float(d[0]),) + _tilted(src, float(d[0]), solves.get(0))
 
 
 def rdf_gradient(src: SourceSpec, d: float) -> np.ndarray:

@@ -254,6 +254,9 @@ class TestNumericFlags:
          "--uep-gamma"),
         (["simulate", TERNARY, "--what", "uep", "--uep-gamma=-inf"],
          "--uep-gamma"),
+        (["separation", "--eps-grid", "0.1", "--lambda-list", "1", "--out="],
+         "--out"),
+        (["source", TERNARY, "-D", "0.1", "--out", ""], "--out"),
     ])
     def test_out_of_domain_exit_2(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -529,6 +532,21 @@ class TestJsccCommand:
         rep = json.loads(out)
         assert rep["mode"] == "lossless"
         assert rep["h_over_c"] == pytest.approx(1.9996639, abs=1e-6)
+
+    def test_lossless_table_reads_no_rho(self, tmp_path, capsys):
+        # the file without rho gives the same bytes as the file with it
+        problem = json.loads(pathlib.Path(BSC011).read_text())
+        del problem["rho"]
+        path = tmp_path / "norho.json"
+        path.write_text(json.dumps(problem))
+        outs = []
+        for file in (BSC011, str(path)):
+            for fmt in ("json", "csv"):
+                code, out, err = run(["jscc", file, "--lossless", "--n-list",
+                                      "100,1000", "--format", fmt], capsys)
+                assert (code, err) == (0, "")
+                outs.append(out)
+        assert outs[:2] == outs[2:]
 
     def test_boundary_exit_4(self, tmp_path, capsys):
         prob = dict(BSC_PROBLEM, rho=4.0)  # lossless regime; D* = 0

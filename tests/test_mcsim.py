@@ -257,6 +257,13 @@ class TestExcessEvent:
         res = excess_event_probability(fair_hamming, w, phi, 0.6, 100, 2000, 9)
         assert res.estimate == 0.0
 
+    @pytest.mark.parametrize("d", [math.nan, -0.1])
+    def test_rejects_a_distortion_rdf_refuses(self, fair_hamming, bsc011, d):
+        # rdf's check: a NaN D would make every trial a boundary trial
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError, match="distortion level"):
+            excess_event_probability(fair_hamming, bsc011, phi, d, 100, 100, 1)
+
     def test_useless_channel_lossless_always_exceeds(self, fair_hamming):
         w = bsc(0.5)
         phi = EmpiricalType(np.array([50, 50]), 100)
@@ -803,6 +810,15 @@ class TestXiN:
         with pytest.raises(DomainError, match="seed"):
             xi_n_violation_rate(phi, bsc011, 100, -1)
 
+    def test_zero_letter_leaves_the_threshold_finite(self):
+        # the capacity input of this channel is (1/2, 0, 1/2); a minimum
+        # over every letter would be 0 and make the threshold inf
+        w = Channel(np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]))
+        phi = EmpiricalType(np.array([50, 0, 50]), 100)
+        res = xi_n_violation_rate(phi, w, 1000, 3)
+        assert res.diagnostics["threshold"] == pytest.approx(
+            6 * math.log(100) / (100 * 0.5), rel=1e-15)
+
     def test_noiseless_no_violations(self):
         w = Channel(np.eye(2))
         phi = EmpiricalType(np.array([30, 30]), 60)
@@ -868,6 +884,25 @@ class TestSimConfig:
         # derives from it (-1000003 for class 0)
         with pytest.raises(DomainError, match=r"got -1$"):
             SimConfig(seed=-1, trials=10, n=128)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda src, w, phi: excess_event_probability(src, w, phi, 0.1, 100,
+                                                     10, -1),
+        lambda src, w, phi: first_order_mi_samples(phi, w, 10, -1),
+        lambda src, w, phi: first_order_jscc_samples(src, 0.1, w, phi, 100,
+                                                     10, -1),
+        lambda src, w, phi: xi_n_violation_rate(phi, w, 10, -1),
+    ], ids=["excess", "clt-mi", "clt-jscc", "xi"])
+    def test_every_simulator_checks_the_seed_first(self, simulate, bsc011,
+                                                   monkeypatch):
+        # refused by SimConfig before P is solved and before any draw
+        calls = []
+        monkeypatch.setattr(mcsim, "_stream", lambda *a: calls.append(a))
+        monkeypatch.setattr(sa, "rdf", lambda *a: calls.append(a))
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError, match=r"^seed .* got -1$"):
+            simulate(hamming_source(0.25), bsc011, phi)
+        assert calls == []
 
 
 class TestUepSimulate:

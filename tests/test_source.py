@@ -268,6 +268,15 @@ class TestSlopeSearch:
                               0.1, sa.DEFAULT_RDF_TOL)
         assert math.isnan(rates[0]) and rates[1] == 0.0
 
+    def test_failed_rate_search_names_its_law(self, fair_hamming,
+                                              monkeypatch):
+        # each D(P, R) search raises its failed row through _Solves.result
+        monkeypatch.setattr(sa, "_MAX_SLOPE_ITER", 1)
+        for solve in (distortion_rate, sa._tilted_at_rate):
+            with pytest.raises(NonConvergence,
+                               match=r"P = \[0\.5, 0\.5\].*after 1 rounds"):
+                solve(fair_hamming, 0.3)
+
     def test_solve_counts(self, monkeypatch, capsys):
         # solve counts repeat exactly where times do not. Illinois regula
         # falsi from s = -1 took 57 solves over the four analytic benchmark
