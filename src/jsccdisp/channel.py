@@ -77,7 +77,7 @@ class ChannelRatePoint:
     """Normal-approximation rate at (n, eps), for both dispersion extremes.
 
     ``rate`` uses V_min for eps <= 1/2 and V_max otherwise; the O(log n/n)
-    correction is omitted (see ``correction_note``).
+    correction is omitted (see ``CORRECTION_NOTE``).
     """
 
     rate: float
@@ -86,7 +86,6 @@ class ChannelRatePoint:
     capacity: float
     n: int
     eps: float
-    correction_note: str = CORRECTION_NOTE
 
 
 def _check_dims(phi: Distribution, w: Channel):
@@ -161,8 +160,8 @@ def capacity(w: Channel, tol: float = DEFAULT_TOL) -> CapacityResult:
     1e-15 it can round above the kernel's own gap); ``iterations`` counts
     the Newton steps.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive; got {tol}")
     mat = w.matrix
     phi, _, steps = _simplex_newton(_capacity_oracle, (mat[None],),
                                     w.input_size, tol)
@@ -264,20 +263,19 @@ def vmin_vmax(w: Channel, tol: float = DEFAULT_TOL) -> ChannelDispersion:
 
 
 def channel_rate_at(w: Channel, n: int, eps: float,
-                    disp: ChannelDispersion | None = None,
-                    tol: float = DEFAULT_TOL) -> ChannelRatePoint:
+                    disp: ChannelDispersion | None = None) -> ChannelRatePoint:
     """Normal approximation C - sqrt(V/n) * Qinv(eps) at block length n.
 
     V follows the eps <= 1/2 -> V_min, else V_max case split; the rates
     for both extremes are reported alongside. C and V come from ``disp``,
-    solved here at ``tol`` when not given.
+    solved here by ``vmin_vmax`` at ``DEFAULT_TOL`` when not given.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
     if disp is None:
-        disp = vmin_vmax(w, tol)
+        disp = vmin_vmax(w)
     c = disp.capacity.capacity
     qi = q_inverse(eps)
     rate_vmin = c - math.sqrt(disp.v_min / n) * qi

@@ -270,7 +270,7 @@ def cmd_source(args) -> int:
         "lagrange_slope": None if not math.isfinite(res.lagrange_slope)
         else res.lagrange_slope / div,
         "d_max": sa.d_max(src),
-        "correction_note": jscc.CORRECTION_NOTE,
+        "correction_note": ch.CORRECTION_NOTE,
     }
     if v_s is not None:
         report["v_s"] = v_s / (div * div)
@@ -310,7 +310,7 @@ def cmd_jscc(args) -> int:
         report = {"units": units, "mode": "lossless",
                   "h_over_c": pts[0].h_over_c,
                   "v_source": pts[0].v_source / (div * div),
-                  "correction_note": jscc.CORRECTION_NOTE}
+                  "correction_note": ch.CORRECTION_NOTE}
     else:
         pb = _jscc_problem(problem)
         n_list = _n_list(args, problem)

@@ -41,7 +41,6 @@ from .probcore import (
 )
 from .source import SourceSpec
 
-CORRECTION_NOTE = ch.CORRECTION_NOTE
 DEFAULT_LAMBDA_CURVES = (1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1000.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = math.ulp(0.0)  # the smallest positive double
@@ -79,8 +78,7 @@ class DispersionReport:
     v_j_low: float
     v_j_high: float
     channel_dispersion: ch.ChannelDispersion
-    units: str = "nats"
-    correction_note: str = CORRECTION_NOTE
+    correction_note: str = ch.CORRECTION_NOTE
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,6 @@ class ThresholdPoint:
     d_with_vhigh: float
     target_rate_with_vlow: float
     target_rate_with_vhigh: float
-    correction_note: str = CORRECTION_NOTE
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,6 @@ class LosslessRhoPoint:
     v_source: float
     rho_with_vlow: float
     rho_with_vhigh: float
-    correction_note: str = CORRECTION_NOTE
 
 
 def opta(problem: JsccProblem, tol: float = sa.DEFAULT_RDF_TOL) -> float:
@@ -200,22 +196,22 @@ def log_prob_variance(p: Distribution) -> float:
 
 
 def lossless_rho(src: SourceSpec, channel: Channel, n: int, eps: float,
-                 tol: float = 1e-10,
                  disp: ch.ChannelDispersion | None = None) -> LosslessRhoPoint:
     """Bandwidth expansion rho_n for (near) lossless transmission.
 
     rho_n = H/C + sqrt((Var[log P] + rho*V_C)/n) * Qinv(eps)/C with
     rho = H/C inside V_J (the limiting value). C and V_C come from
-    ``disp``, solved here at ``tol`` when not given.
+    ``disp``, solved here by ``vmin_vmax`` at ``channel.DEFAULT_TOL`` when
+    not given; a C at or below that tolerance raises UselessChannel.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
     if disp is None:
-        disp = ch.vmin_vmax(channel, tol)
+        disp = ch.vmin_vmax(channel)
     c = disp.capacity.capacity
-    if c <= tol:
+    if c <= ch.DEFAULT_TOL:
         raise UselessChannel("lossless transmission needs positive capacity")
     h = entropy(src.distribution)
     ratio = h / c
@@ -370,7 +366,7 @@ def separation_vsep(eps: float, v_s: float, rho_v_c: float) -> float:
         raise DomainError("eps must lie in (0, 1)")
     if eps == 0.5:
         raise UndefinedAtHalf("V_sep is undefined at eps = 1/2")
-    if v_s < 0 or rho_v_c < 0 or (v_s == 0 and rho_v_c == 0):
+    if not (v_s >= 0 and rho_v_c >= 0) or v_s == rho_v_c == 0:
         raise DomainError("v_s and rho_v_c must be nonnegative, not both zero")
     if v_s == 0 or rho_v_c == 0:
         return v_s + rho_v_c  # all of eps goes to the side with dispersion

@@ -72,6 +72,7 @@ from .probcore import (
     DEFAULT_ENUMERATION_CAP,
     Distribution,
     EmpiricalType,
+    _as_symbols,
     _compositions,
     _joint_mutual_information,
     _log_ratio,
@@ -103,7 +104,8 @@ _LOOKAHEAD = 2
 @dataclass(frozen=True)
 class SimConfig:
     """Common simulation knobs: seed, trial count and block length, and
-    the one check of seed, trials and n for every simulator."""
+    the one check of seed, trials and n for every simulator (the CLT
+    simulators then ask for two trials, for their sample variance)."""
 
     seed: int
     trials: int
@@ -491,8 +493,12 @@ def first_order_mi_samples(phi_n: EmpiricalType, w: Channel, trials: int,
 
     The statistic sum_{x,y} (P_{Y|x}(y|x) - W(y|x)) * I'_W(y|x) has variance
     exactly V(phi_n, W)/n; each sample is divided by its square root.
+    Fewer than 2 trials leave no sample variance and raise DomainError
+    before any draw.
     """
     SimConfig(seed, trials, phi_n.n)
+    if trials < 2:
+        raise DomainError(f"a CLT run needs trials >= 2; got {trials}")
     if phi_n.alphabet_size != w.input_size:
         raise DomainError("phi_n must live on the channel input alphabet")
     n = phi_n.n
@@ -519,9 +525,12 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
     ``RdfResult`` of the solve that found D* (what ``rdf`` returns), so that
     one solve at D* serves every block length; without it ``_tilted``
     solves D* itself. A D* on the boundary of (0, d_max) raises
-    BoundaryDistortion.
+    BoundaryDistortion. Fewer than 2 trials raise DomainError before D* is
+    read or solved.
     """
     SimConfig(seed, trials, n)
+    if trials < 2:
+        raise DomainError(f"a CLT run needs trials >= 2; got {trials}")
     if phi_m.alphabet_size != w.input_size:
         raise DomainError("phi_m must live on the channel input alphabet")
     m = phi_m.n
@@ -622,7 +631,8 @@ def uep_dispersion_rate(phi_m: EmpiricalType, w: Channel, eps: float,
 
     R = I(phi, W) - sqrt(V(phi, W)/m) * Qinv(eps) - gamma, so the event
     {empirical MI < R + gamma} has probability ~ eps; the -gamma term is
-    the construction's O(log m / m) rate correction.
+    the construction's O(log m / m) rate correction. A negative or NaN R
+    (a NaN gamma) raises DomainError.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -630,9 +640,9 @@ def uep_dispersion_rate(phi_m: EmpiricalType, w: Channel, eps: float,
     phi = phi_m.distribution()
     v = conditional_information_variance(phi, w)
     rate = mutual_information(phi, w) - math.sqrt(v / m) * q_inverse(eps) - gamma
-    if rate < 0:
+    if not rate >= 0:
         raise DomainError(
-            f"dispersion rate {rate} is negative at m={m}, eps={eps}, "
+            f"dispersion rate {rate} is not >= 0 at m={m}, eps={eps}, "
             f"gamma={gamma}; the block is too short for this target"
         )
     return rate
@@ -644,9 +654,9 @@ class UepConfig:
 
     N_i = floor(exp(m * R_i)) codewords per class are drawn uniformly from
     the type class of input_types[i] (random constant composition, not the
-    packing construction). ``gamma`` is the decoder threshold in nats; the
-    asymptotic gamma_n formula is provided separately because at desk-scale
-    block lengths it dwarfs the dispersion term.
+    packing construction). ``gamma`` is the decoder threshold in nats, and
+    finite; the asymptotic gamma_n formula is provided separately because
+    at desk-scale block lengths it dwarfs the dispersion term.
     """
 
     rates: tuple
@@ -658,8 +668,10 @@ class UepConfig:
         types = tuple(self.input_types)
         if len(rates) != len(types) or not rates:
             raise DomainError("need one rate per input type, at least one class")
-        if any(r < 0 for r in rates):
+        if not all(r >= 0 for r in rates):
             raise DomainError("rates must be nonnegative (N_i >= 1)")
+        if not math.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite; got {self.gamma}")
         m = types[0].n
         if any(t.n != m for t in types):
             raise DomainError("all class types must share the block length m")
@@ -809,13 +821,11 @@ class UepClassResult:
 @dataclass(frozen=True)
 class UepResult:
     """A UEP simulation: one ``UepClassResult`` per class, in class order,
-    the decoder threshold ``gamma``, the rate-cap margin ``eta`` and the
-    block length ``m``."""
+    the decoder threshold ``gamma`` and the rate-cap margin ``eta``."""
 
     classes: tuple
     gamma: float
     eta: float
-    m: int
 
 
 def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
@@ -878,7 +888,7 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
     return UepResult(classes=tuple(
         UepClassResult(i, cfg.rates[i], n_codewords[i],
                        *(_binomial_result(int(c), sim.trials) for c in row))
-        for i, row in enumerate(counts.T)), gamma=cfg.gamma, eta=eta, m=m)
+        for i, row in enumerate(counts.T)), gamma=cfg.gamma, eta=eta)
 
 
 def seed_for_class(seed: int, class_index: int) -> int:
@@ -904,11 +914,9 @@ def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
     when ``_arrangement_sum``'s bound on the table count exceeds it."""
     dmat = np.asarray(distortion, dtype=float)
     n = q_type.n
-    s_hat = np.asarray(s_hat, dtype=np.int64)
+    s_hat = _as_symbols(s_hat, dmat.shape[1], "s_hat")
     if s_hat.size != n:
         raise LengthMismatch(f"s_hat has length {s_hat.size}, expected {n}")
-    if np.any(s_hat < 0) or np.any(s_hat >= dmat.shape[1]):
-        raise SymbolOutOfRange("s_hat symbols outside the reproduction alphabet")
     if q_type.alphabet_size != dmat.shape[0]:
         raise DomainError("type alphabet does not match the distortion matrix")
 
@@ -935,7 +943,7 @@ def mi_continuity_check(p: Distribution, q: Distribution, w: Channel,
     delta |X| log|Y| - |Y||X| delta log(|X| delta), valid for
     sup|p-q| <= delta <= 1 / (2 |X||Y|)."""
     n_x, n_y = w.matrix.shape
-    if delta < 0 or delta > 1.0 / (2 * n_x * n_y):
+    if not 0 <= delta <= 1.0 / (2 * n_x * n_y):
         raise DeltaTooLarge(f"delta = {delta} outside [0, 1/(2*{n_x}*{n_y})]")
     gap = float(np.max(np.abs(p.probs - q.probs)))
     if gap > delta + 1e-15:

@@ -59,9 +59,6 @@ class Distribution:
     def alphabet_size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return self.alphabet_size
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -151,9 +148,6 @@ class ConditionalType:
 
     def row_marginal(self) -> EmpiricalType:
         return EmpiricalType(self.joint_counts.sum(axis=1), self.n)
-
-    def column_marginal(self) -> EmpiricalType:
-        return EmpiricalType(self.joint_counts.sum(axis=0), self.n)
 
 
 # ---------------------------------------------------------------------------

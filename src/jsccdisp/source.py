@@ -87,14 +87,6 @@ class SourceSpec:
         mat.setflags(write=False)
         object.__setattr__(self, "distortion", mat)
 
-    @property
-    def source_size(self) -> int:
-        return int(self.distortion.shape[0])
-
-    @property
-    def reproduction_size(self) -> int:
-        return int(self.distortion.shape[1])
-
     @functools.cached_property
     def _zero_rate(self) -> float:
         """R(P, 0), at and above which D(P, R) is 0: solved on first use

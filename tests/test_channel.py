@@ -9,7 +9,9 @@ from jsccdisp import (
     Channel,
     DimensionMismatch,
     Distribution,
+    DomainError,
     EnumerationTooLarge,
+    UnreachableOutput,
     capacity,
     channel_rate_at,
     conditional_information_variance,
@@ -379,3 +381,24 @@ class TestChannelRateAt:
     def test_reports_both_extremes(self, bsc011):
         pt = channel_rate_at(bsc011, 100, 0.25)
         assert pt.rate_with_vmin >= pt.rate_with_vmax  # eps < 1/2, Qinv > 0
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda w: information_density(Distribution(np.array([1.0, 0.0])),
+                                       Channel(np.eye(2))),
+         UnreachableOutput, "unreachable"),
+        (lambda w: capacity(w, 0.0), DomainError, "tol must be positive"),
+        (lambda w: channel_rate_at(w, 0, 0.1), DomainError,
+         "n must be at least 1"),
+        (lambda w: channel_rate_at(w, 100, 1.0), DomainError,
+         "eps must lie in"),
+    ], ids=["density-unreachable", "capacity-tol", "rate-n", "rate-eps"])
+    def test_refuses(self, call, error, message, bsc011):
+        with pytest.raises(error, match=message):
+            call(bsc011)
+
+    def test_nan_tolerance_is_a_domain_error(self, bsc011):
+        # before any solve: not a NonConvergence against a NaN bracket
+        with pytest.raises(DomainError, match=r"^tol must be positive; got nan"):
+            capacity(bsc011, math.nan)

@@ -1000,3 +1000,36 @@ class TestSimulateCommand:
         assert code == 0
         rep = json.loads(out)
         assert rep["results"]["all_held"] is True
+
+
+class TestRefusals:
+    # FILE stands for a problem file holding ``problem``, or for a path
+    # with no file at all where ``problem`` is None
+    @pytest.mark.parametrize("problem,argv,message", [
+        (None, ["channel", "FILE"], "cannot read"),
+        ({"source": {"probs": [0.5, 0.5],
+                     "distortion": [[0.0, 1.0], [1.0, 0.5]]}},
+         ["source", "FILE", "-D", "0.1"],
+         "field 'source': every source symbol needs a zero-distortion"),
+        ({"source": BSC_PROBLEM["source"]}, ["channel", "FILE"],
+         "this command needs field 'channel' in the file"),
+        (None, ["separation"], "separation needs --eps-grid or --paper-fig3"),
+    ], ids=["unreadable-file", "source-spec", "missing-field",
+            "separation-no-grid"])
+    def test_exit_2(self, problem, argv, message, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        if problem is not None:
+            path.write_text(json.dumps(problem))
+        code, out, err = run([str(path) if a == "FILE" else a for a in argv],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_default_block_length(self, tmp_path, capsys):
+        # no --n-list and no sim block: one rate row, at n = 1000
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"channel": BSC_PROBLEM["channel"],
+                                    "eps": 0.1}))
+        code, out, _ = run(["channel", str(path)], capsys)
+        assert code == 0
+        assert [row["n"] for row in json.loads(out)["rates"]] == [1000]

@@ -612,3 +612,26 @@ class TestSeparationCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             separation_curve([], [1.0])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: JsccProblem(TERNARY_PROBLEM.source, TERNARY_PROBLEM.channel,
+                             0.0, 0.1), "rho must be positive"),
+        (lambda: JsccProblem(TERNARY_PROBLEM.source, TERNARY_PROBLEM.channel,
+                             2.0, 1.0), "eps must lie in"),
+        (lambda: lossless_rho(TERNARY_PROBLEM.source, TERNARY_PROBLEM.channel,
+                              0, 0.1), "n must be at least 1"),
+        (lambda: lossless_rho(TERNARY_PROBLEM.source, TERNARY_PROBLEM.channel,
+                              100, 0.0), "eps must lie in"),
+        (lambda: separation_vsep(1.0, 0.1, 0.1), "eps must lie in"),
+    ], ids=["problem-rho", "problem-eps", "lossless-n", "lossless-eps",
+            "vsep-eps"])
+    def test_refuses(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    @pytest.mark.parametrize("v_s,rho_v_c", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_vsep_refuses_a_nan_dispersion(self, v_s, rho_v_c):
+        with pytest.raises(DomainError, match="v_s and rho_v_c"):
+            separation_vsep(0.1, v_s, rho_v_c)

@@ -13,13 +13,16 @@ from scipy.stats import hypergeom
 
 from jsccdisp import (
     Channel,
+    DeltaTooLarge,
     Distribution,
     DomainError,
     EmpiricalType,
     EnumerationTooLarge,
+    LengthMismatch,
     RateCapViolated,
     SimConfig,
     SourceSpec,
+    SymbolOutOfRange,
     ZeroVariance,
     conditional_information_variance,
     dball_bound,
@@ -904,6 +907,23 @@ class TestSimConfig:
             simulate(hamming_source(0.25), bsc011, phi)
         assert calls == []
 
+    @pytest.mark.parametrize("simulate", [
+        lambda src, w, phi: first_order_mi_samples(phi, w, 1, 0),
+        lambda src, w, phi: first_order_jscc_samples(src, 0.1, w, phi, 100,
+                                                     1, 0),
+    ], ids=["clt-mi", "clt-jscc"])
+    def test_clt_simulators_need_two_trials(self, simulate, bsc011,
+                                            monkeypatch):
+        # one trial has no sample variance: refused before D* is solved
+        # and before any draw
+        calls = []
+        monkeypatch.setattr(mcsim, "_stream", lambda *a: calls.append(a))
+        monkeypatch.setattr(sa, "_tilted", lambda *a: calls.append(a))
+        phi = EmpiricalType(np.array([50, 50]), 100)
+        with pytest.raises(DomainError, match=r"trials >= 2; got 1$"):
+            simulate(hamming_source(0.25), bsc011, phi)
+        assert calls == []
+
 
 class TestUepSimulate:
     def test_single_codeword_generous_threshold(self, bsc011):
@@ -1339,3 +1359,89 @@ class TestMiContinuity:
             ratios.append(rhs / (math.log(n) / n))
         assert all(3.0 <= r <= 4.0 for r in ratios)
         assert ratios[0] < ratios[1] < ratios[2]  # approaching |X||Y| = 4
+
+
+PHI = EmpiricalType(np.array([50, 50]), 100)
+PHI3 = EmpiricalType(np.array([40, 30, 30]), 100)  # off a binary channel
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda w: sample_source_block(bernoulli(0.5), 0, stream(0)),
+         DomainError, "n must be positive"),
+        (lambda w: sample_channel_output([2], w, stream(0)),
+         SymbolOutOfRange, "channel input symbols"),
+        (lambda w: excess_event_probability(hamming_source(0.25), w, PHI3,
+                                            0.1, 100, 10, 0),
+         DomainError, "phi_m must live on the channel input alphabet"),
+        (lambda w: first_order_mi_samples(PHI3, w, 10, 0),
+         DomainError, "phi_n must live on the channel input alphabet"),
+        (lambda w: first_order_jscc_samples(hamming_source(0.25), 0.1, w,
+                                            PHI3, 100, 10, 0),
+         DomainError, "phi_m must live on the channel input alphabet"),
+        (lambda w: xi_n_violation_rate(PHI3, w, 10, 0),
+         DomainError, "phi_n must live on the channel input alphabet"),
+        (lambda w: uep_simulate(UepConfig((0.0,), (PHI3,)), w,
+                                SimConfig(0, 10, 100)),
+         DomainError, "class types must live on the channel input alphabet"),
+        # V_S = 0 for the fair source and V = 0 for the noiseless channel
+        (lambda w: first_order_jscc_samples(hamming_source(0.5), 0.1,
+                                            Channel(np.eye(2)), PHI, 100,
+                                            10, 0),
+         ZeroVariance, "vanishing variance"),
+        (lambda w: uep_dispersion_rate(PHI, w, 1.0),
+         DomainError, "eps must lie in"),
+        (lambda w: uep_dispersion_rate(PHI, w, 0.1, gamma=1.0),
+         DomainError, "block is too short"),
+        (lambda w: UepConfig((0.1, 0.1), (PHI,)),
+         DomainError, "one rate per input type"),
+        (lambda w: UepConfig((-0.1,), (PHI,)),
+         DomainError, "rates must be nonnegative"),
+        (lambda w: UepConfig((0.1, 0.1),
+                             (PHI, EmpiricalType(np.array([25, 25]), 50))),
+         DomainError, "share the block length"),
+        (lambda w: UepConfig((8.0,), (PHI,)).codewords_per_class(),
+         EnumerationTooLarge, "overflows a float"),
+        (lambda w: uep_simulate(UepConfig((0.0,), (PHI,)), w,
+                                SimConfig(0, 10, 50)),
+         DomainError, "class types have n=100, the simulation n=50"),
+        (lambda w: dball_count_exact(EmpiricalType(np.array([5, 5]), 10),
+                                     np.zeros(9, dtype=int), HAMMING, 0.5),
+         LengthMismatch, "s_hat has length 9, expected 10"),
+        (lambda w: dball_count_exact(EmpiricalType(np.array([5, 5]), 10),
+                                     np.full(10, 2), HAMMING, 0.5),
+         SymbolOutOfRange, r"s_hat contains symbols outside \[0, 2\)"),
+        (lambda w: dball_count_exact(EmpiricalType(np.array([4, 3, 3]), 10),
+                                     np.zeros(10, dtype=int), HAMMING, 0.5),
+         DomainError, "type alphabet does not match"),
+        (lambda w: mi_continuity_check(bernoulli(0.4), bernoulli(0.3), w,
+                                       0.05),
+         DomainError, "exceeds delta"),
+    ], ids=["source-block-n", "channel-output-symbols", "excess-alphabet",
+            "clt-mi-alphabet", "clt-jscc-alphabet", "xi-alphabet",
+            "uep-alphabet", "clt-jscc-zero-variance", "uep-rate-eps",
+            "uep-rate-negative", "uep-config-classes", "uep-config-rates",
+            "uep-config-block-length", "uep-config-overflow",
+            "uep-block-length", "dball-length", "dball-symbols",
+            "dball-alphabet", "mi-cont-gap"])
+    def test_refuses(self, call, error, message, bsc011):
+        with pytest.raises(error, match=message):
+            call(bsc011)
+
+    # a NaN fails every comparison, so each range check is written to
+    # hold only for a value inside its range
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda w: UepConfig((0.1,), (PHI,), gamma=math.nan),
+         DomainError, "^gamma must be finite; got nan$"),
+        (lambda w: UepConfig((math.nan,), (PHI,)),
+         DomainError, "^rates must be nonnegative"),
+        (lambda w: uep_dispersion_rate(PHI, w, 0.1, gamma=math.nan),
+         DomainError, "gamma=nan"),
+        (lambda w: mi_continuity_check(bernoulli(0.4), bernoulli(0.4), w,
+                                       math.nan),
+         DeltaTooLarge, "^delta = nan outside"),
+    ], ids=["uep-config-gamma", "uep-config-rates", "uep-rate-gamma",
+            "mi-cont-delta"])
+    def test_refuses_nan(self, call, error, message, bsc011):
+        with pytest.raises(error, match=message):
+            call(bsc011)

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from jsccdisp import (
     AbsoluteContinuityViolated,
+    Channel,
     ConditionalType,
     Distribution,
     DomainError,
@@ -493,3 +494,41 @@ class TestEmpiricalTypeInvariants:
     def test_distribution_roundtrip(self):
         t = EmpiricalType(np.array([2, 3, 5]), 10)
         assert t.distribution().probs.tolist() == [0.2, 0.3, 0.5]
+
+
+class TestRefusals:
+    # the smallest input each refusal takes, and the part of its message
+    # that tells it apart from the other refusals of its function
+    @pytest.mark.parametrize("call,message", [
+        (lambda: Distribution(np.array([])), "nonempty 1-D"),
+        (lambda: Distribution(np.array([math.nan, 1.0])), "must be finite"),
+        (lambda: Channel(np.array([0.5, 0.5])), "nonempty 2-D"),
+        (lambda: Channel(np.array([[math.inf, 0.0]])), "must be finite"),
+        (lambda: Channel(np.array([[1.5, -0.5]])), "must be nonnegative"),
+        (lambda: EmpiricalType(np.array([], dtype=np.int64), 0),
+         "nonempty 1-D"),
+        (lambda: EmpiricalType(np.array([-1, 2]), 1), "must be nonnegative"),
+        (lambda: EmpiricalType(np.array([0, 0]), 0), "n must be positive"),
+        (lambda: ConditionalType(np.array([1, 1]), 2), "nonempty 2-D"),
+        (lambda: ConditionalType(np.array([[-1, 2]]), 1),
+         "must be nonnegative"),
+        (lambda: ConditionalType(np.array([[0, 0]]), 0),
+         "n must be positive"),
+        (lambda: kl_divergence(Distribution(np.array([1.0])),
+                               Distribution(np.array([0.5, 0.5]))),
+         "share an alphabet"),
+        (lambda: q_function(math.nan), "finite x"),
+        (lambda: empirical_type([], 2), "sequence must be a nonempty"),
+        (lambda: empirical_type([0], 0), "alphabet_size must be positive"),
+        (lambda: enumerate_n_types(0, 1), "alphabet_size and n"),
+        (lambda: nearest_type(Distribution(np.array([1.0])), 0),
+         "n must be positive"),
+    ], ids=["distribution-empty", "distribution-nan", "channel-1d",
+            "channel-inf", "channel-negative", "type-empty", "type-negative",
+            "type-n", "conditional-1d", "conditional-negative",
+            "conditional-n", "kl-alphabets", "q-function-nan",
+            "empirical-empty", "empirical-alphabet", "enumerate-alphabet",
+            "nearest-n"])
+    def test_refuses(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()

@@ -514,3 +514,16 @@ class TestSourceRateAt:
                   + math.sqrt(v / 1000) * 1.2815515655446004)
         assert source_rate_at(src, 0.05, 1000, 0.1) == pytest.approx(
             oracle, abs=1e-6)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,message", [
+        (lambda src: rdf(src, 0.1, 0.0), "tol must be positive"),
+        (lambda src: distortion_rate(src, 0.1, 0.0), "tol must be positive"),
+        (lambda src: source_rate_at(src, 0.1, 0, 0.1),
+         "n must be at least 1"),
+        (lambda src: source_rate_at(src, 0.1, 100, 0.0), "eps must lie in"),
+    ], ids=["rdf-tol", "distortion-rate-tol", "rate-at-n", "rate-at-eps"])
+    def test_refuses(self, call, message, fair_hamming):
+        with pytest.raises(DomainError, match=message):
+            call(fair_hamming)
