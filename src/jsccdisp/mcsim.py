@@ -39,10 +39,12 @@ keeps (the D-ball count: within the distortion budget; the UEP tail: at or
 above the threshold), with one multinomial per distinct column key.
 
 The CLT simulators keep one float64 per trial: each batch's values are
-written into their slice of one preallocated array, in trial order. The KS
-distance sorts a copy of it and walks the copy in fixed chunks
-(``_KS_CHUNK`` samples), so a CLT run holds two float64 per trial plus a
-constant.
+written into their slice of one preallocated array, in trial order. The
+sample mean and variance are taken from it in that order, the variance in
+leaves of at most ``_KS_CHUNK`` samples split as numpy splits its pairwise
+sum (``_sq_dev_sum``), so both are numpy's to the bit. The array is then
+sorted in place and the KS distance walks it in chunks of ``_KS_CHUNK``
+samples, so a CLT run holds one float64 per trial plus a constant.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ _KS_GRID_CDF = ndtr(_KS_GRID)
 _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
                   * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
                   + float(_KS_GRID_CDF[0]))
-# sorted samples per step of the KS walk; bounds its temporaries
-_KS_CHUNK = 1 << 16
+# samples per step of the KS walk and per leaf of the variance sum; bounds
+# their temporaries
+_KS_CHUNK = 1 << 13
 _TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
 # batches of a run whose new types are solved together (``_per_type``)
 _TYPE_WINDOW = 32
@@ -409,16 +412,20 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov sup distance between the ECDF and N(0,1), exact.
 
     The samples are sorted into one copy (the caller's array keeps its
-    order), which is then walked in chunks of ``_KS_CHUNK``. In each chunk
-    the deviation of every sample is first taken against the interpolated
-    Phi, and exact Phi is evaluated only on the samples within twice its
-    error bound of the largest deviation seen so far. That running maximum
-    never exceeds the final one, so every sample that can attain the
-    supremum is evaluated exactly and the result does not depend on the
-    chunk size. Memory is the sorted copy plus a constant. NaN samples give
-    NaN; an empty sample raises DomainError.
+    order), which ``_ks_sorted`` walks. Memory is the sorted copy plus a
+    constant. NaN samples give NaN; an empty sample raises DomainError.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    return _ks_sorted(np.sort(np.asarray(samples, dtype=float)))
+
+
+def _ks_sorted(x: np.ndarray) -> float:
+    """The KS distance of the ascending samples ``x``, walked in chunks of
+    ``_KS_CHUNK``. In each chunk the deviation of every sample is first
+    taken against the interpolated Phi, and exact Phi is evaluated only on
+    the samples within twice its error bound of the largest deviation seen
+    so far. That running maximum never exceeds the final one, so every
+    sample that can attain the supremum is evaluated exactly and the result
+    does not depend on the chunk size. Memory is a constant."""
     k = x.size
     if k == 0:
         raise DomainError("the KS distance needs at least one sample")
@@ -444,10 +451,11 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
 class CltResult:
     """Standardized samples of a first-order statistic, with diagnostics.
 
-    ``samples`` holds one float64 per trial, in trial order (batch b's
-    trials follow batch b-1's), whatever the worker count. Computing the
-    KS statistic takes one sorted copy of it more, so a CLT run holds two
-    float64 per trial plus a constant.
+    ``samples`` holds one float64 per trial, sorted ascending (the ECDF
+    order), the same bytes whatever the worker count. The moments are
+    taken before the sort, in trial order, and the KS statistic on the
+    sorted array itself, so a CLT run holds one float64 per trial plus a
+    constant.
     """
 
     samples: np.ndarray
@@ -458,12 +466,32 @@ class CltResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _sq_dev_sum(x: np.ndarray, mean) -> np.float64:
+    """sum((x - mean)**2) over the contiguous float64 ``x``, summed as
+    ``np.add.reduce`` sums it: numpy's pairwise sum halves n, rounded down
+    to a multiple of 8, until a block is small, so a leaf of at most
+    ``_KS_CHUNK`` samples squares its own deviations and reduces them."""
+    if x.size <= _KS_CHUNK:
+        dev = x - mean
+        return np.add.reduce(np.multiply(dev, dev, out=dev))
+    half = x.size // 2
+    half -= half % 8
+    return _sq_dev_sum(x[:half], mean) + _sq_dev_sum(x[half:], mean)
+
+
 def _clt_result(samples: np.ndarray, trials: int, **diagnostics) -> CltResult:
+    """The CLT result of ``samples`` (trial order, sorted in place here):
+    the mean and variance are ``samples.mean()`` and
+    ``samples.var(ddof=1)`` to the bit, without their full-length
+    temporaries."""
+    mean = np.add.reduce(samples) / samples.size
+    variance = _sq_dev_sum(samples, mean) / (samples.size - 1)
+    samples.sort()
     return CltResult(
         samples=samples,
-        ks_statistic=ks_distance_to_normal(samples),
-        sample_mean=float(samples.mean()),
-        sample_variance=float(samples.var(ddof=1)),
+        ks_statistic=_ks_sorted(samples),
+        sample_mean=float(mean),
+        sample_variance=float(variance),
         trials=trials,
         diagnostics=diagnostics,
     )
@@ -919,6 +947,8 @@ def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
         raise LengthMismatch(f"s_hat has length {s_hat.size}, expected {n}")
     if q_type.alphabet_size != dmat.shape[0]:
         raise DomainError("type alphabet does not match the distortion matrix")
+    if not d >= 0:
+        raise DomainError(f"distortion level must be nonnegative; got {d}")
 
     budget = n * d + 1e-9
     cols = np.bincount(s_hat, minlength=dmat.shape[1]).tolist()

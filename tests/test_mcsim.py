@@ -640,9 +640,10 @@ class TestFirstOrderMi:
         assert (a.samples == b.samples).all()
 
     def test_memory_per_trial(self, bsc011):
-        # the samples and the KS statistic's sorted copy: 16 bytes per
-        # trial; a list of batches and its concatenation add 16 more, and
-        # full-length KS temporaries 48
+        # the samples, sorted in place for the KS walk: 8 bytes per trial;
+        # a sorted copy or a full-length moment temporary adds 8 more, a
+        # list of batches and its concatenation 16, and full-length KS
+        # temporaries 48
         phi = EmpiricalType(np.array([500, 500]), 1000)
 
         def peak(trials):
@@ -655,7 +656,7 @@ class TestFirstOrderMi:
 
         peak(10)  # one-time allocations of the first call
         small, large = peak(131_072), peak(4 * 131_072)
-        assert (large - small) / (3 * 131_072) <= 20
+        assert (large - small) / (3 * 131_072) <= 9
 
     def test_rejects_no_trials(self, bsc011):
         phi = EmpiricalType(np.array([50, 50]), 100)
@@ -667,15 +668,22 @@ class TestBatchFill:
     @pytest.mark.parametrize("trials", [5, 4096, 2 * 4096 + 17])
     def test_samples_are_the_batches_in_order(self, bsc011, monkeypatch,
                                               trials):
-        batches = []
-        real = mcsim._map_batches
+        # _fill_batches keeps trial order; the result holds it sorted
+        batches, filled = [], []
+        real_map, real_fill = mcsim._map_batches, mcsim._fill_batches
 
         def recording(*args):
-            for values in real(*args):
+            for values in real_map(*args):
                 batches.append(values.copy())
                 yield values
 
+        def fill(*args):
+            out = real_fill(*args)
+            filled.append(out.copy())
+            return out
+
         monkeypatch.setattr(mcsim, "_map_batches", recording)
+        monkeypatch.setattr(mcsim, "_fill_batches", fill)
         phi = EmpiricalType(np.array([60, 40]), 100)
         src = hamming_source(0.3)
         solve = _tilted(src, 0.1)[0]
@@ -689,11 +697,14 @@ class TestBatchFill:
             outs = []
             for workers in (1, 3):
                 batches.clear()
+                filled.clear()
                 samples = simulate(workers).samples
                 assert samples.shape == (trials,)
                 assert [b.size for b in batches] == [
                     min(4096, trials - a) for a in range(0, trials, 4096)]
-                assert samples.tobytes() == np.concatenate(batches).tobytes()
+                in_order = np.concatenate(batches)
+                assert [f.tobytes() for f in filled] == [in_order.tobytes()]
+                assert samples.tobytes() == np.sort(in_order).tobytes()
                 outs.append(samples.tobytes())
             assert outs[0] == outs[1]
 
@@ -745,11 +756,42 @@ class TestKsDistance:
         want = self.reference(samples, probcore.ndtr)
         assert got == want or (math.isnan(got) and math.isnan(want))
 
-    @pytest.mark.parametrize("k", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    @pytest.mark.parametrize("k", [2 ** 13 - 1, 2 ** 13, 2 ** 13 + 1,
+                                   2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
     def test_around_one_chunk(self, k):
         samples = np.random.default_rng(k).standard_normal(k)
         assert ks_distance_to_normal(samples) == self.reference(
             samples, probcore.ndtr)
+
+
+class TestCltResult:
+    CHUNK = mcsim._KS_CHUNK
+    SIZES = [2, 7, 8, 9, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1,
+             2 * CHUNK + 7, 10 ** 6]
+
+    @given(st.one_of(st.sampled_from(SIZES), st.integers(2, 5 * CHUNK)),
+           st.integers(0, 2 ** 32 - 1), st.floats(-1e3, 1e3),
+           st.floats(1e-3, 1e3),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+                    max_size=2))
+    def test_moments_are_numpy_to_the_bit(self, size, seed, loc, scale,
+                                          specials):
+        # the variance follows numpy's pairwise split of add.reduce; any
+        # other summation order differs from var() in the last bits
+        rng = np.random.default_rng(seed)
+        x = loc + scale * rng.standard_normal(size)
+        x[rng.integers(0, size, len(specials))] = specials
+        copy = x.copy()
+        with np.errstate(all="ignore"):
+            res = mcsim._clt_result(x, size)
+            want = [float(copy.mean()), float(copy.var(ddof=1))]
+        got = [res.sample_mean, res.sample_variance]
+        for g, w in zip(got, want):
+            assert g == w or (math.isnan(g) and math.isnan(w))
+        ks = ks_distance_to_normal(copy)
+        assert res.ks_statistic == ks or (
+            math.isnan(res.ks_statistic) and math.isnan(ks))
+        assert res.samples.tobytes() == np.sort(copy).tobytes()
 
 
 class TestFirstOrderJscc:
@@ -1414,6 +1456,9 @@ class TestRefusals:
         (lambda w: dball_count_exact(EmpiricalType(np.array([4, 3, 3]), 10),
                                      np.zeros(10, dtype=int), HAMMING, 0.5),
          DomainError, "type alphabet does not match"),
+        (lambda w: dball_count_exact(EmpiricalType(np.array([5, 5]), 10),
+                                     np.zeros(10, dtype=int), HAMMING, -0.1),
+         DomainError, "^distortion level must be nonnegative; got -0.1$"),
         (lambda w: mi_continuity_check(bernoulli(0.4), bernoulli(0.3), w,
                                        0.05),
          DomainError, "exceeds delta"),
@@ -1423,7 +1468,7 @@ class TestRefusals:
             "uep-rate-negative", "uep-config-classes", "uep-config-rates",
             "uep-config-block-length", "uep-config-overflow",
             "uep-block-length", "dball-length", "dball-symbols",
-            "dball-alphabet", "mi-cont-gap"])
+            "dball-alphabet", "dball-negative-d", "mi-cont-gap"])
     def test_refuses(self, call, error, message, bsc011):
         with pytest.raises(error, match=message):
             call(bsc011)
@@ -1440,8 +1485,12 @@ class TestRefusals:
         (lambda w: mi_continuity_check(bernoulli(0.4), bernoulli(0.4), w,
                                        math.nan),
          DeltaTooLarge, "^delta = nan outside"),
+        (lambda w: dball_count_exact(EmpiricalType(np.array([5, 5]), 10),
+                                     np.zeros(10, dtype=int), HAMMING,
+                                     math.nan),
+         DomainError, "^distortion level must be nonnegative; got nan$"),
     ], ids=["uep-config-gamma", "uep-config-rates", "uep-rate-gamma",
-            "mi-cont-delta"])
+            "mi-cont-delta", "dball-d"])
     def test_refuses_nan(self, call, error, message, bsc011):
         with pytest.raises(error, match=message):
             call(bsc011)
