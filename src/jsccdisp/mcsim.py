@@ -21,16 +21,23 @@ returns its sorted distinct keys, each trial's index into them and its
 per-trial values. Per window of ``_TYPE_WINDOW`` batches, ``_per_type``
 solves the keys the run's sorted table does not hold yet in one call and
 merges them in, so each distinct type is solved once per call and a run
-holds its table and one window of per-trial arrays. The empirical MI of a
-sampled joint, whose row margins are the fixed input type, comes from a
-k log k table over 0..m built once per call (``_fixed_margin_mi``).
+holds its table and one window of per-trial arrays; no batch of the next
+window is drawn while one is held. The empirical MI of a sampled joint,
+whose row margins are the fixed input type, comes from a k log k table
+over 0..m built once per call (``_fixed_margin_mi``).
 
-Little besides the draws themselves runs per batch: a count row over two
-letters is one binomial call (``_multinomial_rows``), with the same draws
-as the multinomial, and per-trial sums over the cells of a table are one
-left fold of cell columns (``_cell_sum``), not a reduction over two short
-axes. ``_map_batches`` keeps at most ``_LOOKAHEAD`` batches per thread
-submitted and not yet consumed.
+Little besides the draws themselves runs per batch. A count row over two
+letters is one uniform per trial, turned into its first count by inverse
+CDF on an exact table of the binomial (``_binomial_table``), within 2^-64
+of the binomial law in total variation; wider rows take
+``rng.multinomial``. The tables are built once per simulator call, in the
+calling thread before its batches, by ``_row_sampler`` and
+``_joint_sampler``, whose draws write into the batch's count arrays in
+place. Per-trial sums over the cells of a table are one left fold of cell
+columns (``_cell_sum``), not a reduction over two short axes. Batches
+hold 16,384 trials, so that each numpy call is long enough for threads to
+overlap, and ``_map_batches`` keeps at most ``_LOOKAHEAD`` batches per
+thread submitted and not yet consumed.
 
 Exact counts are one ``_arrangement_sum`` call each: it builds the joint
 tables with fixed margins from per-column ``_compositions``, in blocks of
@@ -84,7 +91,7 @@ from .probcore import (
 )
 from .source import SourceSpec
 
-DEFAULT_BATCH = 4096
+DEFAULT_BATCH = 16384
 
 # Phi on a grid over [-9, 9] for the KS statistic: linear interpolation of
 # it is within h^2/8 * max|Phi''| + Phi(-9) of Phi, h the grid step and
@@ -99,7 +106,7 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
 _KS_CHUNK = 1 << 13
 _TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
 # batches of a run whose new types are solved together (``_per_type``)
-_TYPE_WINDOW = 32
+_TYPE_WINDOW = 8
 # batches submitted to a thread pool and not yet yielded, per thread
 _LOOKAHEAD = 2
 
@@ -154,14 +161,17 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
-def _map_batches(fn, trials: int, workers: int):
+def _map_batches(fn, trials: int, workers: int, window: int = 0):
     """fn(batch_index, size) over every batch of ``DEFAULT_BATCH`` trials
     (the last may be shorter), yielded in batch order. At most
     min(workers, batches, ``os.cpu_count()``) threads run them, and at most
     ``_LOOKAHEAD`` batches per thread are submitted and not yet yielded, so
     the threads draw ahead of a slow consumer by a bounded amount and a
-    caller that folds the results holds few of them at a time. The results
-    do not depend on the thread count."""
+    caller that folds the results holds few of them at a time. With
+    ``window``, no batch of a window of that many batches is submitted
+    before every batch of the window before it has been yielded, so a
+    caller that holds a whole window (``_per_type``) holds no batch in
+    flight beside it. The results do not depend on the thread count."""
     batches = [(b, min(DEFAULT_BATCH, trials - b * DEFAULT_BATCH))
                for b in range((trials + DEFAULT_BATCH - 1) // DEFAULT_BATCH)]
     workers = min(workers, len(batches), os.cpu_count() or 1)
@@ -174,7 +184,8 @@ def _map_batches(fn, trials: int, workers: int):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for b, size in batches:
-            if len(pending) == _LOOKAHEAD * workers:
+            while pending and (len(pending) == _LOOKAHEAD * workers
+                               or window and b % window == 0):
                 yield pending.popleft().result()
             pending.append(pool.submit(fn, b, size))
         while pending:
@@ -205,10 +216,10 @@ def _type_keys(counts: np.ndarray, total: int) -> np.ndarray:
     either."""
     base = int(total) + 1   # a Python int: base ** (|A| - 1) must not wrap
     wide = base ** (counts.shape[-1] - 1) >= 2 ** 63
-    digits = counts[..., :-1].astype(object if wide else np.int64)
-    keys = np.zeros(counts.shape[:-1], dtype=digits.dtype)
-    for digit in np.moveaxis(digits, -1, 0):
-        keys = keys * base + digit
+    keys = np.zeros(counts.shape[:-1], dtype=object if wide else np.int64)
+    for digit in np.moveaxis(counts[..., :-1], -1, 0):
+        keys *= base
+        keys += digit
     return keys
 
 
@@ -224,13 +235,18 @@ def _key_rows(keys: np.ndarray, total: int, letters: int) -> np.ndarray:
     return rows
 
 
-def _per_type(batches, solve):
-    """Each batch of ``batches`` with the values of its keys (its first
-    item, sorted and distinct). Per window of ``_TYPE_WINDOW`` batches,
-    ``solve(new)`` gives the values (keys on the last axis) of the keys the
-    run's sorted table does not hold yet, which are merged into it; a
-    window is released before the next one is drawn."""
+def _per_type(draw, trials: int, workers: int, solve, count):
+    """The sum of count(batch, values) over the batches of
+    ``_map_batches(draw, trials, workers)``, ``values`` those of the
+    batch's keys (its first item, sorted and distinct). Per window of
+    ``_TYPE_WINDOW`` batches, ``solve(new)`` gives the values (keys on the
+    last axis) of the keys the run's sorted table does not hold yet, which
+    are merged into it. No batch of the next window is drawn while a
+    window is held, and a window is released before the next one is
+    drawn."""
+    batches = _map_batches(draw, trials, workers, _TYPE_WINDOW)
     table = values = None
+    total = 0
     for window in iter(lambda: list(islice(batches, _TYPE_WINDOW)), []):
         keys = reduce(np.union1d, (batch[0] for batch in window))
         if table is None:
@@ -241,9 +257,10 @@ def _per_type(batches, solve):
                 at = np.searchsorted(table, new)
                 table = np.insert(table, at, new)
                 values = np.insert(values, at, solve(new), axis=-1)
-        for batch in window:
-            yield batch, values[..., np.searchsorted(table, batch[0])]
+        total += sum(count(b, values[..., np.searchsorted(table, b[0])])
+                     for b in window)
         window.clear()
+    return total
 
 
 def _xlogx(m: int) -> np.ndarray:
@@ -260,13 +277,17 @@ def _fixed_margin_mi(joint: np.ndarray, row_counts: np.ndarray,
     ``xlogx`` = ``_xlogx(m)``, m I = sum L[N_xy] - sum_y L[c_y]
     - sum_x L[r_x] + L[m], c the column sums. Both per-trial sums are
     ``_cell_sum`` folds of gathered cell columns (the cells in row-major
-    order), and each c_y a left fold of its column's counts. Agrees with
-    ``_joint_mutual_information`` of the same tables to rounding."""
+    order), and each c_y a left fold of its column's counts; the rest is
+    done in place on the cell sum. Agrees with ``_joint_mutual_information``
+    of the same tables to rounding."""
     m = int(row_counts.sum())
     fixed = xlogx[m] - xlogx[row_counts].sum()
-    cells = _cell_sum(xlogx[c] for r in joint.transpose(1, 2, 0) for c in r)
     cols = _cell_sum(xlogx[reduce(np.add, c)] for c in joint.T)
-    return np.maximum((cells - cols + fixed) / m, 0.0)
+    mi = _cell_sum(xlogx[c] for r in joint.transpose(1, 2, 0) for c in r)
+    mi -= cols
+    mi += fixed
+    mi /= m
+    return np.maximum(mi, 0.0, out=mi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +319,106 @@ def sample_channel_output(x, w: Channel, rng: np.random.Generator) -> np.ndarray
     ).astype(np.int64)
 
 
-def _multinomial_rows(rng: np.random.Generator, total: int,
-                      probs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out``, count rows (trials, letters), filled with the draws of
-    ``rng.multinomial(total, probs, size=len(out))``. A law over two
-    letters is one ``rng.binomial(total, probs[0], len(out))`` call, with
-    total - k written into the other letter: for two letters numpy's
-    multinomial makes exactly that binomial draw per trial, so the counts
-    and the generator's position after them are the same."""
-    if len(probs) == 2:
-        out[:, 0] = rng.binomial(total, probs[0], len(out))
-        np.subtract(total, out[:, 0], out=out[:, 1])
+def _binomial_table(total: int, p0: float):
+    """(lo, cdf, guide) of Binomial(total, p0), the law of the first count
+    of a two-letter row.
+
+    ``cdf[i]`` is P[K <= lo + i | lo <= K <= lo + len(cdf) - 1], in
+    float64, its last entry exactly 1.0. The window is the mean plus or
+    minus t, t = c/3 + sqrt(c^2/9 + 2 c sigma^2) with c = 46 and sigma^2 =
+    total p0 (1 - p0): by Bernstein's inequality each tail beyond it has
+    mass at most exp(-c) < 2^-66, so the law drawn from the table is
+    within 2^-64 of the binomial in total variation, and the table holds
+    O(sigma + 1) entries. The pmf comes from the cumulative log-ratios
+    log((total - k) / (k + 1) * p0 / (1 - p0)) across the window,
+    exponentiated relative to their maximum and normalized.
+
+    ``guide`` has 2^j >= 16 (sigma + 1) buckets, ``guide[i]`` the number of
+    entries with ``cdf <= i / 2^j``: for u in bucket i, the index
+    ``searchsorted(cdf, u, side="right")`` is at least ``guide[i]``."""
+    if p0 <= 0.0 or p0 >= 1.0:
+        # all the mass on one count, which every uniform selects
+        lo, cdf, sigma = (0 if p0 <= 0.0 else total), np.ones(1), 0.0
     else:
-        out[...] = rng.multinomial(total, probs, size=len(out))
-    return out
+        sigma = math.sqrt(total * p0 * (1.0 - p0))
+        c = 46.0
+        t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * sigma * sigma)
+        lo = max(0, math.floor(total * p0 - t))
+        hi = min(total, math.ceil(total * p0 + t))
+        # in place, so that the build holds at most two window-long arrays
+        k = np.arange(lo, hi, dtype=np.float64)
+        ratio = total - k
+        ratio /= np.add(k, 1.0, out=k)
+        del k
+        np.log(ratio, out=ratio)
+        ratio += math.log(p0) - math.log1p(-p0)
+        cdf = np.empty(hi - lo + 1)
+        cdf[0] = 0.0
+        np.cumsum(ratio, out=cdf[1:])
+        del ratio
+        cdf -= cdf.max()
+        np.cumsum(np.exp(cdf, out=cdf), out=cdf)
+        cdf /= cdf[-1]
+    buckets = 1 << max(4, math.ceil(math.log2(16.0 * (sigma + 1.0))))
+    grid = np.arange(buckets, dtype=np.float64)
+    grid /= buckets
+    return lo, cdf, np.searchsorted(cdf, grid, side="right")
 
 
-def _joint_counts_given_type(row_counts: np.ndarray, w_mat: np.ndarray,
-                             rng: np.random.Generator, size: int) -> np.ndarray:
-    """Joint (X,Y) counts for a fixed input word of the given type.
+def _row_sampler(total: int, probs: np.ndarray):
+    """draw(rng, out): fills the count rows ``out`` (trials, letters), each
+    a Multinomial(total, probs) draw, and returns it.
 
-    For each input symbol a, the output counts are Multinomial(r_a, W_a),
-    independently (``_multinomial_rows``); rows are drawn in ascending
-    symbol order.
-    """
+    A law over two letters draws one uniform u per trial and takes its
+    first count by inverse CDF on the ``_binomial_table`` of total and
+    probs[0], built here once: lo + ``searchsorted(cdf, u, side="right")``,
+    total minus it in the other letter. The guide bucket of u gives that
+    index at once unless a CDF entry lies in the bucket below u; those few
+    trials are finished by ``searchsorted``, so the counts do not depend on
+    the guide, and a letter of probability 0 is never drawn. Their law is
+    the binomial within 2^-64 in total variation. Wider laws take
+    ``rng.multinomial``."""
+    if len(probs) != 2:
+        def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+            out[...] = rng.multinomial(total, probs, size=len(out))
+            return out
+
+        return draw
+    lo, cdf, guide = _binomial_table(total, float(probs[0]))
+    buckets = len(guide)
+
+    def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        u = rng.random(len(out))
+        k = out[:, 0]
+        # each uniform's bucket, then the guide's index for it
+        np.multiply(u, buckets, out=k, casting="unsafe")
+        k[...] = guide[k]
+        late = np.flatnonzero(cdf[k] <= u)
+        k[late] = np.searchsorted(cdf, u[late], side="right")
+        k += lo
+        np.subtract(total, k, out=out[:, 1])
+        return out
+
+    return draw
+
+
+def _joint_sampler(row_counts: np.ndarray, w_mat: np.ndarray):
+    """draw(rng, size): the joint (X,Y) counts (size, |X|, |Y|) of ``size``
+    trials of a fixed input word of type ``row_counts``. For each input
+    symbol a, the output counts are Multinomial(r_a, W_a), independently,
+    drawn by its ``_row_sampler`` (built here once) into the table's row a,
+    in ascending symbol order; a row with r_a = 0 stays zero."""
     n_x, n_y = w_mat.shape
-    joint = np.zeros((size, n_x, n_y), dtype=np.int64)
-    for a in range(n_x):
-        r_a = int(row_counts[a])
-        if r_a > 0:
-            _multinomial_rows(rng, r_a, w_mat[a], joint[:, a, :])
-    return joint
+    rows = [(a, _row_sampler(int(r_a), w_mat[a]))
+            for a, r_a in enumerate(row_counts) if r_a > 0]
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        joint = np.zeros((size, n_x, n_y), dtype=np.int64)
+        for a, row in rows:
+            row(rng, joint[:, a, :])
+        return joint
+
+    return draw
 
 
 def _cell_sum(cells) -> np.ndarray:
@@ -339,8 +429,15 @@ def _cell_sum(cells) -> np.ndarray:
     from 8 cells numpy sums pairwise, and the two differ by rounding, at
     most (cells - 1) * 2^-52 of the sum of the cells' magnitudes. It avoids
     the reduction over two short axes, which costs several times the
-    arithmetic."""
-    return reduce(np.add, cells, 0.0)
+    arithmetic. After the first cell the fold adds in place, and each cell
+    is dropped before the next is made, so it holds one running sum and
+    one cell."""
+    cells = iter(cells)
+    total = 0.0 + next(cells, 0.0)
+    for cell in cells:
+        total += cell
+        del cell
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +456,11 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
     index into them and each trial's rho times its ``_fixed_margin_mi``;
     new types are solved with the slope search started at the slope of
     ``rdf`` at P and d, which refuses a negative or NaN d and names P when
-    its solve fails. A window holds, per trial, an index byte (two past 256 types in
-    a batch) and one float64, at most 1.3 MB, and the threads draw at most
-    ``_LOOKAHEAD`` batches each ahead of it. Every type at or above its
-    d_max has rate 0 and every type at D within 1e-12 of 0 takes the
-    zero-distortion solve, so a type has no rate only when its solve
+    its solve fails. A window of 8 batches holds, per trial, an index byte
+    (two past 256 types in a batch) and one float64, at most 1.3 MB for its
+    131,072 trials, and no thread draws while it is held. Every type at or
+    above its d_max has rate 0 and every type at D within 1e-12 of 0 takes
+    the zero-distortion solve, so a type has no rate only when its solve
     failed; such a type counts as excess, and its trials are reported as
     ``boundary_trials`` in the diagnostics.
     """
@@ -377,31 +474,34 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     start = sa.rdf(src, d, 1e-10).lagrange_slope
     xlogx = _xlogx(m)
+    src_rows = _row_sampler(n, p)
+    chan = _joint_sampler(row_counts, w.matrix)
 
     def draw(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
         keys, inverse = np.unique(
-            _type_keys(_multinomial_rows(rng, n, p, np.empty(
-                (size, p.size), dtype=np.int64)), n),
+            _type_keys(src_rows(rng, np.empty((size, p.size),
+                                              dtype=np.int64)), n),
             return_inverse=True)
-        joint = _joint_counts_given_type(row_counts, w.matrix, rng, size)
-        return (keys, inverse.astype(np.min_scalar_type(len(keys) - 1)),
-                rho_eff * _fixed_margin_mi(joint, row_counts, xlogx))
+        inverse = inverse.astype(np.min_scalar_type(len(keys) - 1))
+        bar = _fixed_margin_mi(chan(rng, size), row_counts, xlogx)
+        bar *= rho_eff
+        return keys, inverse, bar
 
     def solve(new):
         return sa._rdf_rates(_key_rows(new, n, p.size) / n, src.distortion,
                              d, 1e-10, start)
 
-    total = boundary = 0
-    for (_, inverse, bar), rates in _per_type(
-            _map_batches(draw, trials, workers), solve):
+    def count(batch, rates):
         # NaN marks a failed solve and counts as excess
+        _, inverse, bar = batch
         r_t = rates[inverse]
         undefined = np.isnan(r_t)
-        total += int((undefined | (r_t > bar)).sum())
-        boundary += int(undefined.sum())
-    return _binomial_result(total, trials,
-                            boundary_trials=boundary, rho_effective=rho_eff)
+        return np.array([(undefined | (r_t > bar)).sum(), undefined.sum()])
+
+    total, boundary = _per_type(draw, trials, workers, solve, count)
+    return _binomial_result(int(total), trials, boundary_trials=int(boundary),
+                            rho_effective=rho_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +513,15 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
 
     The samples are sorted into one copy (the caller's array keeps its
     order), which ``_ks_sorted`` walks. Memory is the sorted copy plus a
-    constant. NaN samples give NaN; an empty sample raises DomainError.
+    constant. NaN samples give NaN; an empty sample, or one that is not a
+    1-D array, raises DomainError.
     """
-    return _ks_sorted(np.sort(np.asarray(samples, dtype=float)))
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(
+            "the KS distance takes a 1-D array of samples; "
+            f"got shape {x.shape}")
+    return _ks_sorted(np.sort(x))
 
 
 def _ks_sorted(x: np.ndarray) -> float:
@@ -506,9 +612,10 @@ def _channel_first_order(phi_type: EmpiricalType, w: Channel):
     coeff = _log_ratio(w.matrix, phi @ w.matrix)
     expected = phi_type.counts[:, None] * w.matrix
     cells = list(np.ndindex(coeff.shape))
+    joint_draw = _joint_sampler(phi_type.counts, w.matrix)
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        joint = _joint_counts_given_type(phi_type.counts, w.matrix, rng, size)
+        joint = joint_draw(rng, size)
         return _cell_sum((joint[:, x, y] - expected[x, y]) * coeff[x, y]
                          for x, y in cells)
 
@@ -576,11 +683,11 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
 
     chan_scale = rho_eff * d_r / m
     scale = 1.0 / math.sqrt(sigma2)
+    src_rows = _row_sampler(n, p)
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
-        src_counts = _multinomial_rows(rng, n, p, np.empty(
-            (size, p.size), dtype=np.int64))
+        src_counts = src_rows(rng, np.empty((size, p.size), dtype=np.int64))
         src_part = (src_counts / n - p) @ dp
         return (src_part + chan(rng, size) * chan_scale) * scale
 
@@ -609,10 +716,10 @@ def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
     # the cells of the rows in the support of phi_n
     cells = [(x, y) for x, y in np.ndindex(w.matrix.shape)
              if phi_n.counts[x] > 0]
+    chan = _joint_sampler(phi_n.counts, w.matrix)
 
     def run(batch_index: int, size: int):
-        rng = _stream(seed, batch_index)
-        joint = _joint_counts_given_type(phi_n.counts, w.matrix, rng, size)
+        joint = chan(_stream(seed, batch_index), size)
         sq = _cell_sum((joint[:, x, y] / phi_n.counts[x] - w.matrix[x, y]) ** 2
                        for x, y in cells)
         return int((sq > threshold).sum())
@@ -873,9 +980,9 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
     Each batch draws each class's stream once, in class order: the joint
     counts, then one uniform per trial; E2 is u < P(E2) of the output
     type, solved once per run and type by ``_per_type`` (``_p_e2``). A
-    window holds, per trial and class, an index byte (two past 256 output
-    types in a batch), an E1 byte and one float64, at most 1.4 MB per
-    class.
+    window of 8 batches holds, per trial and class, an index byte (two past
+    256 output types in a batch), an E1 byte and one float64, at most
+    1.4 MB per class for its 131,072 trials.
     """
     m = sim.n
     if cfg.m != m:
@@ -892,12 +999,13 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
             )
     n_codewords = cfg.codewords_per_class()
     xlogx = _xlogx(m)
+    chans = [_joint_sampler(t.counts, w.matrix) for t in cfg.input_types]
 
     def draw(batch_index: int, size: int):
         keys, e1, u = [], [], []
-        for i, etype in enumerate(cfg.input_types):
+        for i, (etype, chan) in enumerate(zip(cfg.input_types, chans)):
             rng = _stream(seed_for_class(sim.seed, i), batch_index)
-            joint = _joint_counts_given_type(etype.counts, w.matrix, rng, size)
+            joint = chan(rng, size)
             keys.append(_type_keys(joint.sum(axis=1), m))
             e1.append(_fixed_margin_mi(joint, etype.counts, xlogx)
                       - cfg.rates[i] < cfg.gamma)
@@ -907,12 +1015,17 @@ def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
             np.min_scalar_type(len(table) - 1)), np.array(e1), np.array(u))
 
     classes = np.arange(k)[:, None]
-    counts = np.zeros((3, k), dtype=np.int64)   # E1, E2, either; per class
-    for (_, inverse, e1, u), p_e2 in _per_type(
-            _map_batches(draw, sim.trials, workers),
-            lambda new: _p_e2(cfg, _key_rows(new, m, w.output_size))):
+
+    def count(batch, p_e2):
+        # E1, E2 and either, per class
+        _, inverse, e1, u = batch
         e2 = u < p_e2[classes, inverse]
-        counts += [e1.sum(axis=1), e2.sum(axis=1), (e1 | e2).sum(axis=1)]
+        return np.array([e1.sum(axis=1), e2.sum(axis=1),
+                         (e1 | e2).sum(axis=1)])
+
+    counts = _per_type(
+        draw, sim.trials, workers,
+        lambda new: _p_e2(cfg, _key_rows(new, m, w.output_size)), count)
     return UepResult(classes=tuple(
         UepClassResult(i, cfg.rates[i], n_codewords[i],
                        *(_binomial_result(int(c), sim.trials) for c in row))

@@ -305,7 +305,9 @@ class TestSlopeSearch:
         rounds = self.count_newton_rounds(monkeypatch)
         assert main(["simulate", TERNARY, "--what", "excess"]) == 0
         (result,) = json.loads(capsys.readouterr().out)["results"]
-        assert result["estimate"] == 0.08485
+        # 0.08485 from numpy's binomial channel rows, within 4 sqrt(2)
+        # standard errors (0.011) of this inverse-CDF stream
+        assert result["estimate"] == 0.0853
         assert result["diagnostics"]["boundary_trials"] == 0
         assert sum(rows) <= 2290
         assert sum(rounds) <= 100
