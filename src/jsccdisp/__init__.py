@@ -4,10 +4,13 @@ Computes channel, source, joint, and separation dispersion quantities for
 finite alphabets and validates their Gaussian approximations by seeded
 Monte-Carlo simulation over empirical types.
 
-The Monte-Carlo layer, ``jsccdisp.mcsim``, loads on first use: the package
-registers it in ``sys.modules`` through ``importlib.util.LazyLoader`` and
-serves the names it re-exports from it through a module ``__getattr__``, so
-a run that only computes dispersion quantities never compiles or runs it.
+The Monte-Carlo layer loads on first use. The package registers
+``jsccdisp.mcsim`` in ``sys.modules`` through ``importlib.util.LazyLoader``,
+and imports ``jsccdisp.uep`` (UEP simulation, exact counts and continuity
+checks) only when one of its names is asked for; a module ``__getattr__``
+serves the names re-exported from either. So a run that only computes
+dispersion quantities never compiles or runs them, and a run that only
+draws excess, CLT or Xi_n trials never compiles ``uep``.
 """
 
 from .channel import (
@@ -104,35 +107,39 @@ def _lazy_submodule(name: str):
 
 mcsim = _lazy_submodule("mcsim")
 
-_MCSIM_NAMES = frozenset((
-    "CltResult",
-    "SimConfig",
-    "SimResult",
-    "UepConfig",
-    "UepResult",
-    "dball_bound",
-    "dball_count_exact",
-    "eta_n",
-    "excess_event_probability",
-    "first_order_jscc_samples",
-    "first_order_mi_samples",
-    "gamma_n",
-    "mi_continuity_check",
-    "sample_channel_output",
-    "sample_source_block",
-    "uep_simulate",
-    "xi_n_violation_rate",
-))
+# the names re-exported from the Monte-Carlo layer, by defining module
+_LAZY_NAMES = {
+    "CltResult": "mcsim",
+    "SimConfig": "mcsim",
+    "SimResult": "mcsim",
+    "UepConfig": "uep",
+    "UepResult": "uep",
+    "dball_bound": "uep",
+    "dball_count_exact": "uep",
+    "eta_n": "uep",
+    "excess_event_probability": "mcsim",
+    "first_order_jscc_samples": "mcsim",
+    "first_order_mi_samples": "mcsim",
+    "gamma_n": "uep",
+    "mi_continuity_check": "uep",
+    "sample_channel_output": "mcsim",
+    "sample_source_block": "mcsim",
+    "uep_simulate": "uep",
+    "xi_n_violation_rate": "mcsim",
+}
 
 __all__ = sorted({name for name in globals() if not name.startswith("_")}
-                 | _MCSIM_NAMES)
+                 | set(_LAZY_NAMES))
 
 
 def __getattr__(name: str):
-    if name in _MCSIM_NAMES:
-        return getattr(mcsim, name)
+    if name in _LAZY_NAMES:
+        import importlib
+
+        module = importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}")
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _MCSIM_NAMES)
+    return sorted(set(globals()) | set(_LAZY_NAMES))

@@ -464,6 +464,8 @@ def _simulate_xi(args, problem, seed, trials, n_list):
 
 
 def _simulate_uep(args, problem, seed, trials, n_list):
+    from . import uep   # loaded only by the modes that use it
+
     w = _require(problem, "channel")
     eps_i = _require(problem, "eps")
     n = n_list[0]
@@ -471,15 +473,15 @@ def _simulate_uep(args, problem, seed, trials, n_list):
     phi_n = nearest_type(cap.input_distribution, n)
     classes = args.uep_classes
     gamma = (args.uep_gamma if args.uep_gamma is not None
-             else mcsim.union_bound_gamma(n, classes))
-    rate = mcsim.uep_dispersion_rate(phi_n, w, eps_i, gamma)
-    cfg = mcsim.UepConfig(
+             else uep.union_bound_gamma(n, classes))
+    rate = uep.uep_dispersion_rate(phi_n, w, eps_i, gamma)
+    cfg = uep.UepConfig(
         rates=tuple([rate] * classes),
         input_types=tuple([phi_n] * classes),
         gamma=gamma,
     )
     sim = mcsim.SimConfig(seed=seed, trials=trials, n=n)
-    res = mcsim.uep_simulate(cfg, w, sim, args.workers)
+    res = uep.uep_simulate(cfg, w, sim, args.workers)
     return {
         "n": n,
         "gamma": res.gamma,
@@ -499,6 +501,8 @@ def _simulate_uep(args, problem, seed, trials, n_list):
 
 
 def _simulate_dball(args, problem, seed, trials, n_list):
+    from . import uep
+
     src = _require(problem, "source")
     n = min(min(n_list), 14)
     q_type = nearest_type(src.distribution, n)
@@ -508,8 +512,8 @@ def _simulate_dball(args, problem, seed, trials, n_list):
     results = []
     for frac in range(0, 11):
         d = dm * frac / 10.0
-        count = mcsim.dball_count_exact(q_type, s_hat, src.distortion, d)
-        bound = mcsim.dball_bound(q_type, src, d)
+        count = uep.dball_count_exact(q_type, s_hat, src.distortion, d)
+        bound = uep.dball_bound(q_type, src, d)
         results.append({
             "n": n,
             "d": d,
@@ -521,6 +525,8 @@ def _simulate_dball(args, problem, seed, trials, n_list):
 
 
 def _simulate_mi_cont(args, problem, seed, trials, n_list):
+    from . import uep
+
     w = _require(problem, "channel")
     rng = np.random.default_rng(seed)
     n_x = w.input_size
@@ -541,7 +547,7 @@ def _simulate_mi_cont(args, problem, seed, trials, n_list):
         q = np.maximum(p + t * v, 0.0)
         q /= q.sum()
         delta = min(float(np.max(np.abs(p - q))), delta_cap)
-        lhs, rhs, ok = mcsim.mi_continuity_check(
+        lhs, rhs, ok = uep.mi_continuity_check(
             Distribution(p), Distribution(q), w, delta)
         held += int(ok)
         if rhs > 0:

@@ -1,4 +1,9 @@
-"""Monte-Carlo and exact-enumeration validation of the dispersion claims.
+"""Monte-Carlo validation of the dispersion claims: the excess-distortion
+event, the first-order CLT statistics and the Xi_n concentration, with the
+samplers, type keys and batch map that ``jsccdisp.uep`` (UEP decoder
+simulation, exact counts, continuity checks) draws through as well. This
+module does not import ``uep``, so a run of these simulators never loads
+it.
 
 Simulations are organized around empirical types: for a fixed
 constant-composition input word only the joint counts matter, so trials
@@ -17,33 +22,34 @@ type a run draws: R(P_S, D) of each source type, P(E2) of each channel
 output type. A type is one integer key (``_type_keys``: its counts as
 digits in base n + 1, int64 while they fit, Python ints otherwise). Both
 draw each batch once, in one ``_map_batches`` call per run; a batch
-returns its sorted distinct keys, each trial's index into them and its
-per-trial values. Per window of ``_TYPE_WINDOW`` batches, ``_per_type``
-solves the keys the run's sorted table does not hold yet in one call and
-merges them in, so each distinct type is solved once per call and a run
-holds its table and one window of per-trial arrays; no batch of the next
-window is drawn while one is held. The empirical MI of a sampled joint,
-whose row margins are the fixed input type, comes from a k log k table
-over 0..m built once per call (``_fixed_margin_mi``).
+returns its sorted distinct keys, each trial's index into them (the
+excess batch by a counting pass over a narrow int64 key span,
+``_type_table``) and its per-trial values. Per window of ``_TYPE_WINDOW``
+batches, ``_per_type`` merges the window's keys by one sort, solves the
+keys the run's sorted table does not hold yet in one call and merges them
+in, so each distinct type is solved once per call and a run holds its
+table and one window of per-trial arrays; no batch of the next window is
+drawn while one is held. The empirical MI of a sampled joint, whose row
+margins are the fixed input type, comes from a k log k table over 0..m
+built once per call (``_fixed_margin_mi``).
 
-Little besides the draws themselves runs per batch. A count row over two
-letters is one uniform per trial, turned into its first count by inverse
-CDF on an exact table of the binomial (``_binomial_table``), within 2^-64
-of the binomial law in total variation; wider rows take
-``rng.multinomial``. The tables are built once per simulator call, in the
-calling thread before its batches, by ``_row_sampler`` and
+Little besides the draws themselves runs per batch. Count tables are
+stored trial axis last, so each cell's trial column is contiguous for the
+draw that writes it and the per-cell arithmetic that reads it. A count
+row over two letters is one uniform per trial, turned into its first
+count by inverse CDF on an exact table of the binomial
+(``_binomial_table``), within 2^-64 of the binomial law in total
+variation: one gather and one compare per trial, ``searchsorted`` only in
+the few tail buckets of the guide that hold two or more CDF entries; wider
+rows take ``rng.multinomial``. The tables are built once per simulator
+call, in the calling thread before its batches, by ``_row_sampler`` and
 ``_joint_sampler``, whose draws write into the batch's count arrays in
 place. Per-trial sums over the cells of a table are one left fold of cell
 columns (``_cell_sum``), not a reduction over two short axes. Batches
 hold 16,384 trials, so that each numpy call is long enough for threads to
-overlap, and ``_map_batches`` keeps at most ``_LOOKAHEAD`` batches per
-thread submitted and not yet consumed.
-
-Exact counts are one ``_arrangement_sum`` call each: it builds the joint
-tables with fixed margins from per-column ``_compositions``, in blocks of
-``_TABLE_BLOCK``, and sums the arrangements of those a vectorized predicate
-keeps (the D-ball count: within the distortion budget; the UEP tail: at or
-above the threshold), with one multinomial per distinct column key.
+overlap; ``_map_batches`` runs them on plain ``threading`` threads
+(``_Pool``) and keeps at most ``_LOOKAHEAD`` batches per thread submitted
+and not yet consumed.
 
 The CLT simulators keep one float64 per trial: each batch's values are
 written into their slice of one preallocated array, in trial order. The
@@ -51,13 +57,17 @@ sample mean and variance are taken from it in that order, the variance in
 leaves of at most ``_KS_CHUNK`` samples split as numpy splits its pairwise
 sum (``_sq_dev_sum``), so both are numpy's to the bit. The array is then
 sorted in place and the KS distance walks it in chunks of ``_KS_CHUNK``
-samples, so a CLT run holds one float64 per trial plus a constant.
+samples, evaluating only the samples that begin or end a run of equal
+values (``_ks_sorted``), so a CLT run holds one float64 per trial plus a
+constant.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
@@ -66,28 +76,14 @@ from itertools import islice
 import numpy as np
 
 from . import source as sa
-from .channel import conditional_information_variance, mutual_information
-from .errors import (
-    DeltaTooLarge,
-    DomainError,
-    EnumerationTooLarge,
-    LengthMismatch,
-    RateCapViolated,
-    SymbolOutOfRange,
-    ZeroVariance,
-)
+from .channel import conditional_information_variance
+from .errors import DomainError, SymbolOutOfRange, ZeroVariance
 from .probcore import (
     Channel,
-    DEFAULT_ENUMERATION_CAP,
     Distribution,
     EmpiricalType,
-    _as_symbols,
-    _compositions,
-    _joint_mutual_information,
     _log_ratio,
-    entropy,
     ndtr,
-    q_inverse,
 )
 from .source import SourceSpec
 
@@ -104,11 +100,13 @@ _KS_INTERP_ERR = ((_KS_GRID[1] - _KS_GRID[0]) ** 2 / 8.0
 # samples per step of the KS walk and per leaf of the variance sum; bounds
 # their temporaries
 _KS_CHUNK = 1 << 13
-_TABLE_BLOCK = 1 << 16   # (table, column) pairs per step of an exact count
 # batches of a run whose new types are solved together (``_per_type``)
 _TYPE_WINDOW = 8
 # batches submitted to a thread pool and not yet yielded, per thread
 _LOOKAHEAD = 2
+# int64 type keys of a batch take a counting pass (``_type_table``) when
+# their span is at most this many times their number
+_COUNT_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -161,27 +159,85 @@ def _stream(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
+class _Call:
+    """fn(*args), run once by a ``_Pool`` thread. ``result()`` waits for
+    it, then returns its value or raises its exception."""
+
+    def __init__(self, fn, args):
+        self._fn, self._args = fn, args
+        self._done = threading.Event()
+        self._value = self._error = None
+
+    def run(self) -> None:
+        try:
+            self._value = self._fn(*self._args)
+        except BaseException as exc:  # raised again by result()
+            self._error = exc
+        finally:
+            self._done.set()
+
+    def result(self):
+        self._done.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Pool:
+    """``workers`` threads that run the submitted calls in submission
+    order. ``close`` drops the calls no thread has started, lets the
+    started ones finish and joins every thread."""
+
+    def __init__(self, workers: int):
+        self._calls = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._work, daemon=True)
+                         for _ in range(workers)]
+        for thread in self._threads:
+            thread.start()
+
+    def _work(self) -> None:
+        for call in iter(self._calls.get, None):
+            call.run()
+
+    def submit(self, fn, *args) -> _Call:
+        call = _Call(fn, args)
+        self._calls.put(call)
+        return call
+
+    def close(self) -> None:
+        try:
+            while True:
+                self._calls.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in self._threads:
+            self._calls.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
 def _map_batches(fn, trials: int, workers: int, window: int = 0):
     """fn(batch_index, size) over every batch of ``DEFAULT_BATCH`` trials
     (the last may be shorter), yielded in batch order. At most
-    min(workers, batches, ``os.cpu_count()``) threads run them, and at most
-    ``_LOOKAHEAD`` batches per thread are submitted and not yet yielded, so
-    the threads draw ahead of a slow consumer by a bounded amount and a
-    caller that folds the results holds few of them at a time. With
-    ``window``, no batch of a window of that many batches is submitted
-    before every batch of the window before it has been yielded, so a
-    caller that holds a whole window (``_per_type``) holds no batch in
-    flight beside it. The results do not depend on the thread count."""
+    min(workers, batches, ``os.cpu_count()``) threads of one ``_Pool`` run
+    them, and a batch is submitted only when fewer than ``_LOOKAHEAD``
+    batches per thread are submitted and not yet yielded, so the threads
+    draw ahead of a slow consumer by a bounded amount and a caller that
+    folds the results holds few of them at a time. With ``window``, no
+    batch of a window of that many batches is submitted before every batch
+    of the window before it has been yielded, so a caller that holds a
+    whole window (``_per_type``) holds no batch in flight beside it. A
+    batch's exception is raised here, in the consumer, and the pool's
+    threads are joined however the generator ends: exhausted, raising or
+    closed. The results do not depend on the thread count."""
     batches = [(b, min(DEFAULT_BATCH, trials - b * DEFAULT_BATCH))
                for b in range((trials + DEFAULT_BATCH - 1) // DEFAULT_BATCH)]
     workers = min(workers, len(batches), os.cpu_count() or 1)
     if workers <= 1:
         yield from (fn(b, size) for b, size in batches)
         return
-    # imported here: a run that starts no pool never loads the module
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = _Pool(workers)
+    try:
         pending = deque()
         for b, size in batches:
             while pending and (len(pending) == _LOOKAHEAD * workers
@@ -190,6 +246,8 @@ def _map_batches(fn, trials: int, workers: int, window: int = 0):
             pending.append(pool.submit(fn, b, size))
         while pending:
             yield pending.popleft().result()
+    finally:
+        pool.close()
 
 
 def _fill_batches(fn, trials: int, workers: int) -> np.ndarray:
@@ -235,31 +293,71 @@ def _key_rows(keys: np.ndarray, total: int, letters: int) -> np.ndarray:
     return rows
 
 
+def _type_table(keys: np.ndarray):
+    """(distinct, inverse): the sorted distinct ``keys`` and each key's
+    index into them, the values of ``np.unique(keys, return_inverse=True)``,
+    the index in the smallest unsigned type that holds it. int64 keys (as
+    ``_type_keys`` gives them, nonnegative) whose span, largest minus
+    smallest plus one, is at most ``_COUNT_SPAN`` times their number take
+    a counting pass over the span: which offsets occur (``np.bincount``),
+    then each offset's rank among them, looked up per key. Other keys,
+    Python ints among them, take ``np.unique``."""
+    if keys.dtype == np.int64:
+        low = keys.min()
+        if keys.max() - low < _COUNT_SPAN * keys.size:
+            offsets = keys - low
+            seen = np.bincount(offsets).astype(bool)
+            distinct = np.flatnonzero(seen)
+            # ranks taken modulo the type's range: each fits in it
+            rank = np.cumsum(seen,
+                             dtype=np.min_scalar_type(len(distinct) - 1))
+            rank -= 1
+            distinct += low
+            return distinct, rank[offsets]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, inverse.astype(np.min_scalar_type(len(distinct) - 1))
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: ``keys`` sorted in
+    place, then each value that differs from the one before it."""
+    keys.sort()
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
+
+
 def _per_type(draw, trials: int, workers: int, solve, count):
     """The sum of count(batch, values) over the batches of
     ``_map_batches(draw, trials, workers)``, ``values`` those of the
     batch's keys (its first item, sorted and distinct). Per window of
-    ``_TYPE_WINDOW`` batches, ``solve(new)`` gives the values (keys on the
-    last axis) of the keys the run's sorted table does not hold yet, which
-    are merged into it. No batch of the next window is drawn while a
-    window is held, and a window is released before the next one is
-    drawn."""
+    ``_TYPE_WINDOW`` batches, the window's keys are merged by one sort
+    (``_sorted_distinct``) and ``solve(new)`` gives the values (keys on
+    the last axis) of those the run's sorted table does not hold yet,
+    which are inserted into it. No batch of the next window is drawn while
+    a window is held, and a window is released before the next one is
+    drawn; the batches' threads are joined before this returns or
+    raises."""
     batches = _map_batches(draw, trials, workers, _TYPE_WINDOW)
     table = values = None
     total = 0
-    for window in iter(lambda: list(islice(batches, _TYPE_WINDOW)), []):
-        keys = reduce(np.union1d, (batch[0] for batch in window))
-        if table is None:
-            table, values = keys, solve(keys)
-        else:
-            new = np.setdiff1d(keys, table, assume_unique=True)
-            if new.size:
-                at = np.searchsorted(table, new)
-                table = np.insert(table, at, new)
-                values = np.insert(values, at, solve(new), axis=-1)
-        total += sum(count(b, values[..., np.searchsorted(table, b[0])])
-                     for b in window)
-        window.clear()
+    try:
+        for window in iter(lambda: list(islice(batches, _TYPE_WINDOW)), []):
+            keys = _sorted_distinct(
+                np.concatenate([batch[0] for batch in window]))
+            if table is None:
+                table, values = keys, solve(keys)
+            else:
+                new = np.setdiff1d(keys, table, assume_unique=True)
+                if new.size:
+                    at = np.searchsorted(table, new)
+                    table = np.insert(table, at, new)
+                    values = np.insert(values, at, solve(new), axis=-1)
+            total += sum(count(b, values[..., np.searchsorted(table, b[0])])
+                         for b in window)
+            window.clear()
+    finally:
+        batches.close()
     return total
 
 
@@ -372,30 +470,49 @@ def _row_sampler(total: int, probs: np.ndarray):
     A law over two letters draws one uniform u per trial and takes its
     first count by inverse CDF on the ``_binomial_table`` of total and
     probs[0], built here once: lo + ``searchsorted(cdf, u, side="right")``,
-    total minus it in the other letter. The guide bucket of u gives that
-    index at once unless a CDF entry lies in the bucket below u; those few
-    trials are finished by ``searchsorted``, so the counts do not depend on
-    the guide, and a letter of probability 0 is never drawn. Their law is
-    the binomial within 2^-64 in total variation. Wider laws take
-    ``rng.multinomial``."""
+    total minus it in the other letter. Per guide bucket the table holds
+    its first count (lo plus its guide entry) and the CDF entry at that
+    index, the first that can end the bucket's first count: u's count is
+    the first count, plus one where that entry is at most u. That is exact
+    unless the guide puts two or more CDF entries in u's bucket; such a
+    bucket's first count is stored as -1, and its trials, a few tail
+    buckets, are finished by ``searchsorted``. So the counts do not depend
+    on the guide, and a letter of probability 0 is never drawn. Their law
+    is the binomial within 2^-64 in total variation. The per-bucket arrays
+    are built in place of the guide and one array of its size. Wider laws
+    take ``rng.multinomial``. Rows whose letters' trial columns are each
+    contiguous (``out`` a transposed (letters, trials) array) are written
+    fastest."""
     if len(probs) != 2:
         def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
             out[...] = rng.multinomial(total, probs, size=len(out))
             return out
 
         return draw
-    lo, cdf, guide = _binomial_table(total, float(probs[0]))
-    buckets = len(guide)
+    lo, cdf, first = _binomial_table(total, float(probs[0]))
+    buckets = len(first)
+    # the guide's CDF entries per bucket, then each bucket's first entry
+    # above its start, in one array
+    ends = np.empty(buckets)
+    np.subtract(first[1:], first[:-1], out=ends[:-1], casting="unsafe")
+    ends[-1] = len(cdf) - first[-1]
+    several = ends >= 2
+    # unbuffered: mode "raise" would copy the output
+    np.take(cdf, first, out=ends, mode="clip")
+    first += lo
+    first[several] = -1
 
     def draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         u = rng.random(len(out))
         k = out[:, 0]
-        # each uniform's bucket, then the guide's index for it
+        # each uniform's bucket, then its first count, one past where the
+        # bucket's first CDF entry is at most u
         np.multiply(u, buckets, out=k, casting="unsafe")
-        k[...] = guide[k]
-        late = np.flatnonzero(cdf[k] <= u)
-        k[late] = np.searchsorted(cdf, u[late], side="right")
-        k += lo
+        step = ends[k] <= u
+        np.take(first, k, out=k)
+        late = np.flatnonzero(k < 0)
+        k += step
+        k[late] = lo + np.searchsorted(cdf, u[late], side="right")
         np.subtract(total, k, out=out[:, 1])
         return out
 
@@ -407,13 +524,16 @@ def _joint_sampler(row_counts: np.ndarray, w_mat: np.ndarray):
     trials of a fixed input word of type ``row_counts``. For each input
     symbol a, the output counts are Multinomial(r_a, W_a), independently,
     drawn by its ``_row_sampler`` (built here once) into the table's row a,
-    in ascending symbol order; a row with r_a = 0 stays zero."""
+    in ascending symbol order; a row with r_a = 0 stays zero. The table is
+    a transposed (|X|, |Y|, size) array, so each cell's trial column is
+    contiguous for the draws and for the per-cell arithmetic that reads
+    them."""
     n_x, n_y = w_mat.shape
     rows = [(a, _row_sampler(int(r_a), w_mat[a]))
             for a, r_a in enumerate(row_counts) if r_a > 0]
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        joint = np.zeros((size, n_x, n_y), dtype=np.int64)
+        joint = np.zeros((n_x, n_y, size), dtype=np.int64).transpose(2, 0, 1)
         for a, row in rows:
             row(rng, joint[:, a, :])
         return joint
@@ -479,11 +599,9 @@ def excess_event_probability(src: SourceSpec, w: Channel, phi_m: EmpiricalType,
 
     def draw(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
-        keys, inverse = np.unique(
-            _type_keys(src_rows(rng, np.empty((size, p.size),
-                                              dtype=np.int64)), n),
-            return_inverse=True)
-        inverse = inverse.astype(np.min_scalar_type(len(keys) - 1))
+        # each letter's trial column contiguous
+        counts = src_rows(rng, np.empty((p.size, size), dtype=np.int64).T)
+        keys, inverse = _type_table(_type_keys(counts, n))
         bar = _fixed_margin_mi(chan(rng, size), row_counts, xlogx)
         bar *= rho_eff
         return keys, inverse, bar
@@ -526,26 +644,38 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
 
 def _ks_sorted(x: np.ndarray) -> float:
     """The KS distance of the ascending samples ``x``, walked in chunks of
-    ``_KS_CHUNK``. In each chunk the deviation of every sample is first
-    taken against the interpolated Phi, and exact Phi is evaluated only on
-    the samples within twice its error bound of the largest deviation seen
-    so far. That running maximum never exceeds the final one, so every
-    sample that can attain the supremum is evaluated exactly and the result
-    does not depend on the chunk size. Memory is a constant."""
+    ``_KS_CHUNK``. Over a run of equal values the ECDF gap above Phi,
+    (i + 1)/k - Phi(x_i), is largest at the run's last sample and the gap
+    below it, Phi(x_i) - i/k, at its first, so only the samples that begin
+    or end a run (NaN samples each end their own) are candidates; runs are
+    read across chunk edges. In each chunk the deviation of every
+    candidate is first taken against the interpolated Phi, and exact Phi
+    is evaluated only on the candidates within twice its error bound of
+    the largest deviation seen so far. That running maximum never exceeds
+    the final one, so every sample that can attain the supremum is
+    evaluated exactly and the result, to the bit, is that of every sample
+    against exact Phi, whatever the chunk size. Memory is a constant."""
     k = x.size
     if k == 0:
         raise DomainError("the KS distance needs at least one sample")
     top = best = -np.inf
     for a in range(0, k, _KS_CHUNK):
         b = min(a + _KS_CHUNK, k)
-        xs = x[a:b]
-        hi = np.arange(a + 1, b + 1) / k
-        lo = np.arange(a, b) / k
+        # bounds[j]: a run ends between samples a + j - 1 and a + j, where
+        # the first and the last sample of x count as run ends
+        bounds = np.ones(b - a + 1, dtype=bool)
+        s, t = max(a, 1), min(b, k - 1)
+        np.not_equal(x[s - 1:t], x[s:t + 1], out=bounds[s - a:t - a + 1])
+        at = np.flatnonzero(bounds[:-1] | bounds[1:])
+        xs = x[a:b][at]
+        at += a
+        hi = (at + 1) / k
+        lo = at / k
         approx = np.interp(xs, _KS_GRID, _KS_GRID_CDF)
         dev = np.maximum(hi - approx, approx - lo)
         # negated so that NaN samples stay candidates; np.maximum, unlike
         # max, carries a NaN deviation into the result
-        top = np.maximum(top, dev.max())
+        top = np.maximum(top, np.max(dev, initial=-np.inf))
         keep = ~(dev < top - 2.0 * _KS_INTERP_ERR)
         cdf = ndtr(xs[keep])
         best = np.maximum(best, np.max(
@@ -687,8 +817,12 @@ def first_order_jscc_samples(src: SourceSpec, d_star: float, w: Channel,
 
     def run(batch_index: int, size: int):
         rng = _stream(seed, batch_index)
-        src_counts = src_rows(rng, np.empty((size, p.size), dtype=np.int64))
-        src_part = (src_counts / n - p) @ dp
+        src_counts = src_rows(rng, np.empty((p.size, size),
+                                            dtype=np.int64).T)
+        # row-major, for the summation order of the product
+        src_part = np.divide(src_counts, n, order="C")
+        src_part -= p
+        src_part = src_part @ dp
         return (src_part + chan(rng, size) * chan_scale) * scale
 
     samples = _fill_batches(run, trials, workers)
@@ -728,372 +862,3 @@ def xi_n_violation_rate(phi_n: EmpiricalType, w: Channel, trials: int,
     return _binomial_result(total, trials,
                             bound=2.0 * n_x * n_y / n ** 2,
                             threshold=threshold)
-
-
-# ---------------------------------------------------------------------------
-# UEP decoder simulation
-# ---------------------------------------------------------------------------
-
-def eta_n(n: int, input_alphabet_size: int, k_n: int) -> float:
-    """Rate-cap margin (2/n)(|X|^2 + log(n+1) + log k_n + 1), nats."""
-    return (2.0 / n) * (
-        input_alphabet_size ** 2 + math.log(n + 1) + math.log(k_n) + 1.0
-    )
-
-
-def gamma_n(n: int, input_alphabet_size: int, k_n: int,
-            poly_degree: float) -> float:
-    """Decoder threshold 2*eta_n + log(k_n)/(2n) + a*log(n)/n, a=(d+1)/2."""
-    return (2.0 * eta_n(n, input_alphabet_size, k_n)
-            + union_bound_gamma(n, k_n, poly_degree))
-
-
-def union_bound_gamma(m: int, k_n: int, poly_degree: float = 0.0) -> float:
-    """Decoder threshold keeping the wrong-codeword union bound small.
-
-    These are the log(k_n)/(2n) + a*log(n)/n terms of the asymptotic
-    threshold; the remaining 2*eta_n margin belongs to the derandomized
-    packing construction and exceeds capacity at desk-scale block lengths,
-    so it is not included here.
-    """
-    a = (poly_degree + 1.0) / 2.0
-    return math.log(k_n) / (2.0 * m) + a * math.log(m) / m
-
-
-def uep_dispersion_rate(phi_m: EmpiricalType, w: Channel, eps: float,
-                        gamma: float = 0.0) -> float:
-    """Class rate targeting error probability eps at the decoder threshold.
-
-    R = I(phi, W) - sqrt(V(phi, W)/m) * Qinv(eps) - gamma, so the event
-    {empirical MI < R + gamma} has probability ~ eps; the -gamma term is
-    the construction's O(log m / m) rate correction. A negative or NaN R
-    (a NaN gamma) raises DomainError.
-    """
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie in (0, 1)")
-    m = phi_m.n
-    phi = phi_m.distribution()
-    v = conditional_information_variance(phi, w)
-    rate = mutual_information(phi, w) - math.sqrt(v / m) * q_inverse(eps) - gamma
-    if not rate >= 0:
-        raise DomainError(
-            f"dispersion rate {rate} is not >= 0 at m={m}, eps={eps}, "
-            f"gamma={gamma}; the block is too short for this target"
-        )
-    return rate
-
-
-@dataclass(frozen=True)
-class UepConfig:
-    """A UEP code family: per-class rates and constant-composition types.
-
-    N_i = floor(exp(m * R_i)) codewords per class are drawn uniformly from
-    the type class of input_types[i] (random constant composition, not the
-    packing construction). ``gamma`` is the decoder threshold in nats, and
-    finite; the asymptotic gamma_n formula is provided separately because
-    at desk-scale block lengths it dwarfs the dispersion term.
-    """
-
-    rates: tuple
-    input_types: tuple
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        types = tuple(self.input_types)
-        if len(rates) != len(types) or not rates:
-            raise DomainError("need one rate per input type, at least one class")
-        if not all(r >= 0 for r in rates):
-            raise DomainError("rates must be nonnegative (N_i >= 1)")
-        if not math.isfinite(self.gamma):
-            raise DomainError(f"gamma must be finite; got {self.gamma}")
-        m = types[0].n
-        if any(t.n != m for t in types):
-            raise DomainError("all class types must share the block length m")
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "input_types", types)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.rates)
-
-    @property
-    def m(self) -> int:
-        return self.input_types[0].n
-
-    def codewords_per_class(self) -> tuple:
-        out = []
-        for r in self.rates:
-            if self.m * r > 700:
-                raise EnumerationTooLarge("codebook size overflows a float")
-            out.append(int(math.floor(math.exp(self.m * r))))
-        return tuple(out)
-
-
-def _multinomial(counts) -> int:
-    """multinomial(sum(counts); counts), exact."""
-    total, remaining = 1, 0
-    for c in counts:
-        remaining += int(c)
-        total *= math.comb(remaining, int(c))
-    return total
-
-
-def _extend(blocks, comps: np.ndarray, rows: np.ndarray):
-    """Each partial table of ``blocks`` with each column of ``comps`` that
-    keeps every row within its margin ``rows``, ``_TABLE_BLOCK`` at a time."""
-    for tables in blocks:
-        used, pairs = tables.sum(axis=2), len(tables) * len(comps)
-        for start in range(0, pairs, _TABLE_BLOCK):
-            p, q = np.divmod(np.arange(start, min(start + _TABLE_BLOCK, pairs)),
-                             len(comps))
-            fits = np.all(used[p] + comps[q] <= rows, axis=1)
-            if fits.any():
-                yield np.concatenate((tables[p[fits]], comps[q[fits], :, None]),
-                                     axis=2)
-
-
-def _arrangement_sum(row_counts, col_counts, limit: int, keep) -> int:
-    """The exact sum, over the tables T with these margins where ``keep``
-    holds, of prod_b multinomial(col_b; T[:, b]): the words of the row type
-    giving T against a fixed word of the column type. ``keep`` maps tables
-    (B, rows, cols) to B booleans. Each column but the last comes from its
-    ``_compositions`` within the row margins, so every partial table
-    completes, and the last is what the rows have left. Each column's
-    multinomial is taken once per distinct column: ``np.unique`` of the
-    ``_type_keys`` at the column's fixed sum gives the first table holding
-    it and every table's index into them. Raises
-    EnumerationTooLarge when a bound on the table count exceeds ``limit``:
-    the product over the free cells of min(r, c) + 1, or |T_rows| when
-    smaller, as distinct tables arrange distinct words."""
-    est = math.prod(min(r, c) + 1 for r in row_counts[:-1]
-                    for c in col_counts[:-1])
-    if min(est, _multinomial(row_counts)) > limit:
-        raise EnumerationTooLarge(
-            "too many contingency tables for exact enumeration")
-    rows = np.array(row_counts, dtype=np.int64)
-    blocks = [np.zeros((1, rows.size, 0), dtype=np.int64)]
-    for c in col_counts[:-1]:
-        blocks = _extend(blocks, _compositions(c, rows), rows)
-    # each column's sum is fixed, the last's by what the rows have left
-    sums = [*col_counts[:-1], sum(row_counts) - sum(col_counts[:-1])]
-    total = 0
-    for tables in blocks:
-        tables = np.concatenate(
-            (tables, (rows - tables.sum(axis=2))[:, :, None]), axis=2)
-        tables = tables[keep(tables)]
-        weight = np.ones(len(tables), dtype=object)
-        for col, c in zip(np.moveaxis(tables, 2, 0), sums):
-            # once per distinct column
-            _, first, inverse = np.unique(_type_keys(col, c),
-                                          return_index=True,
-                                          return_inverse=True)
-            weight *= np.array([_multinomial(d) for d in col[first].tolist()],
-                               dtype=object)[inverse]
-        total += int(weight.sum())
-    return total
-
-
-def _mi_tail_log_prob(row_counts: tuple, col_counts: tuple,
-                      threshold: float) -> float:
-    """log P[ I(table) >= threshold ] for a uniformly random arrangement.
-
-    The arrangement is a word drawn uniformly from the type class of
-    row_counts, paired against a fixed word with counts col_counts; the
-    joint table is hypergeometric-like with both margins fixed. The
-    arrangements of the scoring tables are summed exactly, so a sure event
-    gives 0 and no value exceeds it.
-    """
-    hits = _arrangement_sum(
-        row_counts, col_counts, DEFAULT_ENUMERATION_CAP,
-        lambda t: _joint_mutual_information(t) >= threshold - 1e-12)
-    if hits == 0:
-        return -math.inf
-    return min(math.log(hits) - math.log(_multinomial(row_counts)), 0.0)
-
-
-def _p_e2(cfg: UepConfig, types: np.ndarray) -> np.ndarray:
-    """P(E2) per [true class, output type] for output count rows ``types``
-    (T, |Y|): some competitor, one of the true class's other N_i - 1
-    codewords or another class's N_j, scores at or above its threshold.
-    Each tail is solved once per distinct (class type, threshold); the
-    classes are summed as a left fold (``_cell_sum``), so a type's value
-    does not depend on the other rows."""
-    k = cfg.class_count
-    keys = [(tuple(int(c) for c in t.counts), r + cfg.gamma)
-            for t, r in zip(cfg.input_types, cfg.rates)]
-    tails = {key: [_mi_tail_log_prob(key[0], tuple(y), key[1])
-                   for y in types.tolist()] for key in dict.fromkeys(keys)}
-    # log P[a codeword of class j scores >= its threshold | output type]
-    log_hit = np.array([tails[key] for key in keys])
-    # log P[it does not]; -inf where it surely does
-    log_miss = np.log1p(-np.exp(log_hit), out=np.full_like(log_hit, -np.inf),
-                        where=log_hit < 0.0)
-    # competitors of true class i from class j; the product is masked where
-    # there are none, so a sure score never meets a zero count
-    n_eff = np.array([[float(n_j - (i == j)) for j, n_j in
-                       enumerate(cfg.codewords_per_class())]
-                      for i in range(k)])[:, :, None]
-    log_none = np.multiply(n_eff, log_miss[None],
-                           out=np.zeros((k, k, len(types))), where=n_eff > 0)
-    return -np.expm1(_cell_sum(log_none[:, j] for j in range(k)))
-
-
-@dataclass(frozen=True)
-class UepClassResult:
-    """The simulated error events of one UEP class: its rate, its number of
-    codewords, and the estimates of E1 (the true codeword scores below the
-    threshold), E2 (a competitor scores above it) and their union."""
-
-    class_index: int
-    rate: float
-    n_codewords: int
-    e1: SimResult
-    e2: SimResult
-    overall: SimResult
-
-
-@dataclass(frozen=True)
-class UepResult:
-    """A UEP simulation: one ``UepClassResult`` per class, in class order,
-    the decoder threshold ``gamma`` and the rate-cap margin ``eta``."""
-
-    classes: tuple
-    gamma: float
-    eta: float
-
-
-def uep_simulate(cfg: UepConfig, w: Channel, sim: SimConfig,
-                 workers: int = 1) -> UepResult:
-    """Simulate the empirical-MI threshold decoder over random
-    constant-composition codebooks.
-
-    For each class the true codeword is a fixed word of the class type
-    (conditional-type laws depend only on the type). E1 is the event that
-    the true score I(type, P_{Y|x}) - R_i falls below gamma. E2 marginalizes
-    the codebook: given the received word's type, the probability that any
-    of the other N-1 (same class) or N_j (other classes) codewords, each
-    uniform over its type class, scores above gamma is computed exactly by
-    contingency-table enumeration, and the event is then drawn as one
-    Bernoulli per trial. Estimates are therefore random-coding averages.
-
-    Each batch draws each class's stream once, in class order: the joint
-    counts, then one uniform per trial; E2 is u < P(E2) of the output
-    type, solved once per run and type by ``_per_type`` (``_p_e2``). A
-    window of 8 batches holds, per trial and class, an index byte (two past
-    256 output types in a batch), an E1 byte and one float64, at most
-    1.4 MB per class for its 131,072 trials.
-    """
-    m = sim.n
-    if cfg.m != m:
-        raise DomainError(f"class types have n={cfg.m}, the simulation n={m}")
-    if any(t.alphabet_size != w.input_size for t in cfg.input_types):
-        raise DomainError("class types must live on the channel input alphabet")
-    k = cfg.class_count
-    eta = eta_n(m, w.input_size, k)
-    for i, (rate, etype) in enumerate(zip(cfg.rates, cfg.input_types)):
-        cap = entropy(etype.distribution()) - eta
-        if rate > cap:
-            raise RateCapViolated(
-                f"class {i}: rate {rate} exceeds H(type) - eta_n = {cap}"
-            )
-    n_codewords = cfg.codewords_per_class()
-    xlogx = _xlogx(m)
-    chans = [_joint_sampler(t.counts, w.matrix) for t in cfg.input_types]
-
-    def draw(batch_index: int, size: int):
-        keys, e1, u = [], [], []
-        for i, (etype, chan) in enumerate(zip(cfg.input_types, chans)):
-            rng = _stream(seed_for_class(sim.seed, i), batch_index)
-            joint = chan(rng, size)
-            keys.append(_type_keys(joint.sum(axis=1), m))
-            e1.append(_fixed_margin_mi(joint, etype.counts, xlogx)
-                      - cfg.rates[i] < cfg.gamma)
-            u.append(rng.random(size))
-        table, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        return (table, inverse.reshape(k, size).astype(
-            np.min_scalar_type(len(table) - 1)), np.array(e1), np.array(u))
-
-    classes = np.arange(k)[:, None]
-
-    def count(batch, p_e2):
-        # E1, E2 and either, per class
-        _, inverse, e1, u = batch
-        e2 = u < p_e2[classes, inverse]
-        return np.array([e1.sum(axis=1), e2.sum(axis=1),
-                         (e1 | e2).sum(axis=1)])
-
-    counts = _per_type(
-        draw, sim.trials, workers,
-        lambda new: _p_e2(cfg, _key_rows(new, m, w.output_size)), count)
-    return UepResult(classes=tuple(
-        UepClassResult(i, cfg.rates[i], n_codewords[i],
-                       *(_binomial_result(int(c), sim.trials) for c in row))
-        for i, row in enumerate(counts.T)), gamma=cfg.gamma, eta=eta)
-
-
-def seed_for_class(seed: int, class_index: int) -> int:
-    """Disjoint seed lanes for per-class trial streams."""
-    return seed * 1000003 + class_index
-
-
-# ---------------------------------------------------------------------------
-# Exact counting and continuity bounds
-# ---------------------------------------------------------------------------
-
-def type_class_size(etype: EmpiricalType) -> int:
-    """|T_Q| = multinomial(n; counts)."""
-    return _multinomial(etype.counts)
-
-
-def dball_count_exact(q_type: EmpiricalType, s_hat, distortion: np.ndarray,
-                      d: float, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Exact |{s in T_Q : d(s, s_hat) <= D}|: the arrangements of the joint
-    tables with s_hat (margins Q and the type of s_hat) whose cost
-    sum N(a,b) d(a,b) is within n D + 1e-9, the slack for float dust.
-    ``cap`` limits the tables, not the words: EnumerationTooLarge is raised
-    when ``_arrangement_sum``'s bound on the table count exceeds it."""
-    dmat = np.asarray(distortion, dtype=float)
-    n = q_type.n
-    s_hat = _as_symbols(s_hat, dmat.shape[1], "s_hat")
-    if s_hat.size != n:
-        raise LengthMismatch(f"s_hat has length {s_hat.size}, expected {n}")
-    if q_type.alphabet_size != dmat.shape[0]:
-        raise DomainError("type alphabet does not match the distortion matrix")
-    if not d >= 0:
-        raise DomainError(f"distortion level must be nonnegative; got {d}")
-
-    budget = n * d + 1e-9
-    cols = np.bincount(s_hat, minlength=dmat.shape[1]).tolist()
-    return _arrangement_sum(q_type.counts.tolist(), cols, cap,
-                            lambda t: (t * dmat).sum(axis=(1, 2)) <= budget)
-
-
-def dball_bound(q_type: EmpiricalType, src: SourceSpec, d: float) -> float:
-    """The counting bound (n+1)^(|S||Shat|) exp{n [H(P) - R(P,D)]}."""
-    n = q_type.n
-    p = Distribution(q_type.counts / n)
-    typed = SourceSpec(p, src.distortion)
-    h = entropy(p)
-    r = sa.rdf(typed, d, 1e-10).rate
-    s_sz, shat_sz = src.distortion.shape
-    return (n + 1) ** (s_sz * shat_sz) * math.exp(n * (h - r))
-
-
-def mi_continuity_check(p: Distribution, q: Distribution, w: Channel,
-                        delta: float) -> tuple[float, float, bool]:
-    """Check |I(p,W) - I(q,W)| against the continuity bound
-    delta |X| log|Y| - |Y||X| delta log(|X| delta), valid for
-    sup|p-q| <= delta <= 1 / (2 |X||Y|)."""
-    n_x, n_y = w.matrix.shape
-    if not 0 <= delta <= 1.0 / (2 * n_x * n_y):
-        raise DeltaTooLarge(f"delta = {delta} outside [0, 1/(2*{n_x}*{n_y})]")
-    gap = float(np.max(np.abs(p.probs - q.probs)))
-    if gap > delta + 1e-15:
-        raise DomainError(f"sup|p - q| = {gap} exceeds delta = {delta}")
-    lhs = abs(mutual_information(p, w) - mutual_information(q, w))
-    if delta == 0:
-        rhs = 0.0
-    else:
-        rhs = delta * n_x * math.log(n_y) - n_y * n_x * delta * math.log(n_x * delta)
-    return lhs, rhs, lhs <= rhs + 1e-12

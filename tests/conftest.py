@@ -1,9 +1,8 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import jsccdisp.mcsim as mcsim
 from jsccdisp import Channel, Distribution, SourceSpec
 
 # properties draw the same examples on every run and keep no example file
@@ -62,28 +61,22 @@ def fair_hamming() -> SourceSpec:
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
-    """The max_workers of every thread pool the test asks for. The pools
-    are stand-ins that run each submitted call in the calling thread and
-    return its completed future, so none starts a thread."""
+    """The thread count of every pool ``mcsim._map_batches`` asks for. The
+    pools are stand-ins that run each submitted call in the calling thread
+    and return it completed, so none starts a thread."""
     sizes = []
 
     class Recording:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def __init__(self, workers):
+            sizes.append(workers)
 
         def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+            call = mcsim._Call(fn, args)
+            call.run()
+            return call
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        def close(self):
+            pass
+
+    monkeypatch.setattr(mcsim, "_Pool", Recording)
     return sizes

@@ -35,7 +35,8 @@ from jsccdisp import (
     xi_n_violation_rate,
 )
 from jsccdisp.cli import main as cli_main
-from jsccdisp.mcsim import SimConfig, UepConfig, uep_dispersion_rate, union_bound_gamma
+from jsccdisp.mcsim import SimConfig
+from jsccdisp.uep import UepConfig, uep_dispersion_rate, union_bound_gamma
 
 LN2 = math.log(2.0)
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])

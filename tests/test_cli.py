@@ -16,6 +16,7 @@ import jsccdisp.channel as ch
 import jsccdisp.cli as cli
 import jsccdisp.jscc as jscc
 import jsccdisp.source as sa
+import jsccdisp.uep as uep
 from conftest import two_orbit_cyclic
 from jsccdisp.cli import main
 from jsccdisp.errors import BoundaryDistortion
@@ -373,6 +374,11 @@ MCSIM_NAMES = [
     "mi_continuity_check", "sample_channel_output", "sample_source_block",
     "uep_simulate", "xi_n_violation_rate",
 ]
+# those of them that jsccdisp.uep defines; jsccdisp.mcsim defines the rest
+UEP_NAMES = [
+    "UepConfig", "UepResult", "dball_bound", "dball_count_exact", "eta_n",
+    "gamma_n", "mi_continuity_check", "uep_simulate",
+]
 
 
 class TestLazyMonteCarlo:
@@ -400,11 +406,13 @@ class TestLazyMonteCarlo:
             f"    assert main(['simulate', {bsc!r}, '--what', 'xi',\n"
             "                 '--trials', '5000', '--workers', '1']) == 0\n"
             "states.append(state())\n"
-            f"names = {MCSIM_NAMES!r}\n"
+            f"names, in_uep = {MCSIM_NAMES!r}, {UEP_NAMES!r}\n"
             "imported = {}\n"
             "for name in names:\n"
             "    exec(f'from jsccdisp import {name} as value', {}, imported)\n"
-            "    assert imported['value'] is getattr(lazy, name), name\n"
+            "    home = 'uep' if name in in_uep else 'mcsim'\n"
+            "    assert imported['value'] is getattr(\n"
+            "        sys.modules[f'jsccdisp.{home}'], name), name\n"
             "star = {}\n"
             "exec('from jsccdisp import *', star)\n"
             "print(json.dumps({'states': states,\n"
@@ -421,6 +429,39 @@ class TestLazyMonteCarlo:
         assert out["states"] == [[True, False], [True, False], [True, False],
                                  [False, False]]
         assert out["listed"] == out["star"] == MCSIM_NAMES
+
+    def test_draws_load_no_pool_logging_or_uep(self):
+        # excess and xi at two workers run on plain threads: neither
+        # concurrent.futures nor logging, nor numpy.ma, nor the UEP half
+        # of the Monte-Carlo layer is imported; a uep run loads the latter
+        bsc = str(REPO / "docs" / "examples" / "bsc011_hamming.json")
+        script = (
+            "import contextlib, io, json, os, sys\n"
+            "os.cpu_count = lambda: 2\n"
+            "from jsccdisp.cli import main\n"
+            "names = ['concurrent.futures', 'logging', 'numpy.ma',\n"
+            "         'jsccdisp.uep']\n"
+            "def loaded():\n"
+            "    return [name for name in names if name in sys.modules]\n"
+            "states = []\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for what in ('excess', 'xi'):\n"
+            f"        assert main(['simulate', {bsc!r}, '--what', what,\n"
+            "                     '--trials', '40000', '--workers', '2']) == 0\n"
+            "        states.append(loaded())\n"
+            f"    assert main(['simulate', {bsc!r}, '--what', 'uep',\n"
+            "                 '--trials', '2000', '--workers', '2']) == 0\n"
+            "    states.append(loaded())\n"
+            "print(json.dumps(states))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [
+            [], [], ["jsccdisp.uep"]]
 
     def test_unknown_name_raises(self):
         import jsccdisp
@@ -989,7 +1030,7 @@ class TestSimulateCommand:
         path.write_text(json.dumps({
             "channel": {"matrix": [[0.3, 0.7]]},
             "sim": {"seed": 1, "trials": 50, "n_list": [100]}}))
-        calls = count_calls(monkeypatch, cli.mcsim, "mi_continuity_check")
+        calls = count_calls(monkeypatch, uep, "mi_continuity_check")
         code, out, _ = run(["simulate", str(path), "--what", "mi-cont"],
                            capsys)
         assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 import threading
 import time
 import tracemalloc
@@ -42,15 +43,17 @@ from jsccdisp import (
     uep_simulate,
     xi_n_violation_rate,
 )
-from jsccdisp.mcsim import (
+from jsccdisp.cli import load_problem_file
+from jsccdisp.mcsim import ks_distance_to_normal
+from jsccdisp.uep import (
     UepConfig,
     _mi_tail_log_prob,
-    ks_distance_to_normal,
     type_class_size,
     uep_dispersion_rate,
     union_bound_gamma,
 )
 import jsccdisp.mcsim as mcsim
+import jsccdisp.uep as uep
 import jsccdisp.probcore as probcore
 import jsccdisp.source as sa
 from jsccdisp.source import _tilted
@@ -58,6 +61,7 @@ from conftest import HAMMING, bernoulli, bsc, hamming_source
 from functools import reduce
 
 LN2 = math.log(2.0)
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def stream(seed):
@@ -659,6 +663,7 @@ class TestMapBatches:
 
     def test_error_in_a_batch_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 2)
+        threads = threading.active_count()
 
         def fn(b, size):
             if b == 5:
@@ -670,6 +675,45 @@ class TestMapBatches:
             for b in mcsim._map_batches(fn, 20 * mcsim.DEFAULT_BATCH, 2):
                 out.append(b)
         assert out == list(range(5))
+        # the pool's threads are joined when the error leaves the map
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threads_joined_when_the_consumer_stops(self, monkeypatch,
+                                                    workers):
+        # a middle batch raises while the consumer is still short of it,
+        # and the consumer closes the map early: no thread outlives it
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: workers)
+        threads = threading.active_count()
+
+        def fn(b, size):
+            if b == 7:
+                raise DomainError("batch 7")
+            time.sleep(0.001)
+            return b
+
+        batches = mcsim._map_batches(fn, 20 * mcsim.DEFAULT_BATCH, workers)
+        assert [next(batches) for _ in range(3)] == [0, 1, 2]
+        assert threading.active_count() == threads + workers
+        batches.close()
+        assert threading.active_count() == threads
+        # and when the consumer's own code raises: _per_type closes the map
+        # even while the traceback, which holds its frame, is kept
+        with pytest.raises(DomainError, match="batch 7") as caught:
+            mcsim._per_type(lambda b, size: (np.arange(3), fn(b, size)),
+                            20 * mcsim.DEFAULT_BATCH, workers,
+                            lambda keys: keys * 1.0, lambda b, v: 0)
+        assert threading.active_count() == threads
+
+        def failing(batch, values):
+            raise DomainError("count")
+
+        with pytest.raises(DomainError, match="count") as caught:
+            mcsim._per_type(lambda b, size: (np.arange(3), b),
+                            20 * mcsim.DEFAULT_BATCH, workers,
+                            lambda keys: keys * 1.0, failing)
+        assert threading.active_count() == threads
+        assert caught.traceback
 
 
 def composition_rows(data):
@@ -706,6 +750,60 @@ class TestTypeKeys:
     def test_dedupe_lookup_and_decode(self, data):
         rows, total = composition_rows(data)
         self.check(rows, total, data.draw(st.integers(0, len(rows))))
+
+    @pytest.mark.parametrize("example", ["bsc011_hamming",
+                                         "ternary_asymmetric"])
+    @pytest.mark.parametrize("size", [1, 300, mcsim.DEFAULT_BATCH])
+    def test_type_table_is_unique(self, example, size):
+        # the source and channel output types of draws from a shipped
+        # example, at its n: the counting pass where the keys' span is
+        # narrow, np.unique elsewhere, the same keys and inverse either way
+        problem = load_problem_file(str(EXAMPLES / f"{example}.json"))
+        src, w = problem["source"], problem["channel"]
+        n = problem["sim"]["n_list"][0]
+        rng = mcsim._stream(problem["sim"]["seed"], size)
+        phi = EmpiricalType(np.full(w.input_size, n // w.input_size), n)
+        for counts, total in [
+                (mcsim._row_sampler(n, src.distribution.probs)(
+                    rng, np.empty((size, src.distribution.alphabet_size),
+                                  dtype=np.int64)), n),
+                (mcsim._joint_sampler(phi.counts, w.matrix)(
+                    rng, size).sum(axis=1), phi.n)]:
+            keys = mcsim._type_keys(counts, total)
+            distinct, inverse = mcsim._type_table(keys)
+            want, want_inverse = np.unique(keys, return_inverse=True)
+            assert distinct.dtype == want.dtype
+            assert np.array_equal(distinct, want)
+            assert np.array_equal(inverse, want_inverse)
+            assert inverse.dtype == np.min_scalar_type(len(want) - 1)
+        if size == mcsim.DEFAULT_BATCH:
+            # the output types over two letters are their first counts,
+            # which the counting pass takes
+            assert keys.max() - keys.min() < mcsim._COUNT_SPAN * size
+
+    @pytest.mark.parametrize("keys", [
+        np.array([5, 3, 5, 2 ** 62, 0, 3]),            # a wide int64 span
+        np.array([7, 7, 7]),
+        np.array([-4, 9, -4, 2, 9, 9]),
+        np.array([2 ** 70, 3, 2 ** 70, 2 ** 64 + 1], dtype=object),
+        mcsim._type_keys(np.array([[1000] + [0] * 8, [0] * 8 + [1000],
+                                   [1000] + [0] * 8]), 1000),
+    ])
+    def test_type_table_takes_any_keys(self, keys):
+        distinct, inverse = mcsim._type_table(keys)
+        want, want_inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(inverse, want_inverse)
+        assert distinct.dtype == want.dtype
+
+    def test_type_table_ranks_past_one_byte(self):
+        # 256 distinct keys: the ranks need two bytes, 255 fit in one
+        for count in (255, 256, 257):
+            keys = np.repeat(np.arange(count) * 3, 2)[::-1].copy()
+            distinct, inverse = mcsim._type_table(keys)
+            assert np.array_equal(distinct, np.arange(count) * 3)
+            assert np.array_equal(distinct[inverse], keys)
+            assert inverse.dtype == np.min_scalar_type(count - 1)
 
     @pytest.mark.parametrize("k,total", [(9, 1000), (7, 2 ** 11),
                                          (3, 2 ** 31 - 2), (2, 10 ** 9)])
@@ -882,6 +980,32 @@ class TestKsDistance:
             got = ks_distance_to_normal(samples)
         want = self.reference(samples, probcore.ndtr)
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @given(st.integers(1, 17), st.lists(st.tuples(
+        st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                   0.5, -9.5, 9.5]),
+                  st.integers(-40, 40).map(lambda i: i / 10.0)),
+        st.integers(1, 40)), min_size=1, max_size=30))
+    def test_chunk_boundaries_with_ties(self, chunk, runs):
+        # runs of equal values, which sorting may merge, across chunk edges
+        samples = np.repeat([v for v, _ in runs], [r for _, r in runs])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_KS_CHUNK", chunk)
+            got = ks_distance_to_normal(samples)
+        want = self.reference(samples, probcore.ndtr)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 50, 64, 4096])
+    @pytest.mark.parametrize("digits", [0, 1, 2])
+    def test_rounded_samples(self, chunk, digits):
+        # few distinct values, long runs: a chunk may lie inside one run
+        rng = np.random.default_rng(chunk + digits)
+        samples = np.round(rng.standard_normal(20_000), digits)
+        samples[:3] = [np.inf, -np.inf, np.inf]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcsim, "_KS_CHUNK", chunk)
+            got = ks_distance_to_normal(samples)
+        assert got == self.reference(samples, probcore.ndtr)
 
     @pytest.mark.parametrize("k", [2 ** 13 - 1, 2 ** 13, 2 ** 13 + 1,
                                    2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
@@ -1183,7 +1307,7 @@ def two_pass_uep(cfg, w, sim):
                for b in range(-(-sim.trials // size))]
 
     def joint(i, b, t):
-        rng = mcsim._stream(mcsim.seed_for_class(sim.seed, i), b)
+        rng = mcsim._stream(uep.seed_for_class(sim.seed, i), b)
         return rng, reference_joint(cfg.input_types[i].counts, w.matrix,
                                     rng, t)
 
@@ -1266,7 +1390,7 @@ class TestUepSinglePass:
         uep_simulate(equal_classes(3), bsc(0.11),
                      SimConfig(seed=5, trials=3 * mcsim.DEFAULT_BATCH + 1,
                                n=64), workers)
-        assert sorted(calls) == [(mcsim.seed_for_class(5, i), b)
+        assert sorted(calls) == [(uep.seed_for_class(5, i), b)
                                  for i in range(3) for b in range(4)]
 
     @pytest.mark.parametrize("k", [2, 12])
@@ -1279,11 +1403,11 @@ class TestUepSinglePass:
                         input_types=tuple(types[i % 2] for i in range(k)),
                         gamma=0.05)
         rows = np.array([[y, 64 - y] for y in range(65)])
-        together = mcsim._p_e2(cfg, rows)
+        together = uep._p_e2(cfg, rows)
         assert together.shape == (k, 65)
         assert ((0 < together) & (together < 1)).any()
         for t in range(65):
-            alone = mcsim._p_e2(cfg, rows[t:t + 1])
+            alone = uep._p_e2(cfg, rows[t:t + 1])
             assert alone.tobytes() == together[:, t:t + 1].tobytes()
 
     def test_memory_does_not_grow_with_trials(self):
@@ -1434,9 +1558,9 @@ class TestArrangementSum:
         cols = np.bincount(data.draw(st.lists(st.integers(0, l - 1),
                                               min_size=n, max_size=n)),
                            minlength=l).tolist()
-        got = mcsim._arrangement_sum(rows, cols, 10 ** 7,
+        got = uep._arrangement_sum(rows, cols, 10 ** 7,
                                      lambda t: np.ones(len(t), dtype=bool))
-        assert got == mcsim._multinomial(rows)
+        assert got == uep._multinomial(rows)
 
     @pytest.mark.parametrize("rows,cols,thr", [
         ((2, 2, 3), (3, 2, 2), 0.3),
@@ -1461,7 +1585,7 @@ class TestArrangementSum:
         want = [dball_count_exact(q, s_hat, dmat, d) for d in (0.2, 0.4)]
         tail = _mi_tail_log_prob((4, 3, 2), (3, 3, 3), 0.3)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcsim, "_TABLE_BLOCK", block)
+            mp.setattr(uep, "_TABLE_BLOCK", block)
             assert [dball_count_exact(q, s_hat, dmat, d)
                     for d in (0.2, 0.4)] == want
             assert _mi_tail_log_prob((4, 3, 2), (3, 3, 3), 0.3) == tail
